@@ -172,7 +172,7 @@ def parse_config(mode: str, config_path: str | None, overrides: dict) -> RunConf
     }
     for key in _WELL_KEYS:
         if overrides.get(key) is not None:
-            well_fields[key] = float(overrides[key])
+            well_fields[key] = _as_number(overrides[key], f"well.{key}")
     well = None
     if well_fields:
         for key in ("v1", "v2", "d"):
@@ -211,9 +211,9 @@ def parse_config(mode: str, config_path: str | None, overrides: dict) -> RunConf
     ch = _as_number(init_block["ch"], "init.ch") if "ch" in init_block else None
     cl = _as_number(init_block["cl"], "init.cl") if "cl" in init_block else None
     if overrides.get("ch") is not None:
-        ch = float(overrides["ch"])
+        ch = _as_number(overrides["ch"], "init.ch")
     if overrides.get("cl") is not None:
-        cl = float(overrides["cl"])
+        cl = _as_number(overrides["cl"], "init.cl")
     if ch is None:
         ch = 1.0
     if cl is None:
@@ -397,13 +397,14 @@ def _physics(config: RunConfig):
     return bias, spacing, split, freqs, dipoles
 
 
-def _resolve_model(config: RunConfig) -> BranchingModel:
+def _resolve_model(config: RunConfig, physics=None) -> BranchingModel:
+    """The configured branching model; ``physics`` reuses a solved chain."""
     kind = config.branching.kind if config.branching else "physical"
     if kind == "symmetric":
         return BranchingModel.symmetric()
     if kind == "manual":
         return BranchingModel.manual(*config.branching.probs)
-    *_, freqs, dipoles = _physics(config)
+    *_, freqs, dipoles = physics if physics is not None else _physics(config)
     return branching_model(freqs, dipoles, kind)
 
 
@@ -438,14 +439,9 @@ def _run_design(config: RunConfig) -> int:
 
 
 def _run_levels(config: RunConfig) -> int:
-    bias, spacing, split, freqs, dipoles = _physics(config)
-    kind = config.branching.kind if config.branching else "physical"
-    if kind == "symmetric":
-        model = BranchingModel.symmetric()
-    elif kind == "manual":
-        model = BranchingModel.manual(*config.branching.probs)
-    else:
-        model = branching_model(freqs, dipoles, kind)
+    physics = _physics(config)
+    bias, spacing, split, freqs, dipoles = physics
+    model = _resolve_model(config, physics)
     coupled = {
         "bias": bias,
         "spacing": spacing,

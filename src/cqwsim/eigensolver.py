@@ -10,14 +10,19 @@ Bound levels on the window v2 < E < v1 - b satisfy the phase condition
     kappa d = arctan(nu / kappa) + arctan(delta / kappa) + n pi
 
 with in-well wavenumber kappa = sqrt(E - v2) and barrier decay constants
-nu = sqrt(v1 - E), delta = sqrt(v1 - b - E). Roots are bracketed on a
-uniform energy scan and refined by bisection.
+nu = sqrt(v1 - E), delta = sqrt(v1 - b - E). The total phase
+kappa d - arctan(nu / kappa) - arctan(delta / kappa) strictly increases
+across the window, from -pi at the floor to its value at v1 - b, so the
+level count is the number of multiples of pi below that top value. The two
+arctan terms sum to a value in (0, pi), so level n has kappa d in
+(n pi, (n + 1) pi): that hard-wall bracket, clipped to the window, is
+refined by bisection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, isfinite, pi, sin, sqrt
+from math import atan2, ceil, cos, isfinite, pi, sin, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,8 +35,6 @@ from .errors import (
     ValidationError,
 )
 
-SCAN_POINTS = 2048
-WINDOW_MARGIN = 1e-9
 ENERGY_TOL = 1e-12
 DESIGN_TOL = 1e-9
 BIAS_SCAN_POINTS = 257
@@ -104,7 +107,6 @@ class BoundState:
     index: int
     energy: float
     wave: PiecewiseWave
-    norm: bool = True
 
 
 @dataclass(frozen=True)
@@ -116,17 +118,17 @@ class DesignResult:
     residual: float
 
 
-def _window(params: WellParams) -> tuple[float, float]:
-    return params.v2, params.v1 - params.b
+def _phase(params: WellParams, energy: float) -> float:
+    """Total phase kappa d - arctan(nu/kappa) - arctan(delta/kappa).
 
-
-def _phase(params: WellParams, energy):
-    """Total phase kappa d - arctan(nu/kappa) - arctan(delta/kappa)."""
-    e = np.asarray(energy, dtype=float)
-    kappa = np.sqrt(e - params.v2)
-    nu = np.sqrt(params.v1 - e)
-    delta = np.sqrt(params.v1 - params.b - e)
-    return kappa * params.d - np.arctan(nu / kappa) - np.arctan(delta / kappa)
+    atan2 keeps it defined at the floor (kappa = 0), where it equals -pi.
+    """
+    kappa = sqrt(energy - params.v2)
+    return (
+        kappa * params.d
+        - atan2(sqrt(params.v1 - energy), kappa)
+        - atan2(sqrt(params.v1 - params.b - energy), kappa)
+    )
 
 
 def transcendental_residual(params: WellParams, energy: float) -> tuple[float, int]:
@@ -143,12 +145,12 @@ def transcendental_residual(params: WellParams, energy: float) -> tuple[float, i
     DomainError
         If ``energy`` lies outside the open window (v2, v1 - b).
     """
-    lo, hi = _window(params)
+    lo, hi = params.v2, params.v1 - params.b
     if not (lo < energy < hi):
         raise DomainError(
             f"energy {energy} outside the bound-state window ({lo}, {hi})"
         )
-    total = float(_phase(params, energy))
+    total = _phase(params, energy)
     branch = max(int(round(total / pi)), 0)
     return total - branch * pi, branch
 
@@ -193,27 +195,11 @@ def bisect_root(
     return 0.5 * (a + b)
 
 
-def _scan_energies(params: WellParams) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = _window(params)
-    eps = WINDOW_MARGIN * (hi - lo)
-    grid = np.linspace(lo + eps, hi - eps, SCAN_POINTS)
-    return grid, _phase(params, grid)
-
-
-def _root_brackets(grid: np.ndarray, phase: np.ndarray) -> list[tuple[int, int]]:
-    """(branch, scan index) pairs where g_n changes sign, ordered by branch."""
-    brackets: list[tuple[int, int]] = []
-    n = 0
-    while n < 4096:
-        g = phase - n * pi
-        flips = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
-        exact = np.nonzero(g == 0.0)[0]
-        if len(flips) == 0 and len(exact) == 0:
-            break
-        for i in flips:
-            brackets.append((n, int(i)))
-        n += 1
-    return brackets
+def _level_energy(params: WellParams, n: int, tol: float) -> float:
+    """Energy of level n, bisected on n pi < kappa d < (n + 1) pi within the window."""
+    lo = params.v2 + (n * pi / params.d) ** 2
+    hi = min(params.v2 + ((n + 1) * pi / params.d) ** 2, params.v1 - params.b)
+    return bisect_root(lambda e: _phase(params, e) - n * pi, lo, hi, tol)
 
 
 def solve_bound_states(params: WellParams, tol: float = ENERGY_TOL) -> list[BoundState]:
@@ -232,21 +218,16 @@ def solve_bound_states(params: WellParams, tol: float = ENERGY_TOL) -> list[Boun
     """
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-    grid, phase = _scan_energies(params)
     states = []
-    for n, i in _root_brackets(grid, phase):
-        g = lambda e: float(_phase(params, e)) - n * pi
-        energy = bisect_root(
-            g, grid[i], grid[i + 1], tol, phase[i] - n * pi, phase[i + 1] - n * pi
-        )
+    for n in range(count_levels(params)):
+        energy = _level_energy(params, n, tol)
         states.append(BoundState(index=n, energy=energy, wave=_match_wave(params, energy)))
     return states
 
 
 def count_levels(params: WellParams) -> int:
-    """Number of bound levels, by the same scan used for solving."""
-    grid, phase = _scan_energies(params)
-    return len(_root_brackets(grid, phase))
+    """Number of bound levels: the multiples n pi (n >= 0) below the phase at v1 - b."""
+    return max(ceil(_phase(params, params.v1 - params.b) / pi), 0)
 
 
 def _match_wave(params: WellParams, energy: float) -> PiecewiseWave:
@@ -358,19 +339,6 @@ def count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(s[:-1] * s[1:] < 0))
 
 
-def _first_two_energies(params: WellParams, tol: float) -> list[float]:
-    grid, phase = _scan_energies(params)
-    energies = []
-    for n, i in _root_brackets(grid, phase):
-        if n > 1:
-            break
-        g = lambda e: float(_phase(params, e)) - n * pi
-        energies.append(
-            bisect_root(g, grid[i], grid[i + 1], tol, phase[i] - n * pi, phase[i + 1] - n * pi)
-        )
-    return energies
-
-
 def design_alignment(
     v1: float, v2: float, d: float, tol: float = DESIGN_TOL
 ) -> DesignResult:
@@ -405,10 +373,11 @@ def design_alignment(
         )
 
     def spacing_residual(bias: float) -> float | None:
-        energies = _first_two_energies(WellParams(v1, v2, bias, d), ENERGY_TOL)
-        if len(energies) < 2:
+        params = WellParams(v1, v2, bias, d)
+        if count_levels(params) < 2:
             return None
-        return energies[1] - energies[0] - bias
+        e0 = _level_energy(params, 0, ENERGY_TOL)
+        return _level_energy(params, 1, ENERGY_TOL) - e0 - bias
 
     biases = np.linspace(lo_b, hi_b, BIAS_SCAN_POINTS)
     residuals = [spacing_residual(b) for b in biases]

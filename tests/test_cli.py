@@ -69,6 +69,31 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
     assert "typo_key" in err["message"]
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--ch", "nan", "init.ch"),
+    ("--ch", "inf", "init.ch"),
+    ("--cl", "-inf", "init.cl"),
+    ("--v1", "nan", "well.v1"),
+    ("--v2", "-inf", "well.v2"),
+    ("--d", "inf", "well.d"),
+    ("--period", "nan", "well.period"),
+    ("--b", "inf", "well.b"),
+])
+def test_non_finite_flag_exits_2(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "o"
+    code = cli.main([
+        "simulate", "--n", "8", "--branching", "symmetric", f"{flag}={value}",
+        "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "validation"
+    assert diagnostic["message"].startswith(f"{key} must be finite")
+    assert not out.exists()
+
+
 def test_flags_override_file_values(tmp_path):
     cfg = write_config(tmp_path, {
         "n_total": 4,

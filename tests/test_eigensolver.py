@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from cqwsim import (
@@ -22,6 +24,7 @@ from cqwsim import (
     solve_bound_states,
     transcendental_residual,
 )
+from cqwsim.eigensolver import ENERGY_TOL
 
 FINITE = WellParams(50.0, 0.0, 5.0, 1.0)
 DEEP = WellParams(1e4, 0.0, 0.0, 1.0)
@@ -166,11 +169,67 @@ def test_solver_determinism_bitwise():
 
 
 def test_shallow_narrow_well_holds_no_level():
-    # phase scan: g_0 runs from -pi to about -0.98 over the whole window,
-    # never crossing zero
+    # the phase rises from -pi at the floor to only about -0.98 at the
+    # window top, so it never reaches zero
     params = WellParams(2.0, 0.0, 1.5, 0.1)
     assert count_levels(params) == 0
     assert solve_bound_states(params) == []
+
+
+def test_weakly_bound_level_near_window_top():
+    # kappa d at the window top is pi + 1e-5, so a second level exists,
+    # bound by only ~1.5e-9 below v1 = 60
+    d = (math.pi + 1e-5) / math.sqrt(60.0)
+    params = WellParams(60.0, 0.0, 0.0, d)
+    assert count_levels(params) == 2
+    states = solve_bound_states(params)
+    assert [s.index for s in states] == [0, 1]
+    assert 60.0 - 2e-9 < states[1].energy < 60.0 - 1e-9
+    # the independent phase evaluation crosses pi inside that interval
+    assert direct_residual(60.0, 0.0, d, 60.0 - 2e-9) < math.pi
+    assert direct_residual(60.0, 0.0, d, 60.0 - 1e-9) > math.pi
+
+
+def phase_slope(params, energy):
+    # d/dE of kappa d - atan(nu/kappa) - atan(delta/kappa)
+    kappa = math.sqrt(energy - params.v2)
+    nu = math.sqrt(params.v1 - energy)
+    delta = math.sqrt(params.v1 - params.b - energy)
+    return (params.d + 1.0 / nu + 1.0 / delta) / (2.0 * kappa)
+
+
+WELL_FLOOR = st.floats(-50.0, 50.0)
+WELL_DEPTH = st.floats(0.5, 500.0)
+WELL_WIDTH = st.floats(0.05, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v2=WELL_FLOOR, depth=WELL_DEPTH, d=WELL_WIDTH)
+def test_unbiased_count_is_textbook(v2, depth, d):
+    v1 = v2 + depth
+    assert count_levels(WellParams(v1, v2, 0.0, d)) == math.ceil(
+        d * math.sqrt(v1 - v2) / math.pi
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v2=WELL_FLOOR, depth=WELL_DEPTH, d=WELL_WIDTH,
+    bias_fraction=st.floats(0.0, 0.99),
+)
+def test_levels_sit_in_hard_wall_brackets(v2, depth, d, bias_fraction):
+    params = WellParams(v2 + depth, v2, bias_fraction * depth, d)
+    states = solve_bound_states(params)
+    assert [s.index for s in states] == list(range(count_levels(params)))
+    for state in states:
+        n = state.index
+        assert n * math.pi < math.sqrt(state.energy - v2) * d < (n + 1) * math.pi
+        residual, branch = transcendental_residual(params, state.energy)
+        assert branch == n
+        # the bisection fixes the energy to ENERGY_TOL; only a level within
+        # ~1e-8 of the window top has a phase slope steep enough for that to
+        # exceed 1e-9 in phase
+        assert abs(residual) <= max(1e-9, phase_slope(params, state.energy) * ENERGY_TOL)
 
 
 def test_count_levels_matches_solver():
