@@ -95,20 +95,13 @@ def joint_pm(dist: JointDistribution) -> dict[tuple[int, int], float]:
     return out
 
 
-def conditional_state(dist: JointDistribution, m: int) -> ConditionalState:
-    """Renormalized (l, n) state of the fixed-m slice of the table."""
-    if not (0 <= m <= dist.n_total):
-        raise DomainError(
-            f"central count {m} outside [0, {dist.n_total}]"
-        )
-    s = dist.n_total - m
+def _slice_state(
+    n_total: int, m: int, slice_f: dict[tuple[int, int], float]
+) -> ConditionalState:
+    """Classify one fixed-m slice given its positive (l, n) masses."""
+    s = n_total - m
     k = s // 2
-    slice_f = {
-        (key[0], key[2]): dist.table[key]
-        for key in sorted(dist.table)
-        if key[1] == m and dist.table[key] > 0.0
-    }
-    weight = fsum(slice_f[key] for key in sorted(slice_f))
+    weight = fsum(slice_f.values())
     if weight == 0.0:
         return ConditionalState(m, s, k, "empty", None, None, 0.0)
     if s % 2 == 0:
@@ -126,6 +119,34 @@ def conditional_state(dist: JointDistribution, m: int) -> ConditionalState:
     beta = sqrt(slice_f.get((k + 1, k), 0.0) / weight)
     kind = "entangled-pair" if alpha > 0.0 and beta > 0.0 else "product"
     return ConditionalState(m, s, k, kind, alpha, beta, weight)
+
+
+def conditional_state(dist: JointDistribution, m: int) -> ConditionalState:
+    """Renormalized (l, n) state of the fixed-m slice of the table."""
+    if not (0 <= m <= dist.n_total):
+        raise DomainError(
+            f"central count {m} outside [0, {dist.n_total}]"
+        )
+    slice_f = {
+        (l, n): f
+        for (l, mm, n), f in dist.table.items()
+        if mm == m and f > 0.0
+    }
+    return _slice_state(dist.n_total, m, slice_f)
+
+
+def conditional_states(dist: JointDistribution) -> list[ConditionalState]:
+    """``conditional_state`` for every m in [0, n_total], in one pass."""
+    slices: list[dict[tuple[int, int], float]] = [
+        {} for _ in range(dist.n_total + 1)
+    ]
+    for (l, m, n), f in dist.table.items():
+        if 0 <= m <= dist.n_total and f > 0.0:
+            slices[m][(l, n)] = f
+    return [
+        _slice_state(dist.n_total, m, slice_f)
+        for m, slice_f in enumerate(slices)
+    ]
 
 
 def entanglement_entropy(cond: ConditionalState) -> float:
@@ -154,7 +175,9 @@ def purity_check(dist: JointDistribution) -> PurityReport:
     """Trace and idempotency of the outer-product density operator.
 
     The state is rank one by construction, so rho^2 - rho = (t - 1) rho
-    with t the trace, and the trace-norm residual is t |t - 1|.
+    with t the trace, and the trace-norm residual is t |t - 1|. Both
+    ``rank_one`` and ``idempotency_residual`` therefore follow from the
+    sum rule (the trace) and are not an independent check of the table.
     """
     t = dist.total()
     return PurityReport(

@@ -5,14 +5,24 @@ aligned pair and hops down the chain one pair per step, emitting one
 photon per hop into the low (l), central (m), or high (n) frequency
 accumulator. The evolution is incoherent: sublevel populations carry
 probability mass and each step applies the branching rows, so the final
-photon-count distribution is an exact dynamic program over states keyed
-by (sublevel, l, n). The central count m is implied by the step number.
+photon-count distribution is an exact dynamic program.
+
+A state is fixed by its starting sublevel and its crossing count c, the
+number of hops that changed sublevel. From an H start, c even sits on H
+and c odd on L, with l = c // 2 and n = (c + 1) // 2; an L start is the
+mirror image. The two starts never reach the same (sublevel, l, n)
+before the terminal decay, so the state is two length-N arrays over c,
+one per start. The central count m is implied by the step number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import fsum, isfinite, sqrt
+from types import MappingProxyType
+from typing import Mapping
+
+import numpy as np
 
 from .coupling import BranchingModel
 from .errors import DomainError, SequencingError
@@ -66,16 +76,34 @@ class InitialExcitation:
         return cls.normalized(1.0, 1.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class CascadeState:
-    """Population over (sublevel, l, n) keys after ``step`` hops."""
+    """Populations after ``step`` hops over crossing count c.
+
+    ``high[c]`` is the mass that started on H and has crossed c times,
+    ``low[c]`` the same for an L start; both have length ``n_total``.
+    Compare states through ``weights``: arrays have no single truth value.
+    """
 
     n_total: int
     step: int
-    weights: dict[StateKey, float] = field(default_factory=dict)
+    high: np.ndarray
+    low: np.ndarray
+
+    @property
+    def weights(self) -> Mapping[StateKey, float]:
+        """Read-only view keyed by (sublevel, l, n), positive masses only."""
+        view: dict[StateKey, float] = {}
+        for c, (h, lo) in enumerate(zip(self.high.tolist(), self.low.tolist())):
+            odd = c & 1
+            if h > 0.0:
+                view[(LOW if odd else HIGH, c // 2, (c + 1) // 2)] = h
+            if lo > 0.0:
+                view[(HIGH if odd else LOW, (c + 1) // 2, c // 2)] = lo
+        return MappingProxyType(dict(sorted(view.items())))
 
     def mass(self) -> float:
-        return fsum(self.weights[k] for k in sorted(self.weights))
+        return fsum(self.high.tolist() + self.low.tolist())
 
 
 @dataclass
@@ -97,19 +125,33 @@ def initial_state(n_total: int, init: InitialExcitation) -> CascadeState:
     """Populate the first pair's sublevels with the squared amplitudes."""
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
-    weights: dict[StateKey, float] = {}
-    if init.c_h > 0:
-        weights[(HIGH, 0, 0)] = init.c_h * init.c_h
-    if init.c_l > 0:
-        weights[(LOW, 0, 0)] = init.c_l * init.c_l
-    return CascadeState(n_total=n_total, step=0, weights=weights)
+    high = np.zeros(n_total)
+    low = np.zeros(n_total)
+    high[0] = init.c_h * init.c_h
+    low[0] = init.c_l * init.c_l
+    return CascadeState(n_total=n_total, step=0, high=high, low=low)
+
+
+def _alternating(even: float, odd: float, size: int) -> np.ndarray:
+    rates = np.empty(size)
+    rates[0::2] = even
+    rates[1::2] = odd
+    return rates
+
+
+def _hop(pop: np.ndarray, stay: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """new[c] = pop[c] stay[c] + pop[c - 1] cross[c - 1]."""
+    new = pop * stay
+    new[1:] += pop[:-1] * cross[:-1]
+    return new
 
 
 def evolve_step(state: CascadeState, branching: BranchingModel) -> CascadeState:
     """Apply one hop: H emits into m or n, L emits into m or l.
 
     Staying on the same sublevel emits a central photon (m, implied by the
-    step count); crossing from H raises n, crossing from L raises l. Only
+    step count); crossing from H raises n, crossing from L raises l. From
+    an H start, even crossing counts sit on H; from an L start, on L. Only
     the first n_total - 1 hops are ladder steps; stepping past that is a
     sequencing error.
     """
@@ -118,43 +160,55 @@ def evolve_step(state: CascadeState, branching: BranchingModel) -> CascadeState:
             f"cascade already at step {state.step} of {state.n_total - 1}; "
             "only the terminal transition remains"
         )
-    new: dict[StateKey, float] = {}
-    for key in sorted(state.weights):
-        w = state.weights[key]
-        branch, l, n = key
-        if branch == HIGH:
-            moves = (((HIGH, l, n), w * branching.p_hh),
-                     ((LOW, l, n + 1), w * branching.p_hl))
-        else:
-            moves = (((HIGH, l + 1, n), w * branching.p_lh),
-                     ((LOW, l, n), w * branching.p_ll))
-        for target, dw in moves:
-            if dw != 0.0:
-                new[target] = new.get(target, 0.0) + dw
-    return CascadeState(n_total=state.n_total, step=state.step + 1, weights=new)
+    # rate[c] is the H-start rate at crossing count c; an L start sits
+    # on the other sublevel, so its rate at c is rate[c + 1]
+    size = state.n_total
+    stay = _alternating(branching.p_hh, branching.p_ll, size + 1)
+    cross = _alternating(branching.p_hl, branching.p_lh, size + 1)
+    high = _hop(state.high, stay[:-1], cross[:-1])
+    low = _hop(state.low, stay[1:], cross[1:])
+    return CascadeState(
+        n_total=state.n_total, step=state.step + 1, high=high, low=low
+    )
 
 
 def terminal_transition(state: CascadeState) -> JointDistribution:
     """Decay the last pair to the final ground level.
 
     The closing photon goes to n from an H sublevel and to l from an L
-    sublevel, with probability 1 either way. Requires the state to have
-    completed all ladder steps.
+    sublevel, with probability 1 either way, so crossing count c ends at
+    m = n_total - 1 - c. The two starts meet only on the diagonal
+    (k + 1, m, k + 1) reached with c = 2k + 1 odd. Requires the state to
+    have completed all ladder steps.
     """
     if state.step != state.n_total - 1:
         raise SequencingError(
             f"terminal transition requires step {state.n_total - 1}, "
             f"got step {state.step}"
         )
-    m = state.n_total - 1
+    top = state.n_total - 1
+    high = state.high.tolist()
+    low = state.low.tolist()
     table: dict[CountKey, float] = {}
-    for key in sorted(state.weights):
-        w = state.weights[key]
-        if w == 0.0:
-            continue
-        branch, l, n = key
-        target = (l, m - l - n, n + 1) if branch == HIGH else (l + 1, m - l - n, n)
-        table[target] = table.get(target, 0.0) + w
+
+    def decay(target: CountKey, w: float) -> None:
+        if w != 0.0:
+            table[target] = table.get(target, 0.0) + w
+
+    # H-sublevel decays first, then L, each in increasing (l, n): the
+    # order of the sorted (sublevel, l, n) keys.
+    for c in range(state.n_total):
+        k = c // 2
+        if c & 1:
+            decay((k + 1, top - c, k + 1), low[c])
+        else:
+            decay((k, top - c, k + 1), high[c])
+    for c in range(state.n_total):
+        k = c // 2
+        if c & 1:
+            decay((k + 1, top - c, k + 1), high[c])
+        else:
+            decay((k + 1, top - c, k), low[c])
     return JointDistribution(n_total=state.n_total, table=table)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from scipy.integrate import simpson
 
 from .analysis import (
-    conditional_state,
+    conditional_states,
     entanglement_entropy,
     joint_pm,
     parity_xor,
@@ -55,7 +55,7 @@ from .oracle import (
     sample_walks,
     tv_distance,
 )
-from .output import csv_table, stable_json
+from .output import csv_table, heatmap_csv, stable_json
 
 MODES = ("design", "levels", "simulate", "analyze", "verify", "audit")
 FORMATS = ("json", "csv", "both")
@@ -521,8 +521,7 @@ def _run_analyze(config: RunConfig) -> int:
     model = _resolve_model(config)
     dist = run_cascade(config.n, config.init, model)
     conditionals = []
-    for m in range(config.n + 1):
-        state = conditional_state(dist, m)
+    for state in conditional_states(dist):
         entropy = None if state.kind == "empty" else entanglement_entropy(state)
         conditionals.append({
             "m": state.measured_m,
@@ -549,14 +548,9 @@ def _run_analyze(config: RunConfig) -> int:
             "idempotency_residual": purity.idempotency_residual,
         },
     }
-    mass = joint_pm(dist)
-    heatmap_rows = []
-    for l in range(config.n + 1):
-        for n in range(config.n + 1):
-            heatmap_rows.append([l, n, mass.get((l, n), 0.0)])
     _emit(config, [
         ("analysis.json", stable_json(document)),
-        ("heatmap.csv", csv_table(["l", "n", "p"], heatmap_rows)),
+        ("heatmap.csv", heatmap_csv(config.n, joint_pm(dist))),
     ])
     return 0
 

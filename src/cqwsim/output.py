@@ -67,3 +67,28 @@ def csv_table(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(value) for value in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def heatmap_csv(n_total: int, mass: dict[tuple[int, int], float]) -> str:
+    """The dense (n_total + 1)^2 table l,n,p of the sideband mass.
+
+    Equal to ``csv_table(["l", "n", "p"], rows)`` over every (l, n) with
+    ``mass.get((l, n), 0.0)``, but each row is one join of precomputed
+    ``",n,0"`` tails with only the cells present in ``mass`` formatted.
+    """
+    side = n_total + 1
+    tails = [f",{n},0" for n in range(side)]
+    cells: dict[int, list[tuple[int, float]]] = {}
+    for (l, n), p in mass.items():
+        if 0 <= l < side and 0 <= n < side:
+            cells.setdefault(l, []).append((n, p))
+    lines = ["l,n,p"]
+    for l in range(side):
+        row = tails
+        if l in cells:
+            row = tails.copy()
+            for n, p in cells[l]:
+                row[n] = f",{n},{format_float(p)}"
+        head = str(l)
+        lines.append(head + ("\n" + head).join(row))
+    return "\n".join(lines) + "\n"

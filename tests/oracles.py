@@ -4,7 +4,9 @@ Two oracles rediscover spectra from the raw potential on a dense grid,
 sharing no code with the package solvers: a Numerov shooting integrator
 for single-well levels and a finite-difference tridiagonal
 diagonalization for the two-well splitting. A closed-form deep-well
-asymptote gives the reference for the hard-wall limit.
+asymptote gives the reference for the hard-wall limit. ``dict_cascade``
+is the photon-count recursion written as a dict over (sublevel, l, n)
+states, the reference the array cascade must match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,46 @@ import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+
+
+def dict_cascade(n_total, init, branching):
+    """Photon-count table by a dynamic program over (sublevel, l, n) keys.
+
+    Each step visits the states in sorted order; H stays (central photon)
+    or crosses to L raising n, L stays or crosses to H raising l. Zero
+    products are dropped, so the table lists only positive masses. The
+    last pair decays with its photon to n from H and to l from L.
+    """
+    weights = {}
+    if init.c_h > 0:
+        weights[("H", 0, 0)] = init.c_h * init.c_h
+    if init.c_l > 0:
+        weights[("L", 0, 0)] = init.c_l * init.c_l
+    for _ in range(n_total - 1):
+        new = {}
+        for key in sorted(weights):
+            w = weights[key]
+            branch, l, n = key
+            if branch == "H":
+                moves = ((("H", l, n), w * branching.p_hh),
+                         (("L", l, n + 1), w * branching.p_hl))
+            else:
+                moves = ((("H", l + 1, n), w * branching.p_lh),
+                         (("L", l, n), w * branching.p_ll))
+            for target, dw in moves:
+                if dw != 0.0:
+                    new[target] = new.get(target, 0.0) + dw
+        weights = new
+    m = n_total - 1
+    table = {}
+    for key in sorted(weights):
+        w = weights[key]
+        if w == 0.0:
+            continue
+        branch, l, n = key
+        target = (l, m - l - n, n + 1) if branch == "H" else (l + 1, m - l - n, n)
+        table[target] = table.get(target, 0.0) + w
+    return table
 
 
 def single_well_potential(v1, v2, b, d, x):

@@ -13,6 +13,7 @@ from cqwsim import (
     JointDistribution,
     NumericError,
     conditional_state,
+    conditional_states,
     entanglement_entropy,
     joint_pm,
     logical_qubit_projection,
@@ -226,3 +227,35 @@ def test_swap_invariant_entropies():
             assert entanglement_entropy(a) == pytest.approx(
                 entanglement_entropy(b), abs=1e-12
             )
+
+
+def test_conditional_states_match_per_slice_calls():
+    # skewed rows underflow part of the support, so empty slices occur
+    rng = np.random.default_rng(404)
+    empty = 0
+    for _ in range(30):
+        n = int(rng.integers(1, 300))
+        stay_h = float(rng.choice([rng.uniform(0.0, 1.0), 0.995, 1.0]))
+        stay_l = float(rng.uniform(0.0, 1.0))
+        model = BranchingModel.manual(stay_h, 1.0 - stay_h, 1.0 - stay_l, stay_l)
+        c = float(rng.choice([0.0, 1.0, rng.uniform(0.1, 0.9)]))
+        init = InitialExcitation(math.sqrt(c), math.sqrt(1.0 - c))
+        dist = run_cascade(n, init, model)
+        expected = [conditional_state(dist, m) for m in range(n + 1)]
+        assert conditional_states(dist) == expected
+        empty += sum(cond.kind == "empty" for cond in expected)
+    assert empty > 0
+
+
+@pytest.mark.parametrize("table, bad_m", [
+    ({(2, 2, 0): 1.0}, 2),
+    ({(1, 1, 1): 0.5, (0, 1, 3): 0.5}, 1),
+    ({(1, 2, 1): 0.75, (0, 3, 2): 0.25}, 3),
+])
+def test_conditional_states_rejects_malformed_slice(table, bad_m):
+    bad = JointDistribution(n_total=4, table=table)
+    with pytest.raises(NumericError) as per_slice:
+        conditional_state(bad, bad_m)
+    with pytest.raises(NumericError) as all_slices:
+        conditional_states(bad)
+    assert str(all_slices.value) == str(per_slice.value)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqwsim import (
     BranchingModel,
@@ -17,6 +19,7 @@ from cqwsim import (
     support_set,
     terminal_transition,
 )
+from oracles import dict_cascade
 
 SYM = BranchingModel.symmetric()
 H_START = InitialExcitation(1.0, 0.0)
@@ -215,3 +218,36 @@ def test_run_cascade_domain_errors():
         run_cascade(0, H_START, SYM)
     with pytest.raises(DomainError):
         run_cascade(-3, H_START, SYM)
+
+
+# stay probabilities: the row ends, generic values, and near-absorbing
+# rows whose long stay runs push the crossing tails below float range
+STAY = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(0.99, 1.0, exclude_max=True),
+)
+STARTS = st.one_of(
+    st.just(H_START),
+    st.just(L_START),
+    st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)).map(
+        lambda pair: InitialExcitation.normalized(*pair)
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), stay_h=STAY, stay_l=STAY, init=STARTS)
+def test_array_cascade_matches_dict_dp_bitwise(n, stay_h, stay_l, init):
+    model = BranchingModel.manual(stay_h, 1.0 - stay_h, 1.0 - stay_l, stay_l)
+    table = run_cascade(n, init, model).table
+    reference = dict_cascade(n, init, model)
+    assert table == reference
+    assert list(table) == list(reference)
+
+
+def test_weights_view_is_read_only_and_positive():
+    state = evolve_step(initial_state(5, H_START), BranchingModel.manual(1.0, 0.0, 0.5, 0.5))
+    assert dict(state.weights) == {("H", 0, 0): 1.0}
+    with pytest.raises(TypeError):
+        state.weights[("L", 0, 1)] = 0.5

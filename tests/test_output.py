@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from cqwsim import NumericError
-from cqwsim.output import csv_table, format_float, stable_json
+from cqwsim import (
+    BranchingModel,
+    InitialExcitation,
+    NumericError,
+    joint_pm,
+    run_cascade,
+)
+from cqwsim.output import csv_table, format_float, heatmap_csv, stable_json
 
 
 def test_format_float_round_trips():
@@ -53,3 +59,34 @@ def test_csv_table_layout():
     assert lines[0] == "l,n,p"
     assert lines[1] == "0,1,0.5"
     assert text.endswith("\n")
+
+
+def dense_heatmap(n_total, mass):
+    rows = [
+        [l, n, mass.get((l, n), 0.0)]
+        for l in range(n_total + 1)
+        for n in range(n_total + 1)
+    ]
+    return csv_table(["l", "n", "p"], rows)
+
+
+@pytest.mark.parametrize("n_total", range(1, 31))
+def test_heatmap_csv_equals_dense_table(n_total):
+    rng = np.random.default_rng(n_total)
+    a, b = rng.uniform(0.05, 0.95, 2)
+    model = BranchingModel.manual(a, 1.0 - a, b, 1.0 - b)
+    mass = joint_pm(run_cascade(n_total, InitialExcitation.balanced(), model))
+    assert heatmap_csv(n_total, mass) == dense_heatmap(n_total, mass)
+
+
+def test_heatmap_csv_absorbing_row_misses_diagonal_cells():
+    # p_hh = 1 from an H start leaves a single cell, (0, 1)
+    absorbing = BranchingModel.manual(1.0, 0.0, 0.5, 0.5)
+    mass = joint_pm(run_cascade(9, InitialExcitation(1.0, 0.0), absorbing))
+    assert mass == {(0, 1): 1.0}
+    assert heatmap_csv(9, mass) == dense_heatmap(9, mass)
+
+
+def test_heatmap_csv_rejects_non_finite_mass():
+    with pytest.raises(NumericError):
+        heatmap_csv(2, {(1, 1): float("nan")})
