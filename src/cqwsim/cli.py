@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from math import isfinite, sqrt
 from pathlib import Path
 
-from scipy.integrate import simpson
-
 from .analysis import (
     conditional_states,
     entanglement_entropy,
@@ -39,6 +37,7 @@ from .eigensolver import (
     count_nodes,
     design_alignment,
     evaluate_wave,
+    simpson,
     solve_bound_states,
 )
 from .errors import (
@@ -416,7 +415,7 @@ def _run_design(config: RunConfig) -> int:
     rows = []
     for state in result.levels:
         psi = evaluate_wave(state, grid, 0.0)
-        norm_residual = abs(float(simpson(psi * psi, x=grid)) - 1.0)
+        norm_residual = abs(simpson(psi * psi, grid) - 1.0)
         rows.append([state.index, state.energy, count_nodes(psi), norm_residual])
     document = {
         "well": {

@@ -10,13 +10,11 @@ nonorthogonal basis {left-well ground, right-well excited}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import hypot, isfinite, sqrt
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import eigh
 
-from .eigensolver import BoundState, WellParams, composite_grid, evaluate_wave
+from .eigensolver import BoundState, WellParams, composite_grid, evaluate_wave, simpson
 from .errors import DomainError, NumericError, ValidationError
 
 ALIGNMENT_TOL = 1e-6
@@ -104,11 +102,11 @@ class BranchingModel:
                 raise DomainError(f"{name}={p} is not a probability")
         if abs(self.p_hh + self.p_hl - 1.0) > 1e-9:
             raise DomainError(
-                f"H row sums to {self.p_hh + self.p_hl}, expected 1"
+                f"H row sums to {self.p_hh + self.p_hl}, expected 1 within 1e-9"
             )
         if abs(self.p_lh + self.p_ll - 1.0) > 1e-9:
             raise DomainError(
-                f"L row sums to {self.p_lh + self.p_ll}, expected 1"
+                f"L row sums to {self.p_lh + self.p_ll}, expected 1 within 1e-9"
             )
 
     @classmethod
@@ -125,17 +123,10 @@ class BranchingModel:
         Raises ValidationError if an entry is not a probability or a row
         sum strays from 1 by more than 1e-9.
         """
-        for name, p in (("p_hh", p_hh), ("p_hl", p_hl), ("p_lh", p_lh), ("p_ll", p_ll)):
-            if not isinstance(p, (int, float)) or not isfinite(p) or p < 0 or p > 1:
-                raise ValidationError(f"{name}={p} is not a probability")
-        if abs(p_hh + p_hl - 1.0) > 1e-9:
-            raise ValidationError(
-                f"manual branching H row sums to {p_hh + p_hl}, expected 1 within 1e-9"
-            )
-        if abs(p_lh + p_ll - 1.0) > 1e-9:
-            raise ValidationError(
-                f"manual branching L row sums to {p_lh + p_ll}, expected 1 within 1e-9"
-            )
+        try:
+            cls(p_hh, p_hl, p_lh, p_ll)
+        except DomainError as exc:
+            raise ValidationError(f"manual branching: {exc}") from None
         hh, hl = _stochastic_row(p_hh, p_hl)
         ll, lh = _stochastic_row(p_ll, p_lh)
         return cls(hh, hl, lh, ll, weighting="manual")
@@ -167,31 +158,48 @@ def split_pair(
 
     M is [[1, S], [S, 1]] with S = ``overlap``; eigenvectors come back
     M-orthonormal with a_pm > 0. Raises NumericError when |S| exceeds
-    0.99 (near-singular metric).
+    0.99 (near-singular metric) or the splitting vanishes.
+
+    The problem is solved in closed form in the symmetrically orthogonalized
+    basis (a +- b) / sqrt(2 (1 +- S)), where M is the identity and H reads
+    centre + [[d, o], [o, -d]]. The half-splitting is hypot(d, o), which
+    stays accurate when the splitting is tiny against the energies.
     """
     if abs(overlap) > OVERLAP_LIMIT:
         raise NumericError(
             f"overlap metric near singular: |S|={abs(overlap)} > {OVERLAP_LIMIT}"
         )
-    h = np.array([[h_aa, h_ab], [h_ab, h_bb]], dtype=float)
-    m = np.array([[1.0, overlap], [overlap, 1.0]], dtype=float)
-    vals, vecs = eigh(h, m)
-    lo, hi = vecs[:, 0], vecs[:, 1]
-    if lo[0] < 0:
-        lo = -lo
-    if hi[0] < 0:
-        hi = -hi
-    delta = float(vals[1] - vals[0])
+    plus, minus = 1.0 + overlap, 1.0 - overlap
+    det = plus * minus
+    mean = 0.5 * (h_aa + h_bb)
+    centre = (mean - overlap * h_ab) / det
+    d = (h_ab - overlap * mean) / det
+    o = 0.5 * (h_aa - h_bb) / sqrt(det)
+    half = hypot(d, o)
+    delta = 2.0 * half
     if not (delta > 0):
         raise NumericError(f"level splitting collapsed: delta_e={delta}")
+
+    def coefficients(shift: float) -> tuple[float, float]:
+        # Null vector of the larger-norm row of [[d, o], [o, -d]] - shift,
+        # mapped back to (a, b) and signed so that a > 0. With h_aa == h_bb
+        # (o == 0) it is exactly one basis vector.
+        r0, r1 = max(((d - shift, o), (o, -d - shift)), key=lambda r: hypot(*r))
+        norm = hypot(r0, r1)
+        u, v = r1 / norm / sqrt(2.0 * plus), -r0 / norm / sqrt(2.0 * minus)
+        a, b = u + v, u - v
+        return (-a, -b) if a < 0 else (a, b)
+
+    a_plus, b_plus = coefficients(half)
+    a_minus, b_minus = coefficients(-half)
     return CoupledLevels(
-        e_plus=float(vals[1]),
-        e_minus=float(vals[0]),
+        e_plus=centre + half,
+        e_minus=centre - half,
         delta_e=delta,
-        a_plus=float(hi[0]),
-        b_plus=float(hi[1]),
-        a_minus=float(lo[0]),
-        b_minus=float(lo[1]),
+        a_plus=a_plus,
+        b_plus=b_plus,
+        a_minus=a_minus,
+        b_minus=b_minus,
         overlap=float(overlap),
     )
 
@@ -265,11 +273,11 @@ def couple_wells(
     v_pair = chain_potential(params, x, 2)
     v_a = well_potential(params, x, 0)
     v_b = well_potential(params, x, 1)
-    s = float(simpson(fa * fb, x=x))
-    k_ba = float(simpson(fb * (v_pair - v_a) * fa, x=x))
-    k_ab = float(simpson(fa * (v_pair - v_b) * fb, x=x))
-    d_aa = float(simpson(fa * fa * (v_pair - v_a), x=x))
-    d_bb = float(simpson(fb * fb * (v_pair - v_b), x=x))
+    s = simpson(fa * fb, x)
+    k_ba = simpson(fb * (v_pair - v_a) * fa, x)
+    k_ab = simpson(fa * (v_pair - v_b) * fb, x)
+    d_aa = simpson(fa * fa * (v_pair - v_a), x)
+    d_bb = simpson(fb * fb * (v_pair - v_b), x)
     h_ab = 0.5 * ((e_b * s + k_ab) + (e_a * s + k_ba))
     return split_pair(e_a + d_aa, e_b + d_bb, h_ab, s)
 
@@ -338,10 +346,10 @@ def dipole_integrals(waves: ChainWaves) -> DipoleIntegrals:
     """Quadrature of the four position matrix elements."""
     x = waves.x
     return DipoleIntegrals(
-        intra=float(simpson(waves.ground_1 * x * waves.excited_1, x=x)),
-        adjacent_gg=float(simpson(waves.ground_1 * x * waves.ground_0, x=x)),
-        far=float(simpson(waves.excited_2 * x * waves.ground_0, x=x)),
-        adjacent_ee=float(simpson(waves.excited_2 * x * waves.excited_1, x=x)),
+        intra=simpson(waves.ground_1 * x * waves.excited_1, x),
+        adjacent_gg=simpson(waves.ground_1 * x * waves.ground_0, x),
+        far=simpson(waves.excited_2 * x * waves.ground_0, x),
+        adjacent_ee=simpson(waves.excited_2 * x * waves.excited_1, x),
     )
 
 

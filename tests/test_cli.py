@@ -1,10 +1,14 @@
 """End-to-end command-line runs: schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cqwsim
 import cqwsim.cli as cli
 from cqwsim import JointDistribution
 
@@ -278,3 +282,17 @@ def test_missing_branching_source_exits_2(tmp_path, capsys):
     code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "branching" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(cqwsim.__file__).resolve().parents[1]
+    probe = (
+        "import sys, cqwsim.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -2,7 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from cqwsim import (
     BranchingModel,
@@ -56,6 +60,52 @@ def test_split_pair_rejects_degenerate_or_saturated():
         split_pair(5.0, 5.0, 0.0, 0.0)  # no splitting
     with pytest.raises(NumericError):
         split_pair(5.0, 5.0, 0.7, 0.995)  # basis nearly collinear
+
+
+ENERGY = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+OVERLAP = st.floats(-0.99, 0.99)
+# signed fractions of the energy scale, from 1e-9 to 1
+FRACTION = st.builds(
+    lambda exponent, sign: sign * 10.0**exponent,
+    st.floats(-9.0, 0.0), st.sampled_from([-1.0, 1.0]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    e=ENERGY, s=OVERLAP, coupling=FRACTION,
+    detuning=st.just(0.0) | FRACTION,
+)
+def test_split_pair_matches_generalized_eigh(e, s, coupling, detuning):
+    # h_aa == h_bb exactly when the detuning is 0; the splitting is about
+    # max(|coupling|, |detuning|) times the energy scale
+    h_aa, h_bb = e * (1.0 + detuning), e * (1.0 - detuning)
+    h_ab = s * e + coupling * abs(e)
+    levels = split_pair(h_aa, h_bb, h_ab, s)
+    h = np.array([[h_aa, h_ab], [h_ab, h_bb]])
+    m = np.array([[1.0, s], [s, 1.0]])
+    vals = eigh(h, m, eigvals_only=True)
+    tol = 1e-12 * max(abs(vals))
+    assert abs(levels.e_minus - vals[0]) <= tol
+    assert abs(levels.e_plus - vals[1]) <= tol
+    assert abs(levels.delta_e - (vals[1] - vals[0])) <= tol
+    assert levels.delta_e > 0
+    plus = np.array([levels.a_plus, levels.b_plus])
+    minus = np.array([levels.a_minus, levels.b_minus])
+    assert levels.a_plus > 0 and levels.a_minus > 0
+    assert plus @ m @ plus == pytest.approx(1.0, abs=1e-12)
+    assert minus @ m @ minus == pytest.approx(1.0, abs=1e-12)
+    assert abs(plus @ m @ minus) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=ENERGY, s=OVERLAP, coupling=FRACTION, excess=st.floats(1e-9, 9e-3))
+def test_split_pair_numeric_errors(e, s, coupling, excess):
+    with pytest.raises(NumericError, match="near singular"):
+        split_pair(e, e, coupling * e, math.copysign(0.99 + excess, s))
+    # H proportional to M: one doubly degenerate level
+    with pytest.raises(NumericError, match="collapsed"):
+        split_pair(e, e, s * e, s)
 
 
 def test_coupled_pair_frozen_splitting(pair_case):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import simpson
 
 from cqwsim import (
@@ -24,6 +25,7 @@ from cqwsim import (
     solve_bound_states,
     transcendental_residual,
 )
+from cqwsim import eigensolver
 from cqwsim.eigensolver import ENERGY_TOL
 
 FINITE = WellParams(50.0, 0.0, 5.0, 1.0)
@@ -230,6 +232,31 @@ def test_levels_sit_in_hard_wall_brackets(v2, depth, d, bias_fraction):
         # ~1e-8 of the window top has a phase slope steep enough for that to
         # exceed 1e-9 in phase
         assert abs(residual) <= max(1e-9, phase_slope(params, state.energy) * ENERGY_TOL)
+
+
+SAMPLES = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), pairs=st.integers(1, 150), odd=st.booleans(), uniform=st.booleans())
+def test_simpson_is_bitwise_scipy(data, pairs, odd, uniform):
+    n = 2 * pairs + (1 if odd else 2)
+    y = data.draw(arrays(np.float64, n, elements=SAMPLES))
+    start = data.draw(st.floats(-10.0, 10.0))
+    if uniform:
+        x = np.linspace(start, start + data.draw(st.floats(1e-2, 100.0)), n)
+    else:
+        gaps = data.draw(arrays(np.float64, n - 1, elements=st.floats(1e-3, 10.0)))
+        x = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    assert eigensolver.simpson(y, x) == float(simpson(y, x=x))
+
+
+@pytest.mark.parametrize("n_points", [10_000, 10_001])
+def test_simpson_is_bitwise_scipy_on_composite_grid(n_points):
+    states = solve_bound_states(FINITE)
+    x = composite_grid(FINITE, states, n_points=n_points)
+    for f in (evaluate_wave(states[0], x) ** 2, evaluate_wave(states[0], x) * x):
+        assert eigensolver.simpson(f, x) == float(simpson(f, x=x))
 
 
 def test_count_levels_matches_solver():
