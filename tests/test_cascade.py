@@ -1,10 +1,11 @@
 """Cascade recursion: hand-checked tables, conservation, support structure."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cqwsim import (
@@ -55,6 +56,29 @@ def test_initial_excitation_normalized_and_balanced():
     bal = InitialExcitation.balanced()
     assert bal.c_h == bal.c_l
     assert bal.c_h**2 + bal.c_l**2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("c_h, c_l, expected", [
+    (1e200, 1.0, (1.0, 1e-200)),
+    (3e-170, 4e-170, (0.6, 0.8)),
+    (1e-320, 0.0, (1.0, 0.0)),
+    (1e308, 1e308, (math.sqrt(0.5), math.sqrt(0.5))),
+])
+def test_normalized_survives_overflow_and_underflow(c_h, c_l, expected):
+    init = InitialExcitation.normalized(c_h, c_l)
+    assert init.c_h == pytest.approx(expected[0], rel=1e-15)
+    assert init.c_l == pytest.approx(expected[1], rel=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c_h=st.floats(0.0, 1e300), c_l=st.floats(0.0, 1e300))
+def test_normalized_matches_direct_formula_in_normal_range(c_h, c_l):
+    # Wherever the direct sum of squares is a normal float, no bit moves.
+    total = c_h * c_h + c_l * c_l
+    assume(sys.float_info.min <= total <= sys.float_info.max)
+    norm = math.sqrt(total)
+    init = InitialExcitation.normalized(c_h, c_l)
+    assert (init.c_h, init.c_l) == (c_h / norm, c_l / norm)
 
 
 def test_initial_state_weights():

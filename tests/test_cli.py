@@ -1,12 +1,17 @@
 """End-to-end command-line runs: schemas, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqwsim
 import cqwsim.cli as cli
@@ -71,6 +76,20 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert "typo_key" in err["message"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "config root must be a JSON object"),
+    ({"well": 3}, "well must be an object"),
+    ({"init": {"phase": 0.0}}, "unknown configuration key: init.phase"),
+    ({"tolerances": {"energy": 1e-12}}, "unknown configuration key: tolerances"),
+])
+def test_config_structure_errors(tmp_path, capsys, doc, message):
+    cfg = write_config(tmp_path, doc)
+    code = cli.main(["simulate", "--n", "4", "--branching", "symmetric",
+                     "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["message"] == message
 
 
 @pytest.mark.parametrize("flag, value, key", [
@@ -296,3 +315,165 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "abc", "--branching", "symmetric"],
+    ["simulate", "--n", "4", "--branching", "weird"],
+    ["simulate", "--n", "4", "--branching", "symmetric", "--bogus", "1"],
+    ["simulate", "--n", "4", "--format", "xml", "--branching", "symmetric"],
+    ["bogus", "--n", "4"],
+    [],
+])
+def test_bad_command_line_is_a_json_diagnostic(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert set(json.loads(err)) == {"error", "message"}
+    assert not out.exists()
+
+
+def test_help_lists_every_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    flags = [spec for spec in cli._KEYS.values() if spec.flag]
+    assert len(flags) == 14
+    for spec in flags:
+        assert spec.flag in text and spec.help in text
+    assert "--config" in text
+
+
+def test_huge_amplitudes_normalize(tmp_path):
+    out = tmp_path / "o"
+    code = cli.main([
+        "simulate", "--n", "3", "--branching", "symmetric",
+        "--ch", "1e308", "--cl", "1e308", "--out", str(out),
+    ])
+    assert code == 0
+    init = read_json(out, "distribution.json")["init"]
+    assert init["ch"] == init["cl"] == pytest.approx(0.5**0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["simulate", "--n", "8"], "run_cascade"),
+    (["verify", "--n", "4", "--samples", "100"], "sample_walks"),
+])
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, argv, target):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setattr(cli, target, exhausted)
+    code = cli.main(argv + ["--branching", "symmetric", "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "numeric"
+    assert diagnostic["message"].startswith("MemoryError")
+
+
+# Values for the generated CLI runs, drawn per check in the key table.
+_BAD_TYPES = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}),
+)
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_OUT_OF_DOMAIN = {
+    cli._as_number: st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+    cli._as_count: st.sampled_from([-3, 0, 21, 40]),
+    cli._as_int: st.sampled_from([-5, -1]),
+}
+_UNKNOWN = [
+    ("", "bogus", 1), ("", "tolerances", {"energy": 1e-12}),
+    ("well", "bogus", 1.0), ("init", "phase", 0.0), ("output", "path", "x"),
+]
+_FLAG_KEYS = sorted(
+    key for key, spec in cli._KEYS.items() if spec.flag and key != "output.dir"
+)
+_BLOCKS = sorted({key.partition(".")[0] for key in cli._KEYS if "." in key})
+
+
+@st.composite
+def _cli_case(draw):
+    """A mode, a config (valid, then mutated) and flag overrides."""
+    mode = draw(st.sampled_from(cli.MODES))
+    d = draw(st.floats(0.8, 1.25))
+    p_hh = draw(st.floats(0.0, 1.0))
+    p_lh = draw(st.floats(0.0, 1.0))
+    values = {
+        "mode": mode,
+        "well.v1": draw(st.floats(28.0, 58.0)) / (d * d),
+        "well.v2": 0.0,
+        "well.d": d,
+        "well.period": d + draw(st.floats(0.15, 0.5)),
+        "n_total": draw(st.integers(1, 12)),
+        "init.ch": draw(st.floats(0.0, 1.0)),
+        "init.cl": draw(st.floats(0.05, 1.0)),
+        "branching.kind": draw(st.sampled_from(cli.KINDS)),
+        "branching.p_hh": p_hh, "branching.p_hl": 1.0 - p_hh,
+        "branching.p_lh": p_lh, "branching.p_ll": 1.0 - p_lh,
+        "output.format": draw(st.sampled_from(cli.FORMATS)),
+        "seed": draw(st.integers(0, 2**32)),
+        "sample_count": draw(st.integers(0, 300)),
+        "sign_mode": draw(st.sampled_from(["all-positive", "cmt-signs"])),
+    }
+    if draw(st.booleans()):
+        values["well.b"] = draw(st.floats(0.0, 30.0))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(cli._KEYS)))
+        check = cli._KEYS[key].check
+        change = draw(st.sampled_from(["missing", "type", "non-finite", "domain"]))
+        if change == "missing":
+            values.pop(key, None)
+        elif change == "type" or check not in _OUT_OF_DOMAIN:
+            values[key] = draw(_BAD_TYPES)
+        elif change == "non-finite":
+            values[key] = draw(_NON_FINITE)
+        else:
+            values[key] = draw(_OUT_OF_DOMAIN[check])
+    block = draw(st.sampled_from([None, None, *_BLOCKS]))
+    if block is not None and draw(st.booleans()):
+        values = {k: v for k, v in values.items() if not k.startswith(block + ".")}
+    flags = []
+    for key in draw(st.sets(st.sampled_from(_FLAG_KEYS), max_size=4)):
+        if key in values:
+            value = values.pop(key) if draw(st.booleans()) else values[key]
+            flags.append(f"{cli._KEYS[key].flag}={value}")
+    document = {}
+    for key, value in values.items():
+        parent, _, name = key.rpartition(".")
+        (document.setdefault(parent, {}) if parent else document)[name] = value
+    if block is not None and draw(st.booleans()):
+        document[block] = draw(st.one_of(st.none(), _BAD_TYPES))
+    if draw(st.integers(0, 4)) == 0:
+        parent, name, value = draw(st.sampled_from(_UNKNOWN))
+        target = document.setdefault(parent, {}) if parent else document
+        if isinstance(target, dict):
+            target[name] = value
+    return mode, document, flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cli_case())
+def test_every_generated_run_exits_cleanly(case):
+    mode, document, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(document))
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = cli.main([mode, "--config", str(config), "--out", str(out), *flags])
+        err = stderr.getvalue()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1
+            assert set(json.loads(err)) == {"error", "message"}
+        if code == 2:
+            assert not out.exists()
