@@ -34,12 +34,13 @@ from .coupling import (
 )
 from .eigensolver import (
     WellParams,
+    _lowest_states,
     composite_grid,
+    count_levels,
     count_nodes,
     design_alignment,
     evaluate_wave,
     simpson,
-    solve_bound_states,
 )
 from .errors import (
     CqwError,
@@ -254,13 +255,16 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
 
 def _emit(config: RunConfig, documents: list[tuple[str, str]]) -> None:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in documents:
-        if config.fmt != "both" and not name.endswith(f".{config.fmt}"):
-            continue
-        path = out / name
-        path.write_text(text)
-        print(f"wrote {path}")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in documents:
+            if config.fmt != "both" and not name.endswith(f".{config.fmt}"):
+                continue
+            path = out / name
+            path.write_text(text)
+            print(f"wrote {path}")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output.dir {config.out_dir}: {exc}")
 
 
 def _physics(config: RunConfig):
@@ -270,19 +274,22 @@ def _physics(config: RunConfig):
     if bias is None:
         bias = design_alignment(well.v1, well.v2, well.d).bias
     params = replace(well, b=bias)
-    left = solve_bound_states(params)
-    if len(left) < 2:
-        raise InfeasibleDesignError(
-            f"well holds {len(left)} bound level(s); coupling needs two"
-        )
     shifted = WellParams(
         well.v1 - bias, well.v2 - bias, bias, well.d, well.period
     )
-    right = solve_bound_states(shifted)
-    if len(right) < 2:
+    # only the two lowest levels enter; a deep well can hold thousands
+    held = count_levels(params)
+    if held < 2:
         raise InfeasibleDesignError(
-            f"shifted well holds {len(right)} bound level(s); coupling needs two"
+            f"well holds {held} bound level(s); coupling needs two"
         )
+    left = _lowest_states(params, 2)
+    held = count_levels(shifted)
+    if held < 2:
+        raise InfeasibleDesignError(
+            f"shifted well holds {held} bound level(s); coupling needs two"
+        )
+    right = _lowest_states(shifted, 2)
     split = couple_wells((left[0], left[1]), (right[0], right[1]), params)
     spacing = left[1].energy - left[0].energy
     freqs = mode_frequencies(spacing, split.delta_e)

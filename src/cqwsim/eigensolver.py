@@ -226,8 +226,15 @@ def solve_bound_states(params: WellParams, tol: float = ENERGY_TOL) -> list[Boun
     """
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
+    return _lowest_states(params, count_levels(params), tol)
+
+
+def _lowest_states(
+    params: WellParams, count: int, tol: float = ENERGY_TOL
+) -> list[BoundState]:
+    """The ``count`` lowest bound levels; the caller checks that they exist."""
     states = []
-    for n in range(count_levels(params)):
+    for n in range(count):
         energy = _level_energy(params, n, tol)
         states.append(BoundState(index=n, energy=energy, wave=_match_wave(params, energy)))
     return states

@@ -115,6 +115,19 @@ def enumerate_paths(
 
     A path is a starting sublevel plus one stay/cross bit per ladder step.
     Exponential in the photon number, so capped at 20.
+
+    The branch strings of one start are grown as arrays, doubling at
+    each ladder step: entry j becomes entries j (stay) and j + 2^step
+    (cross), so after N - 1 steps entry j is the path whose bit ``step``
+    is the crossing flag of that step, least significant bit first, as in
+    ``iter_paths``. Memory is a few arrays of length 2^(N-1) per start.
+    The table equals the sum over ``iter_paths`` bit for bit, in the same
+    key order: each path weight is the start weight times the branch
+    probabilities multiplied left to right; zero-weight paths are
+    dropped; the H-start paths, then the L-start paths, are added one
+    after another in string order (``np.bincount`` adds its weights in
+    input order, and the L pass starts from the H sums); and keys appear
+    in the order of their first path.
     """
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
@@ -122,11 +135,34 @@ def enumerate_paths(
         raise SizeError(
             f"exhaustive enumeration capped at {ENUM_LIMIT} photons, got {n_total}"
         )
-    table: dict[CountKey, float] = {}
-    for record in iter_paths(n_total, init, branching):
-        key = record.counts
-        table[key] = table.get(key, 0.0) + record.probability
-    return JointDistribution(n_total=n_total, table=table)
+    # code l (N + 1) + n: each photon emitted from H adds 1, from L N + 1
+    keys = np.zeros(0, dtype=np.int64)
+    sums = np.zeros(0)
+    for start_high, amplitude in ((True, init.c_h), (False, init.c_l)):
+        if not amplitude > 0:
+            continue
+        high = np.array([start_high])
+        code = np.zeros(1, dtype=np.int64)
+        w = np.array([amplitude * amplitude])
+        for _ in range(n_total - 1):
+            emitted = code + np.where(high, 1, n_total + 1)
+            stay = w * np.where(high, branching.p_hh, branching.p_ll)
+            cross = w * np.where(high, branching.p_hl, branching.p_lh)
+            w = np.concatenate((stay, cross))
+            code = np.concatenate((code, emitted))
+            high = np.concatenate((high, ~high))
+        code += np.where(high, 1, n_total + 1)
+        kept = w != 0.0
+        # the earlier start's sums lead, in first-path order, so each sum
+        # continues from where that start left it
+        code = np.concatenate((keys, code[kept]))
+        total = np.bincount(code, weights=np.concatenate((sums, w[kept])))
+        first = np.full(total.size, code.size)
+        np.minimum.at(first, code, np.arange(code.size))
+        keys = np.flatnonzero(first < code.size)
+        keys = keys[np.argsort(first[keys])]
+        sums = total[keys]
+    return _decoded(n_total, keys, sums)
 
 
 def sample_walks(
@@ -138,10 +174,12 @@ def sample_walks(
 ) -> JointDistribution:
     """Empirical (l, m, n) frequencies from Monte Carlo trajectories.
 
-    Uses the PCG64 generator. Draw order is fixed: one uniform array
-    selects the starting sublevel (u < c_h^2 means H), then one array per
-    ladder step decides crossing (u < p_hl from H, u < p_lh from L), so a
-    given seed reproduces byte-identical frequencies. Trajectories are
+    Uses the PCG64 generator. Draw order is fixed: one uniform array of
+    ``count`` values selects the starting sublevel (u < c_h^2 means H),
+    then one array of ``count`` values per ladder step decides crossing
+    (u < p_hl from H, u < p_lh from L), walker i always taking element i.
+    A given seed therefore reproduces byte-identical frequencies. The
+    table lists keys by ascending code l (N + 1) + n. Trajectories are
     consumed in lockstep from a single stream; per-worker substreams
     derived from (seed, worker index) would allow partitioned sampling
     but only the single-worker partition is implemented.
@@ -151,24 +189,29 @@ def sample_walks(
     if count < 1:
         raise DomainError(f"sample count must be at least 1, got {count}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    is_high = rng.random(count) < init.c_h * init.c_h
+    u = rng.random(count)
+    is_high = u < init.c_h * init.c_h
     l = np.zeros(count, dtype=np.int64)
     n = np.zeros(count, dtype=np.int64)
     for _ in range(n_total - 1):
-        u = rng.random(count)
-        cross_h = is_high & (u < branching.p_hl)
-        cross_l = ~is_high & (u < branching.p_lh)
-        n[cross_h] += 1
-        l[cross_l] += 1
-        is_high ^= cross_h | cross_l
-    n[is_high] += 1
-    l[~is_high] += 1
-    encoded = l * (n_total + 1) + n
-    values, hits = np.unique(encoded, return_counts=True)
+        rng.random(out=u)
+        cross = np.where(is_high, u < branching.p_hl, u < branching.p_lh)
+        n += is_high & cross
+        l += cross & ~is_high
+        is_high ^= cross
+    n += is_high
+    l += ~is_high
+    hits = np.bincount(l * (n_total + 1) + n)
+    present = np.flatnonzero(hits)
+    return _decoded(n_total, present, hits[present] / count)
+
+
+def _decoded(n_total: int, codes: np.ndarray, values: np.ndarray) -> JointDistribution:
+    """The table mapping code l (N + 1) + n to (l, m, n), in ``codes`` order."""
     table: dict[CountKey, float] = {}
-    for value, times in zip(values.tolist(), hits.tolist()):
-        li, ni = divmod(value, n_total + 1)
-        table[(li, n_total - li - ni, ni)] = times / count
+    for code, value in zip(codes.tolist(), values.tolist()):
+        l, n = divmod(code, n_total + 1)
+        table[(l, n_total - l - n, n)] = value
     return JointDistribution(n_total=n_total, table=table)
 
 

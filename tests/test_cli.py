@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import cqwsim
 import cqwsim.cli as cli
-from cqwsim import JointDistribution
+from cqwsim import JointDistribution, eigensolver
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -195,6 +195,30 @@ def test_infeasible_design_exits_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
 
+def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch):
+    # the well holds about 31,800 levels; coupling needs levels 0 and 1
+    solved = []
+    level_energy = eigensolver._level_energy
+
+    def counted(params, n, tol):
+        solved.append(n)
+        return level_energy(params, n, tol)
+
+    monkeypatch.setattr(eigensolver, "_level_energy", counted)
+    code = cli.main([
+        "levels", "--v1", "1e8", "--v2", "0", "--d", "10", "--period", "11",
+        "--b", "0", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "numeric",
+        "message": "wells misaligned: left ground 0.09869209628736167 vs right "
+        "excited 0.39476838515025464 differ by 0.29607628886289294, "
+        "tolerance 1e-06",
+    }
+    assert len(solved) <= 4
+
+
 def test_levels_mode_with_fixed_bias(tmp_path):
     out = tmp_path / "levels"
     code = cli.main([
@@ -279,6 +303,20 @@ def test_verify_rejects_oversized_n(tmp_path, capsys):
     ])
     assert code == 2
     capsys.readouterr()
+
+
+def test_verify_at_the_enumeration_limit(tmp_path):
+    cfg = write_config(tmp_path, {
+        "n_total": cli.ENUM_LIMIT,
+        "init": {"ch": 0.6, "cl": 0.8},
+        "branching": {
+            "kind": "manual", "p_hh": 0.3, "p_hl": 0.7, "p_lh": 0.45, "p_ll": 0.55,
+        },
+    })
+    out = tmp_path / "v"
+    code = cli.main(["verify", "--config", cfg, "--samples", "0", "--out", str(out)])
+    assert code == 0
+    assert read_json(out, "oracle_report.json")["max_abs_diff"] <= cli.VERIFY_TOL
 
 
 def test_audit_mode_sign_conventions(tmp_path):
@@ -373,6 +411,22 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, argv, target):
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "numeric"
     assert diagnostic["message"].startswith("MemoryError")
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_unwritable_output_dir_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    code = cli.main(["simulate", "--n", "3", "--branching", "symmetric",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "validation"
+    assert f"output.dir {out}" in diagnostic["message"]
+    assert blocker.read_text() == ""
 
 
 # Values for the generated CLI runs, drawn per check in the key table.

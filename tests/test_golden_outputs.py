@@ -53,6 +53,9 @@ RUNS = {
     "verify-n12-samples": (
         ["verify", "--n", "12", "--branching", "symmetric", "--samples", "20000",
          "--seed", "7"], None),
+    "verify-n16-manual-samples": (
+        ["verify", "--n", "16", "--samples", "100000", "--seed", "3"],
+        _manual(0.3, 0.7, 0.45, 0.55, 0.6, 0.8)),
     "audit-n10-all-positive": (
         ["audit", "--n", "10", "--branching", "symmetric", "--signs",
          "all-positive"], None),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqwsim import (
     BranchingModel,
@@ -90,6 +92,69 @@ def test_enumeration_matches_recursion():
         assert set(exact.table) == set(brute.table)
         for key, f in exact.table.items():
             assert brute.table[key] == pytest.approx(f, abs=1e-12)
+
+
+# stays of 0, 1, anywhere, and just below 1 (long runs, tiny weights)
+_STAY = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(0.99, 1.0, exclude_max=True),
+)
+_START = st.one_of(
+    st.sampled_from([H_START, InitialExcitation(0.0, 1.0)]),
+    st.builds(
+        InitialExcitation.normalized,
+        st.floats(0.01, 1.0), st.floats(0.01, 1.0),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 14), stay_h=_STAY, stay_l=_STAY, init=_START)
+def test_enumeration_is_the_fold_of_iter_paths(n, stay_h, stay_l, init):
+    model = BranchingModel.manual(stay_h, 1.0 - stay_h, 1.0 - stay_l, stay_l)
+    folded = {}
+    for record in iter_paths(n, init, model):
+        folded[record.counts] = folded.get(record.counts, 0.0) + record.probability
+    table = enumerate_paths(n, init, model).table
+    assert table == folded
+    assert list(table) == list(folded)
+
+
+def _replayed_walks(n_total, init, model, count, seed):
+    """One walker at a time, reading element i of each per-step draw."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = [rng.random(count).tolist() for _ in range(n_total)]
+    hits = {}
+    for i in range(count):
+        high = draws[0][i] < init.c_h * init.c_h
+        l = n = 0
+        for step in range(1, n_total):
+            if high and draws[step][i] < model.p_hl:
+                n += 1
+                high = False
+            elif not high and draws[step][i] < model.p_lh:
+                l += 1
+                high = True
+        if high:
+            n += 1
+        else:
+            l += 1
+        key = (l, n_total - l - n, n)
+        hits[key] = hits.get(key, 0) + 1
+    order = sorted(hits, key=lambda key: key[0] * (n_total + 1) + key[2])
+    return {key: hits[key] / count for key in order}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+@pytest.mark.parametrize("n, count", [(1, 5), (4, 1), (7, 333), (12, 64)])
+def test_sample_walks_replays_per_walker(n, count, seed):
+    model = BranchingModel.manual(0.3, 0.7, 0.45, 0.55)
+    init = InitialExcitation.normalized(0.6, 0.8)
+    table = sample_walks(n, init, model, count=count, seed=seed).table
+    expected = _replayed_walks(n, init, model, count, seed)
+    assert table == expected
+    assert list(table) == list(expected)
 
 
 def test_sample_walks_deterministic_per_seed():
