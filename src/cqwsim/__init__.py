@@ -5,146 +5,63 @@ alignment bias, split the degenerate inter-well pairs by tunneling,
 derive branching probabilities from dipoles and mode frequencies, run
 the photon-counting cascade, and analyze or cross-check the resulting
 distribution.
+
+Each public name is imported from its home module on first access, and
+numpy inside the functions that build arrays, so the command line starts
+without numpy and loads ``analysis`` only for ``analyze``.
 """
 
-from .analysis import (
-    ConditionalState,
-    LogicalProjection,
-    ParityReport,
-    PurityReport,
-    conditional_state,
-    conditional_states,
-    entanglement_entropy,
-    joint_pm,
-    logical_qubit_projection,
-    marginals,
-    parity_xor,
-    purity_check,
-)
-from .cascade import (
-    CascadeState,
-    InitialExcitation,
-    JointDistribution,
-    evolve_step,
-    initial_state,
-    run_cascade,
-    support_partition,
-    support_set,
-    terminal_transition,
-)
-from .coupling import (
-    BranchingModel,
-    ChainWaves,
-    CoupledLevels,
-    DipoleIntegrals,
-    DipoleMatrix,
-    ModeFrequencies,
-    assemble_dipoles,
-    branching_model,
-    couple_wells,
-    dipole_integrals,
-    dipole_matrix,
-    mode_frequencies,
-    sample_chain_waves,
-    split_pair,
-)
-from .eigensolver import (
-    BoundState,
-    DesignResult,
-    PiecewiseWave,
-    WellParams,
-    bisect_root,
-    composite_grid,
-    count_levels,
-    count_nodes,
-    design_alignment,
-    evaluate_wave,
-    sample_wavefunction,
-    solve_bound_states,
-    transcendental_residual,
-)
-from .errors import (
-    CqwError,
-    DomainError,
-    InfeasibleDesignError,
-    NumericError,
-    SequencingError,
-    SizeError,
-    ValidationError,
-)
-from .oracle import (
-    AuditReport,
-    PathRecord,
-    coherence_audit,
-    enumerate_paths,
-    iter_paths,
-    sample_walks,
-    tv_distance,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "BoundState",
-    "BranchingModel",
-    "CascadeState",
-    "ChainWaves",
-    "ConditionalState",
-    "CoupledLevels",
-    "CqwError",
-    "DesignResult",
-    "DipoleIntegrals",
-    "DipoleMatrix",
-    "DomainError",
-    "InfeasibleDesignError",
-    "InitialExcitation",
-    "JointDistribution",
-    "LogicalProjection",
-    "ModeFrequencies",
-    "NumericError",
-    "ParityReport",
-    "PathRecord",
-    "PiecewiseWave",
-    "PurityReport",
-    "SequencingError",
-    "SizeError",
-    "ValidationError",
-    "WellParams",
-    "assemble_dipoles",
-    "bisect_root",
-    "branching_model",
-    "coherence_audit",
-    "composite_grid",
-    "conditional_state",
-    "conditional_states",
-    "count_levels",
-    "count_nodes",
-    "couple_wells",
-    "design_alignment",
-    "dipole_integrals",
-    "dipole_matrix",
-    "entanglement_entropy",
-    "enumerate_paths",
-    "evaluate_wave",
-    "evolve_step",
-    "initial_state",
-    "iter_paths",
-    "joint_pm",
-    "logical_qubit_projection",
-    "marginals",
-    "mode_frequencies",
-    "parity_xor",
-    "purity_check",
-    "run_cascade",
-    "sample_chain_waves",
-    "sample_walks",
-    "sample_wavefunction",
-    "solve_bound_states",
-    "split_pair",
-    "support_partition",
-    "support_set",
-    "terminal_transition",
-    "transcendental_residual",
-    "tv_distance",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "analysis": (
+        "ConditionalState", "LogicalProjection", "ParityReport",
+        "PurityReport", "conditional_state", "conditional_states",
+        "entanglement_entropy", "joint_pm", "logical_qubit_projection",
+        "marginals", "parity_xor", "purity_check",
+    ),
+    "cascade": (
+        "CascadeState", "InitialExcitation", "JointDistribution",
+        "evolve_step", "initial_state", "run_cascade", "support_partition",
+        "support_set", "terminal_transition",
+    ),
+    "coupling": (
+        "BranchingModel", "ChainWaves", "CoupledLevels", "DipoleIntegrals",
+        "DipoleMatrix", "ModeFrequencies", "assemble_dipoles",
+        "branching_model", "couple_wells", "dipole_integrals", "dipole_matrix",
+        "mode_frequencies", "sample_chain_waves", "split_pair",
+    ),
+    "eigensolver": (
+        "BoundState", "DesignResult", "PiecewiseWave", "WellParams",
+        "bisect_root", "composite_grid", "count_levels", "count_nodes",
+        "design_alignment", "evaluate_wave", "sample_wavefunction",
+        "solve_bound_states", "transcendental_residual",
+    ),
+    "errors": (
+        "CqwError", "DomainError", "InfeasibleDesignError", "NumericError",
+        "SequencingError", "SizeError", "ValidationError",
+    ),
+    "oracle": (
+        "AuditReport", "PathRecord", "coherence_audit", "enumerate_paths",
+        "iter_paths", "sample_walks", "tv_distance",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -23,8 +23,6 @@ from sys import float_info
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
 from .coupling import BranchingModel
 from .errors import DomainError, SequencingError
 
@@ -137,6 +135,8 @@ class JointDistribution:
 
 def initial_state(n_total: int, init: InitialExcitation) -> CascadeState:
     """Populate the first pair's sublevels with the squared amplitudes."""
+    import numpy as np
+
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     high = np.zeros(n_total)
@@ -147,6 +147,8 @@ def initial_state(n_total: int, init: InitialExcitation) -> CascadeState:
 
 
 def _alternating(even: float, odd: float, size: int) -> np.ndarray:
+    import numpy as np
+
     rates = np.empty(size)
     rates[0::2] = even
     rates[1::2] = odd

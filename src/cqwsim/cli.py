@@ -16,13 +16,6 @@ from math import isfinite
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .analysis import (
-    conditional_states,
-    entanglement_entropy,
-    joint_pm,
-    parity_xor,
-    purity_check,
-)
 from .cascade import InitialExcitation, run_cascade
 from .coupling import (
     BranchingModel,
@@ -75,16 +68,23 @@ def _as_number(value, key: str) -> float:
     return number
 
 
-def _as_int(value, key: str, minimum: int = 0) -> int:
+def _as_int(value, key: str, minimum: int = 0, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{key} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{key} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{key} must be at most {maximum}, got {value}")
     return value
 
 
+# n_total and sample_count size arrays; numpy refuses lengths above sys.maxsize
+def _as_size(value, key: str) -> int:
+    return _as_int(value, key, maximum=sys.maxsize)
+
+
 def _as_count(value, key: str) -> int:
-    return _as_int(value, key, minimum=1)
+    return _as_int(value, key, minimum=1, maximum=sys.maxsize)
 
 
 def _as_str(value, key: str) -> str:
@@ -129,11 +129,11 @@ _KEYS = {
     "output.dir": _Key(_as_str, "--out", "output directory", "out"),
     "output.format": _Key(_OneOf(FORMATS), "--format", "which file kinds to write", "both"),
     "seed": _Key(_as_int, "--seed", "sampling seed", 0),
-    "sample_count": _Key(_as_int, "--samples", "Monte Carlo sample count", 0),
+    "sample_count": _Key(_as_size, "--samples", "Monte Carlo sample count", 0),
     "sign_mode": _Key(_OneOf(SIGN_MODES), "--signs", "audit sign mode", "all-positive"),
 }
 _BLOCKS = {key.partition(".")[0] for key in _KEYS if "." in key}
-_FLAG_TYPES = {_as_number: float, _as_int: int, _as_count: int}
+_FLAG_TYPES = {_as_number: float, _as_int: int, _as_size: int, _as_count: int}
 
 
 @dataclass
@@ -160,7 +160,9 @@ def _read_config(path: str) -> dict:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes and over-long integers raise ValueError too, and
+        # deep nesting RecursionError
         raise ValidationError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ValidationError("config root must be a JSON object")
@@ -391,6 +393,14 @@ def _run_simulate(config: RunConfig) -> int:
 
 
 def _run_analyze(config: RunConfig) -> int:
+    from .analysis import (
+        conditional_states,
+        entanglement_entropy,
+        joint_pm,
+        parity_xor,
+        purity_check,
+    )
+
     model = _resolve_model(config)
     dist = run_cascade(config.n, config.init, model)
     conditionals = []

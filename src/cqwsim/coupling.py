@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import hypot, isfinite, sqrt
 
-import numpy as np
-
 from .eigensolver import BoundState, WellParams, composite_grid, evaluate_wave, simpson
 from .errors import DomainError, NumericError, ValidationError
 
@@ -206,6 +204,8 @@ def split_pair(
 
 def chain_potential(params: WellParams, x, n_wells: int) -> np.ndarray:
     """Composite potential of ``n_wells`` consecutive biased periods."""
+    import numpy as np
+
     if n_wells > 1 and params.period is None:
         raise ValidationError("well.period is required for multi-well potentials")
     xs = np.asarray(x, dtype=float)
@@ -225,6 +225,8 @@ def chain_potential(params: WellParams, x, n_wells: int) -> np.ndarray:
 
 def well_potential(params: WellParams, x, well: int) -> np.ndarray:
     """Potential of the isolated ``well``-th period in the chain frame."""
+    import numpy as np
+
     if well > 0 and params.period is None:
         raise ValidationError("well.period is required for shifted wells")
     xs = np.asarray(x, dtype=float)

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from math import atan2, ceil, cos, isfinite, pi, sin, sqrt
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import (
     DomainError,
     InfeasibleDesignError,
@@ -275,6 +273,8 @@ def _match_wave(params: WellParams, energy: float) -> PiecewiseWave:
 
 def evaluate_wave(state: BoundState, x, offset: float = 0.0) -> np.ndarray:
     """Evaluate the piecewise wavefunction, well left edge at ``offset``."""
+    import numpy as np
+
     w = state.wave
     xs = np.asarray(x, dtype=float) - offset
     out = np.empty_like(xs)
@@ -301,6 +301,8 @@ def composite_grid(
     Tails extend ``pad_lengths`` decay lengths of the slowest-decaying state
     on each side.
     """
+    import numpy as np
+
     if not states:
         raise ValidationError("composite_grid needs at least one bound state")
     if n_wells > 1 and params.period is None:
@@ -321,6 +323,8 @@ def simpson(y, x) -> float:
     scipy's ``simpson(y, x=x)`` step by step, so the result is bit-identical
     to it.
     """
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     h = np.diff(np.asarray(x, dtype=float))
     n = y.size if y.size % 2 else y.size - 1
@@ -352,6 +356,8 @@ def sample_wavefunction(state: BoundState, grid) -> tuple[np.ndarray, np.ndarray
     barrier, and hold at least 100 points in each of the three regions.
     Composite Simpson quadrature of |psi|^2 must land within 1e-6 of one.
     """
+    import numpy as np
+
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 3 or np.any(np.diff(x) <= 0):
         raise ValidationError("grid must be a 1-D ascending array")
@@ -383,9 +389,22 @@ def sample_wavefunction(state: BoundState, grid) -> tuple[np.ndarray, np.ndarray
 
 def count_nodes(psi: np.ndarray) -> int:
     """Strict sign changes of a sampled wavefunction."""
+    import numpy as np
+
     s = np.sign(psi)
     s = s[s != 0]
     return int(np.count_nonzero(s[:-1] * s[1:] < 0))
+
+
+def _bias_grid(lo: float, hi: float) -> list[float]:
+    """``BIAS_SCAN_POINTS`` evenly spaced biases from ``lo`` to ``hi``.
+
+    The same arithmetic as ``np.linspace(lo, hi, BIAS_SCAN_POINTS)``:
+    point i is i * step + lo with step = (hi - lo) / (points - 1), and the
+    last point is ``hi`` exactly, so the grid is bit-identical to it.
+    """
+    step = (hi - lo) / (BIAS_SCAN_POINTS - 1)
+    return [i * step + lo for i in range(BIAS_SCAN_POINTS - 1)] + [hi]
 
 
 def design_alignment(
@@ -428,7 +447,7 @@ def design_alignment(
         e0 = _level_energy(params, 0, ENERGY_TOL)
         return _level_energy(params, 1, ENERGY_TOL) - e0 - bias
 
-    biases = np.linspace(lo_b, hi_b, BIAS_SCAN_POINTS)
+    biases = _bias_grid(lo_b, hi_b)
     residuals = [spacing_residual(b) for b in biases]
     bracket = None
     for i in range(len(biases) - 1):

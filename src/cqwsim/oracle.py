@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from math import fsum, sqrt
 from typing import Iterator
 
-import numpy as np
-
 from .cascade import (
     HIGH,
     LOW,
@@ -129,6 +127,8 @@ def enumerate_paths(
     input order, and the L pass starts from the H sums); and keys appear
     in the order of their first path.
     """
+    import numpy as np
+
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     if n_total > ENUM_LIMIT:
@@ -184,6 +184,8 @@ def sample_walks(
     derived from (seed, worker index) would allow partitioned sampling
     but only the single-worker partition is implemented.
     """
+    import numpy as np
+
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     if count < 1:

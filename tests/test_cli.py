@@ -92,6 +92,33 @@ def test_config_structure_errors(tmp_path, capsys, doc, message):
     assert json.loads(capsys.readouterr().err)["message"] == message
 
 
+@pytest.mark.parametrize("config, flags, message", [
+    (b'\xff\xfe{"n_total": 4}', [], "utf-8"),
+    (b"[" * 100_000, [], "recursion"),
+    (b'{"n_total": ' + b"9" * 5000 + b"}", [], "4300"),
+    (None, ["--n", "99999999999999999999"],
+     f"n_total must be at most {sys.maxsize}, got 99999999999999999999"),
+    (None, ["--samples", "99999999999999999999"],
+     f"sample_count must be at most {sys.maxsize}, got 99999999999999999999"),
+], ids=["not-utf8", "deep-nesting", "long-integer", "huge-n", "huge-samples"])
+def test_config_edge_cases_exit_2(tmp_path, capsys, config, flags, message):
+    argv = ["verify", "--branching", "symmetric", *flags]
+    if "--n" not in flags:
+        argv += ["--n", "4"]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_bytes(config)
+        argv += ["--config", str(path)]
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "validation"
+    assert message in diagnostic["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, key", [
     ("--ch", "nan", "init.ch"),
     ("--ch", "inf", "init.ch"),
@@ -341,18 +368,62 @@ def test_missing_branching_source_exits_2(tmp_path, capsys):
     assert "branching" in json.loads(capsys.readouterr().err)["message"]
 
 
-def test_cli_import_loads_no_scipy():
+# Runs ``python -m cqwsim ARGS`` (or only imports the CLI) in a fresh
+# interpreter, then prints the exit code and the numpy and scipy modules
+# loaded.
+_LOAD_PROBE = """\
+import json, runpy, sys
+code = None
+if sys.argv[1:] != ["import"]:
+    try:
+        runpy.run_module("cqwsim", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import cqwsim.cli
+print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")]]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, numpy", [
+    (["import"], None, False),
+    (["--help"], 0, False),
+    (["audit", "--n", "8", "--branching", "symmetric"], 0, False),
+    (["design", "--v1", "100", "--v2", "0", "--d", "1.1"], 3, False),
+    (["levels", "--v1", "5", "--v2", "0", "--d", "1", "--period", "1.5", "--b", "0"], 3, False),
+    (["simulate", "--n", "0", "--branching", "symmetric"], 2, False),
+    (["simulate", "--n", "8", "--branching", "symmetric"], 0, True),
+], ids=["import", "help", "audit", "design", "levels", "simulate-n0", "simulate"])
+def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy):
     src = Path(cqwsim.__file__).resolve().parents[1]
-    probe = (
-        "import sys, cqwsim.cli; "
-        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
-    )
+    out = [] if argv[0] in ("import", "--help") else ["--out", str(tmp_path / "o")]
     result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-c", _LOAD_PROBE, *argv, *out],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    exit_code, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert exit_code == code
+    assert not any(m.startswith("scipy") for m in loaded)
+    assert ("numpy" in loaded) == numpy
+    if not numpy:
+        assert loaded == []
+
+
+def test_namespace_resolves_lazily():
+    import importlib
+
+    for name in cqwsim.__all__:
+        home = importlib.import_module(f"cqwsim.{cqwsim._HOME[name]}")
+        assert getattr(cqwsim, name) is getattr(home, name)
+    namespace = {}
+    exec("from cqwsim import *", namespace)
+    assert {n for n in namespace if not n.startswith("__")} == set(cqwsim.__all__)
+    assert namespace["run_cascade"] is cqwsim.cascade.run_cascade
+    assert eigensolver is importlib.import_module("cqwsim.eigensolver")
+    assert set(cqwsim.__all__) <= set(dir(cqwsim))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cqwsim.no_such_name
 
 
 @pytest.mark.parametrize("argv", [
@@ -439,6 +510,7 @@ _OUT_OF_DOMAIN = {
     cli._as_number: st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
     cli._as_count: st.sampled_from([-3, 0, 21, 40]),
     cli._as_int: st.sampled_from([-5, -1]),
+    cli._as_size: st.sampled_from([-5, -1]),
 }
 _UNKNOWN = [
     ("", "bogus", 1), ("", "tolerances", {"energy": 1e-12}),

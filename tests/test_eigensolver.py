@@ -350,3 +350,16 @@ def test_design_rejects_bad_inputs():
         design_alignment(60.0, 0.0, 1.0, tol=0.0)
     with pytest.raises(DomainError):
         design_alignment(0.0, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(span=st.one_of(
+    st.floats(1e-5, 1e8),
+    st.floats(-5.0, 8.0).map(lambda e: 10.0 ** e),
+))
+def test_bias_grid_is_linspace(span):
+    # design_alignment scans (1e-6, (v1 - v2) - 1e-6)
+    lo, hi = 1e-6, span - 1e-6
+    grid = eigensolver._bias_grid(lo, hi)
+    assert grid == np.linspace(lo, hi, eigensolver.BIAS_SCAN_POINTS).tolist()
+    assert all(type(b) is float for b in grid)
