@@ -8,7 +8,11 @@ distribution.
 
 Each public name is imported from its home module on first access, and
 numpy inside the functions that build arrays, so the command line starts
-without numpy and loads ``analysis`` only for ``analyze``.
+without numpy and loads ``analysis`` only for ``analyze``. The cascade
+runs on Python lists up to N = 1024 photons (``cascade.LIST_LIMIT``), so
+``simulate`` and ``analyze`` with symmetric or manual branching load
+numpy only above that; the physics (``design``, ``levels``, ``physical``
+and ``dipole-only`` branching) and ``verify`` always load it.
 """
 
 from importlib import import_module

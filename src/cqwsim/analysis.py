@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import fsum, log2, sqrt
 
-import numpy as np
-
 from .cascade import JointDistribution
 from .errors import DomainError, NumericError
 
@@ -70,6 +68,8 @@ def marginals(
     dist: JointDistribution,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Marginal probability vectors of l, m, and n, each of length n+1."""
+    import numpy as np
+
     size = dist.n_total + 1
     p_l = np.zeros(size)
     p_m = np.zeros(size)

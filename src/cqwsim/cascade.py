@@ -13,6 +13,14 @@ and c odd on L, with l = c // 2 and n = (c + 1) // 2; an L start is the
 mirror image. The two starts never reach the same (sublevel, l, n)
 before the terminal decay, so the state is two length-N arrays over c,
 one per start. The central count m is implied by the step number.
+
+``run_cascade`` has two kernels with the same bits. Up to ``LIST_LIMIT``
+(1024) photons it runs each start as two plain Python lists, split by
+the parity of c, and never imports numpy: in a fresh process, numpy's
+import costs more than the O(N^2) Python loop up to N of about 1300.
+Above the cutoff the numpy ``evolve_step`` loop runs. The trade: where
+numpy is loaded anyway (``physical`` or ``dipole-only`` branching), the
+list kernel is the slower one from N of about 100 to the cutoff.
 """
 
 from __future__ import annotations
@@ -28,6 +36,14 @@ from .errors import DomainError, SequencingError
 
 HIGH = "H"
 LOW = "L"
+
+# run_cascade's largest N for the list kernel. Up to it a fresh process
+# saves numpy's import (0.14-0.18 s) at a small cost: the list kernel takes
+# 0.1 / 18 / 74 / 90 ms at N = 22 / 492 / 800 / 1024 against 0.3 / 8 / 15 /
+# 15 ms for the arrays. The two meet near N = 1300 (160 ms against 24 ms plus
+# the import); at N = 1500 the lists take 195 ms and the arrays 36 ms.
+# Measured on a 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
+LIST_LIMIT = 1024
 
 StateKey = tuple[str, int, int]
 CountKey = tuple[int, int, int]
@@ -202,9 +218,12 @@ def terminal_transition(state: CascadeState) -> JointDistribution:
             f"terminal transition requires step {state.n_total - 1}, "
             f"got step {state.step}"
         )
-    top = state.n_total - 1
-    high = state.high.tolist()
-    low = state.low.tolist()
+    return _decay(state.n_total, state.high.tolist(), state.low.tolist())
+
+
+def _decay(n_total: int, high: list[float], low: list[float]) -> JointDistribution:
+    """The terminal decay of the final masses ``high[c]`` and ``low[c]``."""
+    top = n_total - 1
     table: dict[CountKey, float] = {}
 
     def decay(target: CountKey, w: float) -> None:
@@ -213,29 +232,71 @@ def terminal_transition(state: CascadeState) -> JointDistribution:
 
     # H-sublevel decays first, then L, each in increasing (l, n): the
     # order of the sorted (sublevel, l, n) keys.
-    for c in range(state.n_total):
+    for c in range(n_total):
         k = c // 2
         if c & 1:
             decay((k + 1, top - c, k + 1), low[c])
         else:
             decay((k, top - c, k + 1), high[c])
-    for c in range(state.n_total):
+    for c in range(n_total):
         k = c // 2
         if c & 1:
             decay((k + 1, top - c, k + 1), high[c])
         else:
             decay((k + 1, top - c, k), low[c])
-    return JointDistribution(n_total=state.n_total, table=table)
+    return JointDistribution(n_total=n_total, table=table)
+
+
+def _walk(
+    steps: int, mass: float, stay_a: float, cross_a: float,
+    stay_b: float, cross_b: float,
+) -> list[float]:
+    """One start's masses over c = 0..steps after ``steps`` hops.
+
+    The start sits on sublevel a with rates (stay_a, cross_a); the other
+    sublevel b has (stay_b, cross_b). Even crossing counts sit on a, odd
+    ones on b, so ``even[j]`` holds c = 2j and ``odd[j]`` holds c = 2j + 1.
+    Each entry is the same two products, added the same way, as ``_hop``;
+    at the growing edge ``_hop`` adds 0.0 to a lone product, which leaves
+    it unchanged, so every bit matches ``evolve_step``.
+    """
+    even = [mass]
+    odd: list[float] = []
+    for _ in range(steps):
+        new_even = [even[0] * stay_a]
+        new_even += [e * stay_a + o * cross_b for e, o in zip(even[1:], odd)]
+        new_odd = [o * stay_b + e * cross_a for o, e in zip(odd, even)]
+        if len(odd) == len(even):
+            new_even.append(odd[-1] * cross_b)
+        else:
+            new_odd.append(even[-1] * cross_a)
+        even, odd = new_even, new_odd
+    out = even + odd
+    out[0::2] = even
+    out[1::2] = odd
+    return out
 
 
 def run_cascade(
     n_total: int, init: InitialExcitation, branching: BranchingModel
 ) -> JointDistribution:
-    """Full evolution: n_total - 1 ladder steps then the terminal decay."""
-    state = initial_state(n_total, init)
-    for _ in range(n_total - 1):
-        state = evolve_step(state, branching)
-    return terminal_transition(state)
+    """Full evolution: n_total - 1 ladder steps then the terminal decay.
+
+    Up to ``LIST_LIMIT`` photons each start runs as a Python list
+    (``_walk``); above it, as numpy arrays (``evolve_step``). Both give
+    the same bits.
+    """
+    if n_total < 1:
+        raise DomainError(f"photon number must be at least 1, got {n_total}")
+    if n_total > LIST_LIMIT:
+        state = initial_state(n_total, init)
+        for _ in range(n_total - 1):
+            state = evolve_step(state, branching)
+        return terminal_transition(state)
+    b = branching
+    high = _walk(n_total - 1, init.c_h * init.c_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh)
+    low = _walk(n_total - 1, init.c_l * init.c_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl)
+    return _decay(n_total, high, low)
 
 
 def support_set(n_total: int) -> frozenset[CountKey]:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from math import isfinite
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .cascade import InitialExcitation, run_cascade
 from .coupling import (
@@ -255,7 +255,8 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
     )
 
 
-def _emit(config: RunConfig, documents: list[tuple[str, str]]) -> None:
+def _emit(config: RunConfig, documents: list[tuple[str, str | Iterable[str]]]) -> None:
+    """Write each document, given whole or as chunks written as they come."""
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -263,7 +264,8 @@ def _emit(config: RunConfig, documents: list[tuple[str, str]]) -> None:
             if config.fmt != "both" and not name.endswith(f".{config.fmt}"):
                 continue
             path = out / name
-            path.write_text(text)
+            with path.open("w") as handle:
+                handle.writelines([text] if isinstance(text, str) else text)
             print(f"wrote {path}")
     except OSError as exc:
         raise ValidationError(f"cannot write output.dir {config.out_dir}: {exc}")

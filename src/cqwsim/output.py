@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from math import isfinite
+from typing import Iterator
 
 from .errors import NumericError
 
@@ -69,12 +70,14 @@ def csv_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def heatmap_csv(n_total: int, mass: dict[tuple[int, int], float]) -> str:
-    """The dense (n_total + 1)^2 table l,n,p of the sideband mass.
+def heatmap_csv(n_total: int, mass: dict[tuple[int, int], float]) -> Iterator[str]:
+    """The dense (n_total + 1)^2 table l,n,p of the sideband mass, by rows.
 
-    Equal to ``csv_table(["l", "n", "p"], rows)`` over every (l, n) with
-    ``mass.get((l, n), 0.0)``, but each row is one join of precomputed
-    ``",n,0"`` tails with only the cells present in ``mass`` formatted.
+    Joined, the chunks equal ``csv_table(["l", "n", "p"], rows)`` over
+    every (l, n) with ``mass.get((l, n), 0.0)``. The header is one chunk
+    and each l one more, so a writer never holds the whole table. Each
+    row is one join of precomputed ``",n,0"`` tails with only the cells
+    present in ``mass`` formatted.
     """
     side = n_total + 1
     tails = [f",{n},0" for n in range(side)]
@@ -82,7 +85,7 @@ def heatmap_csv(n_total: int, mass: dict[tuple[int, int], float]) -> str:
     for (l, n), p in mass.items():
         if 0 <= l < side and 0 <= n < side:
             cells.setdefault(l, []).append((n, p))
-    lines = ["l,n,p"]
+    yield "l,n,p\n"
     for l in range(side):
         row = tails
         if l in cells:
@@ -90,5 +93,4 @@ def heatmap_csv(n_total: int, mass: dict[tuple[int, int], float]) -> str:
             for n, p in cells[l]:
                 row[n] = f",{n},{format_float(p)}"
         head = str(l)
-        lines.append(head + ("\n" + head).join(row))
-    return "\n".join(lines) + "\n"
+        yield head + ("\n" + head).join(row) + "\n"

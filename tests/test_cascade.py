@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqwsim import (
@@ -20,6 +20,8 @@ from cqwsim import (
     support_set,
     terminal_transition,
 )
+from cqwsim import cascade as cascade_module
+from cqwsim.cascade import LIST_LIMIT
 from oracles import dict_cascade
 
 SYM = BranchingModel.symmetric()
@@ -260,14 +262,58 @@ STARTS = st.one_of(
 )
 
 
+def array_cascade(n_total, init, branching):
+    """The numpy kernel at any size: the ``evolve_step`` ladder, then the decay."""
+    state = initial_state(n_total, init)
+    for _ in range(n_total - 1):
+        state = evolve_step(state, branching)
+    return terminal_transition(state).table
+
+
+def assert_bitwise(table, reference):
+    assert table == reference
+    assert list(table) == list(reference)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 400), stay_h=STAY, stay_l=STAY, init=STARTS)
 def test_array_cascade_matches_dict_dp_bitwise(n, stay_h, stay_l, init):
+    # run_cascade takes the list kernel at these sizes; both kernels must
+    # match the dict DP
+    model = BranchingModel.manual(stay_h, 1.0 - stay_h, 1.0 - stay_l, stay_l)
+    reference = dict_cascade(n, init, model)
+    assert_bitwise(run_cascade(n, init, model).table, reference)
+    assert_bitwise(array_cascade(n, init, model), reference)
+
+
+# p_hh = 0.999 from a balanced start leaves subnormal masses in the table
+@settings(max_examples=3, deadline=None)
+@given(
+    n=st.integers(LIST_LIMIT - 2, LIST_LIMIT + 40), stay_h=STAY, stay_l=STAY,
+    init=STARTS,
+)
+@example(n=LIST_LIMIT, stay_h=0.999, stay_l=0.5, init=InitialExcitation.balanced())
+@example(n=LIST_LIMIT + 1, stay_h=0.999, stay_l=0.5, init=InitialExcitation.balanced())
+def test_cascade_matches_dict_dp_across_the_kernel_cutoff(n, stay_h, stay_l, init):
     model = BranchingModel.manual(stay_h, 1.0 - stay_h, 1.0 - stay_l, stay_l)
     table = run_cascade(n, init, model).table
-    reference = dict_cascade(n, init, model)
-    assert table == reference
-    assert list(table) == list(reference)
+    assert_bitwise(table, dict_cascade(n, init, model))
+    if stay_h == 0.999:
+        assert 0.0 < min(table.values()) < sys.float_info.min
+
+
+def test_list_kernel_runs_up_to_the_cutoff(monkeypatch):
+    calls = []
+
+    def counted(state, branching):
+        calls.append(state.step)
+        return evolve_step(state, branching)
+
+    monkeypatch.setattr(cascade_module, "evolve_step", counted)
+    run_cascade(LIST_LIMIT, H_START, SYM)
+    assert calls == []
+    run_cascade(LIST_LIMIT + 1, H_START, SYM)
+    assert calls == list(range(LIST_LIMIT))
 
 
 def test_weights_view_is_read_only_and_positive():

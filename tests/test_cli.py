@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import cqwsim
 import cqwsim.cli as cli
 from cqwsim import JointDistribution, eigensolver
+from cqwsim.cascade import LIST_LIMIT
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -392,8 +393,12 @@ print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] in ("numpy", 
     (["design", "--v1", "100", "--v2", "0", "--d", "1.1"], 3, False),
     (["levels", "--v1", "5", "--v2", "0", "--d", "1", "--period", "1.5", "--b", "0"], 3, False),
     (["simulate", "--n", "0", "--branching", "symmetric"], 2, False),
-    (["simulate", "--n", "8", "--branching", "symmetric"], 0, True),
-], ids=["import", "help", "audit", "design", "levels", "simulate-n0", "simulate"])
+    (["simulate", "--n", "8", "--branching", "symmetric"], 0, False),
+    (["analyze", "--n", "8", "--branching", "symmetric"], 0, False),
+    (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, True),
+    (["verify", "--n", "8", "--branching", "symmetric"], 0, True),
+], ids=["import", "help", "audit", "design", "levels", "simulate-n0", "simulate",
+        "analyze", "simulate-array-cascade", "verify"])
 def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy):
     src = Path(cqwsim.__file__).resolve().parents[1]
     out = [] if argv[0] in ("import", "--help") else ["--out", str(tmp_path / "o")]

@@ -43,6 +43,9 @@ RUNS = {
         ["simulate", "--n", "8", "--branching", "symmetric"], None),
     "simulate-n800-manual": (
         ["simulate", "--n", "800"], _manual(0.7, 0.3, 0.45, 0.55, 0.6, 0.8)),
+    "simulate-n1500-manual": (
+        ["simulate", "--n", "1500", "--format", "csv"],
+        _manual(0.7, 0.3, 0.45, 0.55, 0.6, 0.8)),
     "analyze-n21-symmetric": (
         ["analyze", "--n", "21", "--branching", "symmetric", "--ch", "0.6",
          "--cl", "0.8"], None),

@@ -76,7 +76,7 @@ def test_heatmap_csv_equals_dense_table(n_total):
     a, b = rng.uniform(0.05, 0.95, 2)
     model = BranchingModel.manual(a, 1.0 - a, b, 1.0 - b)
     mass = joint_pm(run_cascade(n_total, InitialExcitation.balanced(), model))
-    assert heatmap_csv(n_total, mass) == dense_heatmap(n_total, mass)
+    assert "".join(heatmap_csv(n_total, mass)) == dense_heatmap(n_total, mass)
 
 
 def test_heatmap_csv_absorbing_row_misses_diagonal_cells():
@@ -84,9 +84,9 @@ def test_heatmap_csv_absorbing_row_misses_diagonal_cells():
     absorbing = BranchingModel.manual(1.0, 0.0, 0.5, 0.5)
     mass = joint_pm(run_cascade(9, InitialExcitation(1.0, 0.0), absorbing))
     assert mass == {(0, 1): 1.0}
-    assert heatmap_csv(9, mass) == dense_heatmap(9, mass)
+    assert "".join(heatmap_csv(9, mass)) == dense_heatmap(9, mass)
 
 
 def test_heatmap_csv_rejects_non_finite_mass():
     with pytest.raises(NumericError):
-        heatmap_csv(2, {(1, 1): float("nan")})
+        "".join(heatmap_csv(2, {(1, 1): float("nan")}))
