@@ -8,11 +8,12 @@ distribution.
 
 Each public name is imported from its home module on first access, and
 numpy inside the functions that build arrays, so the command line starts
-without numpy and loads ``analysis`` only for ``analyze``. The cascade
-runs on Python lists up to N = 1024 photons (``cascade.LIST_LIMIT``), so
-``simulate`` and ``analyze`` with symmetric or manual branching load
-numpy only above that; the physics (``design``, ``levels``, ``physical``
-and ``dipole-only`` branching) and ``verify`` always load it.
+without numpy and loads ``analysis`` only for ``analyze``. The physics
+(``design``, ``levels``, ``physical`` and ``dipole-only`` branching)
+integrates the piecewise waves in closed form and never loads numpy. The
+cascade runs on Python lists up to N = 1024 photons
+(``cascade.LIST_LIMIT``), so ``simulate`` and ``analyze`` load numpy only
+above that; ``verify`` always loads it.
 """
 
 from importlib import import_module
@@ -33,16 +34,18 @@ _EXPORTS = {
         "support_set", "terminal_transition",
     ),
     "coupling": (
-        "BranchingModel", "ChainWaves", "CoupledLevels", "DipoleIntegrals",
-        "DipoleMatrix", "ModeFrequencies", "assemble_dipoles",
-        "branching_model", "couple_wells", "dipole_integrals", "dipole_matrix",
-        "mode_frequencies", "sample_chain_waves", "split_pair",
+        "BranchingModel", "CoupledLevels", "CouplingIntegrals",
+        "DipoleIntegrals", "DipoleMatrix", "ModeFrequencies",
+        "assemble_dipoles", "branching_model", "couple_wells",
+        "coupling_integrals", "dipole_integrals", "dipole_matrix",
+        "mode_frequencies", "split_pair",
     ),
     "eigensolver": (
         "BoundState", "DesignResult", "PiecewiseWave", "WellParams",
         "bisect_root", "composite_grid", "count_levels", "count_nodes",
-        "design_alignment", "evaluate_wave", "sample_wavefunction",
-        "solve_bound_states", "transcendental_residual",
+        "design_alignment", "evaluate_wave", "product_integral",
+        "sample_wavefunction", "solve_bound_states", "transcendental_residual",
+        "wave_nodes",
     ),
     "errors": (
         "CqwError", "DomainError", "InfeasibleDesignError", "NumericError",

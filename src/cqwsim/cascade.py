@@ -18,9 +18,9 @@ one per start. The central count m is implied by the step number.
 (1024) photons it runs each start as two plain Python lists, split by
 the parity of c, and never imports numpy: in a fresh process, numpy's
 import costs more than the O(N^2) Python loop up to N of about 1300.
-Above the cutoff the numpy ``evolve_step`` loop runs. The trade: where
-numpy is loaded anyway (``physical`` or ``dipole-only`` branching), the
-list kernel is the slower one from N of about 100 to the cutoff.
+No branching kind loads numpy before the cascade runs, so the cutoff by
+N alone holds for all of them. Above it the numpy ``evolve_step`` loop
+runs.
 """
 
 from __future__ import annotations

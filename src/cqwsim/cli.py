@@ -23,17 +23,14 @@ from .coupling import (
     couple_wells,
     dipole_matrix,
     mode_frequencies,
-    sample_chain_waves,
 )
 from .eigensolver import (
     WellParams,
     _lowest_states,
-    composite_grid,
     count_levels,
-    count_nodes,
     design_alignment,
-    evaluate_wave,
-    simpson,
+    product_integral,
+    wave_nodes,
 )
 from .errors import (
     CqwError,
@@ -297,8 +294,7 @@ def _physics(config: RunConfig):
     split = couple_wells((left[0], left[1]), (right[0], right[1]), params)
     spacing = left[1].energy - left[0].energy
     freqs = mode_frequencies(spacing, split.delta_e)
-    waves = sample_chain_waves(left[0], left[1], params)
-    dipoles = dipole_matrix(split, split, waves, params)
+    dipoles = dipole_matrix(split, split, left[0], left[1], params)
     return bias, spacing, split, freqs, dipoles
 
 
@@ -313,13 +309,10 @@ def _resolve_model(config: RunConfig, physics=None) -> BranchingModel:
 def _run_design(config: RunConfig) -> int:
     well = config.well
     result = design_alignment(well.v1, well.v2, well.d)
-    params = replace(well, b=result.bias)
-    grid = composite_grid(params, list(result.levels), n_wells=1)
     rows = []
     for state in result.levels:
-        psi = evaluate_wave(state, grid, 0.0)
-        norm_residual = abs(simpson(psi * psi, grid) - 1.0)
-        rows.append([state.index, state.energy, count_nodes(psi), norm_residual])
+        norm_residual = abs(product_integral(state.wave, 0.0, state.wave, 0.0) - 1.0)
+        rows.append([state.index, state.energy, wave_nodes(state.wave), norm_residual])
     document = {
         "well": {
             "v1": well.v1,

@@ -21,8 +21,11 @@ refined by bisection.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from math import atan2, ceil, cos, isfinite, pi, sin, sqrt
+from math import (
+    atan2, ceil, cos, exp, expm1, factorial, floor, inf, isfinite, pi, sin, sqrt,
+)
 from typing import Callable, Sequence
 
 from .errors import (
@@ -269,6 +272,118 @@ def _match_wave(params: WellParams, energy: float) -> PiecewiseWave:
         amp_right=scale * f_edge,
         width=d,
     )
+
+
+def wave_nodes(wave: PiecewiseWave) -> int:
+    """Interior nodes of a bound state, counted in closed form.
+
+    The well part is proportional to sin(kappa x + phi) with
+    phi = atan2(amp_cos, amp_sin), and the barrier tails never vanish, so
+    the nodes are the multiples m pi strictly inside
+    (phi, kappa width + phi).
+    """
+    phi = atan2(wave.amp_cos, wave.amp_sin)
+    return ceil((wave.kappa * wave.width + phi) / pi) - floor(phi / pi) - 1
+
+
+# Taylor coefficients, highest power first, of int_0^1 e^(w s) ds and
+# int_0^1 s e^(w s) ds: 1 / (k + 1)! and 1 / (k! (k + 2)). Eighteen terms
+# leave a truncation below 1e-17 for |w| < 1.
+_PHI_SERIES = tuple(1.0 / factorial(k + 1) for k in reversed(range(18)))
+_PSI_SERIES = tuple(1.0 / (factorial(k) * (k + 2)) for k in reversed(range(18)))
+
+
+def _unit_moments(w):
+    """(int_0^1 e^(w s) ds, int_0^1 s e^(w s) ds) for Re w <= 0."""
+    if abs(w) < 1.0:
+        phi = psi = 0.0
+        for c in _PHI_SERIES:
+            phi = phi * w + c
+        for c in _PSI_SERIES:
+            psi = psi * w + c
+        return phi, psi
+    if isinstance(w, complex):
+        e = cmath.exp(w)
+        em1 = e - 1.0
+    else:
+        e, em1 = exp(w), expm1(w)
+    return em1 / w, (w * e - em1) / (w * w)
+
+
+def _segment(z, a: float, b: float, r: float, moment: int):
+    """int_a^b x^moment e^(z (x - r)) dx.
+
+    r is the end, a or b, where |e^(z (x - r))| is largest: 1 there.
+    """
+    if a == -inf:
+        whole = 1.0 / z
+        return whole if moment == 0 else whole * (b - whole)
+    if b == inf:
+        whole = -1.0 / z
+        return whole if moment == 0 else whole * (a + whole)
+    length = b - a
+    phi, psi = _unit_moments(z * length if r == a else -z * length)
+    if moment == 0:
+        return length * phi
+    return length * (r * phi + (psi if r == a else -psi) * length)
+
+
+def _terms(wave: PiecewiseWave, offset: float, x: float) -> tuple:
+    """The region of ``wave`` holding x as terms (c, z, x0) of c e^(z (x - x0))."""
+    if x < offset:
+        return ((wave.amp_left, wave.nu, offset),)
+    right = offset + wave.width
+    if x > right:
+        return ((wave.amp_right, -wave.delta, right),)
+    # amp_cos cos(t) + amp_sin sin(t) = p e^(i t) + conj(p) e^(-i t)
+    p = 0.5 * complex(wave.amp_cos, -wave.amp_sin)
+    return ((p, 1j * wave.kappa, offset), (p.conjugate(), -1j * wave.kappa, offset))
+
+
+def product_integral(
+    f: PiecewiseWave,
+    f_offset: float,
+    g: PiecewiseWave,
+    g_offset: float,
+    lo: float = -inf,
+    hi: float = inf,
+    moment: int = 0,
+) -> float:
+    """Exact int_lo^hi f(x - f_offset) g(x - g_offset) x^moment dx.
+
+    Each wave has its well's left edge at its offset; ``moment`` is 0 or 1
+    and either end may be infinite. The interval is cut at the four region
+    edges. On each piece a wave is one exponential (a barrier tail) or two
+    complex ones (cos and sin in the well), so the integrand is a sum of
+    terms c e^(z (x - r)), each integrated in closed form.
+
+    Every term is referred to the end r of its piece where |e^(z (x - r))|
+    is largest, so no factor exceeds the waves' own amplitudes: tails that
+    underflow across a wide barrier give 0, never inf * 0. What is left
+    are int_0^1 e^(w s) ds and int_0^1 s e^(w s) ds with w = +-z L over a
+    piece of length L and Re w <= 0. For |w| < 1 they are Taylor series,
+    which stay exact at the z -> 0 limit: the barrier product
+    e^(-delta_a (x - d)) e^(nu_b (x - period)) of an aligned pair.
+    """
+    if moment not in (0, 1):
+        raise DomainError(f"moment must be 0 or 1, got {moment}")
+    if not (lo <= hi):
+        raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
+    inner = (f_offset, f_offset + f.width, g_offset, g_offset + g.width)
+    edges = [lo, *sorted(e for e in inner if lo < e < hi), hi]
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        if a == b:
+            continue
+        mid = b - 1.0 if a == -inf else a + 1.0 if b == inf else 0.5 * (a + b)
+        for c1, z1, x1 in _terms(f, f_offset, mid):
+            for c2, z2, x2 in _terms(g, g_offset, mid):
+                z = z1 + z2
+                r = b if z.real > 0 else a
+                u = z1 * (r - x1) + z2 * (r - x2)
+                scale = c1 * c2 * (cmath.exp(u) if isinstance(u, complex) else exp(u))
+                total += scale * _segment(z, a, b, r, moment)
+    return total.real
 
 
 def evaluate_wave(state: BoundState, x, offset: float = 0.0) -> np.ndarray:

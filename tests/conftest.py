@@ -10,7 +10,6 @@ from cqwsim import (
     design_alignment,
     dipole_matrix,
     mode_frequencies,
-    sample_chain_waves,
     solve_bound_states,
 )
 
@@ -35,8 +34,7 @@ def pair_case(aligned_design):
     split = couple_wells((left[0], left[1]), (right[0], right[1]), params)
     spacing = left[1].energy - left[0].energy
     freqs = mode_frequencies(spacing, split.delta_e)
-    waves = sample_chain_waves(left[0], left[1], params)
-    dipoles = dipole_matrix(split, split, waves, params)
+    dipoles = dipole_matrix(split, split, left[0], left[1], params)
     return SimpleNamespace(
         bias=bias,
         params=params,
@@ -45,7 +43,6 @@ def pair_case(aligned_design):
         split=split,
         spacing=spacing,
         freqs=freqs,
-        waves=waves,
         dipoles=dipoles,
     )
 

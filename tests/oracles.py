@@ -7,6 +7,12 @@ diagonalization for the two-well splitting. A closed-form deep-well
 asymptote gives the reference for the hard-wall limit. ``dict_cascade``
 is the photon-count recursion written as a dict over (sublevel, l, n)
 states, the reference the array cascade must match bit for bit.
+
+The closed-form wave integrals have two sampled references: ``quad_product``,
+adaptive Gauss-Kronrod quadrature on every region, and the composite
+Simpson route on a uniform grid that the package used before
+(``sampled_coupling_integrals``, and ``sampled_dipole_integrals`` over
+``cqwsim.coupling.sample_chain_waves``).
 """
 
 from __future__ import annotations
@@ -14,7 +20,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+
+from cqwsim import (
+    BoundState,
+    CouplingIntegrals,
+    DipoleIntegrals,
+    ValidationError,
+    WellParams,
+    composite_grid,
+    evaluate_wave,
+)
+from cqwsim.coupling import ChainWaves
+from cqwsim.eigensolver import simpson
 
 
 def dict_cascade(n_total, init, branching):
@@ -199,3 +218,134 @@ def fd_pair_splitting(v1, v2, b, d, period, e_align, n_points=20001):
     order = np.argsort(np.abs(vals - e_align))
     pair = np.sort(vals[order[:2]])
     return float(pair[1] - pair[0])
+
+
+# Decay lengths of the slower tail that ``quad_product`` keeps past the
+# outermost region edge.
+QUAD_TAIL_LENGTHS = 40.0
+# Rounding allowance of the closed form, in units of 2^-53 times the integral
+# of the product of the two wave envelopes. The integrated magnitudes of the
+# closed form's terms c e^(z (x - r)) add up to about that integral (exactly
+# for moment 0). Each term takes fewer than 32 roundings of relative size
+# 2^-53 (products, one exp, an 18-term Horner sum, the piece assembly), and
+# summing the terms of up to 7 pieces adds fewer than 32 more.
+CLOSED_FORM_ROUNDINGS = 64
+
+
+def _wave_at(state: BoundState, x: float, offset: float) -> tuple[float, float]:
+    """The wave at x and its envelope, which bounds it and is smooth per region."""
+    w = state.wave
+    t = x - offset
+    if t < 0:
+        value = w.amp_left * math.exp(w.nu * t)
+        return value, abs(value)
+    if t > w.width:
+        value = w.amp_right * math.exp(-w.delta * (t - w.width))
+        return value, abs(value)
+    value = w.amp_cos * math.cos(w.kappa * t) + w.amp_sin * math.sin(w.kappa * t)
+    return value, math.hypot(w.amp_cos, w.amp_sin)
+
+
+def quad_product(
+    f, f_offset, g, g_offset, lo=-math.inf, hi=math.inf, moment=0,
+    weight=None, breaks=(),
+):
+    """Adaptive quadrature of f g x^moment weight over [lo, hi].
+
+    The waves are evaluated point by point from their coefficients.
+    ``weight`` is a scalar function, None for 1, that is smooth between
+    the waves' region edges and the extra ``breaks`` (a potential and its
+    steps). The interval is cut at all of those, and an infinite end at
+    ``QUAD_TAIL_LENGTHS`` decay lengths of the slower tail beyond the
+    outermost cut; the product drops by e^-80 or more over that span, so
+    the cut-off tail is negligible.
+
+    Returns (value, bound). The bound on |closed form - value| adds
+    quadpack's error estimates, which include its own rounding, to
+    ``CLOSED_FORM_ROUNDINGS`` times 2^-53 times the integral of the
+    envelope product.
+    """
+    edges = sorted(
+        {f_offset, f_offset + f.wave.width, g_offset, g_offset + g.wave.width, *breaks}
+    )
+    if lo == -math.inf:
+        lo = edges[0] - QUAD_TAIL_LENGTHS / min(f.wave.nu, g.wave.nu)
+    if hi == math.inf:
+        hi = edges[-1] + QUAD_TAIL_LENGTHS / min(f.wave.delta, g.wave.delta)
+    cuts = [lo, *(e for e in edges if lo < e < hi), hi]
+
+    def factor(x):
+        return (1.0 if weight is None else weight(x)) * x**moment
+
+    def product(x):
+        return _wave_at(f, x, f_offset)[0] * _wave_at(g, x, g_offset)[0] * factor(x)
+
+    def envelope(x):
+        size = _wave_at(f, x, f_offset)[1] * _wave_at(g, x, g_offset)[1]
+        return size * abs(factor(x))
+
+    value = error = scale = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        size = quad(envelope, a, b, epsabs=1e-300, epsrel=1e-8, limit=200)[0]
+        # quadpack's error estimate has a rounding floor of 50 eps int |f g|,
+        # at most 100 * 2^-53 * size; asking for less only warns
+        part, part_error = quad(
+            product, a, b, epsabs=128 * 2.0**-53 * size, epsrel=1e-12, limit=200
+        )
+        value += part
+        error += part_error
+        scale += size
+    return value, error + CLOSED_FORM_ROUNDINGS * 2.0**-53 * scale
+
+
+def sampled_coupling_integrals(ground, excited, params, n_points=10_000):
+    """Coupling elements by Simpson's rule on a uniform two-well grid.
+
+    The potential steps fall between grid points, so the error shrinks
+    only as O(1 / n_points).
+    """
+    period = params.period
+    x = composite_grid(params, [ground, excited], n_wells=2, n_points=n_points)
+    fa = evaluate_wave(ground, x, 0.0)
+    fb = evaluate_wave(excited, x, period)
+    v1, v2, b, d = params.v1, params.v2, params.b, params.d
+    v_pair = pair_potential(v1, v2, b, d, period, x)
+    v_a = single_well_potential(v1, v2, b, d, x)
+    v_b = single_well_potential(v1 - b, v2 - b, b, d, x - period)
+    return CouplingIntegrals(
+        overlap=simpson(fa * fb, x),
+        k_ba=simpson(fb * (v_pair - v_a) * fa, x),
+        k_ab=simpson(fa * (v_pair - v_b) * fb, x),
+        d_aa=simpson(fa * fa * (v_pair - v_a), x),
+        d_bb=simpson(fb * fb * (v_pair - v_b), x),
+    )
+
+
+def sampled_dipole_integrals(
+    waves: ChainWaves, params: WellParams
+) -> DipoleIntegrals:
+    """Simpson's rule for the four position elements on a sampled chain.
+
+    The grid must cover the three-well span with at least five decay
+    lengths of tail on each side; a mismatched grid is a ValidationError.
+    """
+    x = waves.x
+    for name in ("ground_0", "excited_1", "ground_1", "excited_2"):
+        arr = getattr(waves, name)
+        if arr.shape != x.shape:
+            raise ValidationError(
+                f"grid mismatch: waves.{name} has shape {arr.shape}, grid {x.shape}"
+            )
+    lo_needed = -5.0 / waves.ground.wave.nu
+    hi_needed = 2 * params.period + params.d + 5.0 / waves.excited.wave.delta
+    if x[0] > lo_needed or x[-1] < hi_needed:
+        raise ValidationError(
+            f"grid mismatch: need coverage [{lo_needed}, {hi_needed}], "
+            f"got [{x[0]}, {x[-1]}]"
+        )
+    return DipoleIntegrals(
+        intra=simpson(waves.ground_1 * x * waves.excited_1, x),
+        adjacent_gg=simpson(waves.ground_1 * x * waves.ground_0, x),
+        far=simpson(waves.excited_2 * x * waves.ground_0, x),
+        adjacent_ee=simpson(waves.excited_2 * x * waves.excited_1, x),
+    )

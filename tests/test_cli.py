@@ -257,7 +257,7 @@ def test_levels_mode_with_fixed_bias(tmp_path):
     assert code == 0
     coupled = read_json(out, "coupled.json")
     branching = read_json(out, "branching.json")
-    assert coupled["delta_e"] == pytest.approx(1.8208234292741468, abs=1e-6)
+    assert coupled["delta_e"] == pytest.approx(1.8220828103672355, abs=1e-6)
     assert set(branching) == {
         "p_hh", "p_hl", "p_lh", "p_ll",
         "omega_minus", "omega_zero", "omega_plus", "delta_e", "weighting",
@@ -386,6 +386,9 @@ print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] in ("numpy", 
 """
 
 
+_PAIR = ["--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"]
+
+
 @pytest.mark.parametrize("argv, code, numpy", [
     (["import"], None, False),
     (["--help"], 0, False),
@@ -395,10 +398,15 @@ print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] in ("numpy", 
     (["simulate", "--n", "0", "--branching", "symmetric"], 2, False),
     (["simulate", "--n", "8", "--branching", "symmetric"], 0, False),
     (["analyze", "--n", "8", "--branching", "symmetric"], 0, False),
+    (["design", "--v1", "60", "--v2", "0", "--d", "1"], 0, False),
+    (["levels", *_PAIR], 0, False),
+    (["simulate", "--n", "22", "--branching", "physical", *_PAIR], 0, False),
+    (["simulate", "--n", "22", "--branching", "dipole-only", *_PAIR], 0, False),
     (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, True),
     (["verify", "--n", "8", "--branching", "symmetric"], 0, True),
 ], ids=["import", "help", "audit", "design", "levels", "simulate-n0", "simulate",
-        "analyze", "simulate-array-cascade", "verify"])
+        "analyze", "design-feasible", "levels-feasible", "simulate-physical",
+        "simulate-dipole-only", "simulate-array-cascade", "verify"])
 def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy):
     src = Path(cqwsim.__file__).resolve().parents[1]
     out = [] if argv[0] in ("import", "--help") else ["--out", str(tmp_path / "o")]

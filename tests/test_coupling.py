@@ -1,11 +1,13 @@
 """Two-well coupling, mode frequencies, dipoles, branching ratios."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import quad_product, sampled_coupling_integrals, sampled_dipole_integrals
 from scipy.linalg import eigh
 
 from cqwsim import (
@@ -21,11 +23,15 @@ from cqwsim import (
     assemble_dipoles,
     branching_model,
     couple_wells,
-    dipole_matrix,
+    coupling_integrals,
+    design_alignment,
+    dipole_integrals,
     mode_frequencies,
-    sample_chain_waves,
+    product_integral,
+    solve_bound_states,
     split_pair,
 )
+from cqwsim.coupling import sample_chain_waves
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -110,7 +116,7 @@ def test_split_pair_numeric_errors(e, s, coupling, excess):
 
 def test_coupled_pair_frozen_splitting(pair_case):
     split = pair_case.split
-    assert split.delta_e == pytest.approx(1.8208234292741468, abs=1e-9)
+    assert split.delta_e == pytest.approx(1.8220828103672355, abs=1e-9)
     assert split.overlap == pytest.approx(0.055168, abs=1e-4)
     assert abs(split.overlap) < 0.99
 
@@ -120,7 +126,7 @@ def test_coupled_pair_mixing_structure(pair_case):
     # upper state is the antisymmetric combination here
     assert split.a_plus > 0 and split.b_plus < 0
     assert split.a_minus > 0 and split.b_minus > 0
-    assert split.b_plus == pytest.approx(-0.719268, abs=1e-5)
+    assert split.b_plus == pytest.approx(-0.719289, abs=1e-5)
 
 
 def test_coupled_pair_norm_identity(pair_case):
@@ -221,34 +227,147 @@ def test_idealized_dipole_pattern():
     assert dip.d_lg == pytest.approx(-d01 * SQ2, abs=1e-15)
 
 
-def test_dipole_grid_refinement(pair_case):
-    fine = sample_chain_waves(
-        pair_case.left[0], pair_case.left[1], pair_case.params, n_points=20001
-    )
-    ref = dipole_matrix(pair_case.split, pair_case.split, fine, pair_case.params)
-    base = pair_case.dipoles
-    for name in ("d_hh", "d_hl", "d_lh", "d_ll", "d_hg", "d_lg"):
-        a = getattr(base, name)
-        b = getattr(ref, name)
-        assert abs(a - b) <= 1e-4 * max(abs(a), abs(b), 1e-3)
+def _split(ints, e_a, e_b):
+    # the assembly couple_wells makes from its integrals
+    s = ints.overlap
+    h_ab = 0.5 * ((e_b * s + ints.k_ab) + (e_a * s + ints.k_ba))
+    return split_pair(e_a + ints.d_aa, e_b + ints.d_bb, h_ab, s)
 
 
-def test_dipole_matrix_rejects_short_grid(pair_case):
+def test_sampled_splitting_converges_to_closed_form(pair_case):
+    # Simpson's rule on the 10,000-point grid the package used before gives
+    # the splitting it reported; the potential steps between grid points
+    # make it converge as O(h), so ten times the points cuts the error about
+    # tenfold (at least fivefold here) toward the closed form.
+    ground, excited = pair_case.left[0], pair_case.right[1]
+    exact = pair_case.split.delta_e
+    errors = []
+    for n_points in (10_000, 100_000):
+        ints = sampled_coupling_integrals(ground, excited, pair_case.params, n_points)
+        split = _split(ints, ground.energy, excited.energy)
+        errors.append(abs(split.delta_e - exact))
+        if n_points == 10_000:
+            assert split.delta_e == pytest.approx(1.8208234292741468, abs=1e-9)
+    assert errors[1] < errors[0] / 5
+
+
+def test_sampled_dipoles_reject_short_grid(pair_case):
     clipped = sample_chain_waves(
         pair_case.left[0], pair_case.left[1], pair_case.params, n_points=4001
     )
     cut = 400  # removes most of the left decay tail
-    trimmed = type(clipped)(
+    trimmed = dataclasses.replace(
+        clipped,
         x=clipped.x[cut:],
         ground_0=clipped.ground_0[cut:],
         excited_1=clipped.excited_1[cut:],
         ground_1=clipped.ground_1[cut:],
         excited_2=clipped.excited_2[cut:],
-        ground=clipped.ground,
-        excited=clipped.excited,
     )
-    with pytest.raises(ValidationError):
-        dipole_matrix(pair_case.split, pair_case.split, trimmed, pair_case.params)
+    with pytest.raises(ValidationError, match="coverage"):
+        sampled_dipole_integrals(trimmed, pair_case.params)
+    assert sampled_dipole_integrals(clipped, pair_case.params).intra != 0.0
+
+
+def _assert_within_quad(value, oracle):
+    reference, bound = oracle
+    assert abs(value - reference) <= bound, (value, reference, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    depth=st.floats(28.0, 58.0),  # (v1 - v2) d^2: an aligning bias with two levels
+    d=st.floats(0.5, 2.0),
+    v2=st.floats(-20.0, 20.0),
+    barrier=st.floats(0.05, 1.5),
+)
+def test_closed_form_matches_quadrature_on_aligned_wells(depth, d, v2, barrier):
+    v1 = v2 + depth / (d * d)
+    bias = design_alignment(v1, v2, d).bias
+    period = d + barrier
+    params = WellParams(v1, v2, bias, d, period=period)
+    ground, excited = solve_bound_states(params)
+    right = solve_bound_states(WellParams(v1 - bias, v2 - bias, bias, d, period=period))
+    ints = coupling_integrals(ground, right[1], params)
+
+    # the three potentials, pointwise; v_a and v_b reuse v_pair's expressions,
+    # so their differences are exactly 0 where the potentials agree
+    def v_pair(x):
+        if x < 0.0:
+            return v1
+        if x <= d:
+            return v2
+        if x < period:
+            return v1 - bias
+        return v2 - bias if x <= period + d else v1 - 2.0 * bias
+
+    def v_a(x):
+        return v1 if x < 0.0 else v2 if x <= d else v1 - bias
+
+    def v_b(x):
+        if x < period:
+            return v1 - bias
+        return v2 - bias if x <= period + d else v1 - 2.0 * bias
+
+    steps = (0.0, d, period, period + d)
+
+    def pair(weight=None):
+        return quad_product(ground, 0.0, right[1], period, weight=weight, breaks=steps)
+
+    def own(state, offset, weight):
+        return quad_product(state, offset, state, offset, weight=weight, breaks=steps)
+
+    _assert_within_quad(ints.overlap, pair())
+    _assert_within_quad(ints.k_ba, pair(lambda x: v_pair(x) - v_a(x)))
+    _assert_within_quad(ints.k_ab, pair(lambda x: v_pair(x) - v_b(x)))
+    _assert_within_quad(ints.d_aa, own(ground, 0.0, lambda x: v_pair(x) - v_a(x)))
+    _assert_within_quad(ints.d_bb, own(right[1], period, lambda x: v_pair(x) - v_b(x)))
+
+    dips = dipole_integrals(ground, excited, period)
+    for value, f, f_at, g, g_at in (
+        (dips.intra, ground, period, excited, period),
+        (dips.adjacent_gg, ground, period, ground, 0.0),
+        (dips.far, excited, 2 * period, ground, 0.0),
+        (dips.adjacent_ee, excited, 2 * period, excited, period),
+    ):
+        _assert_within_quad(value, quad_product(f, f_at, g, g_at, moment=1))
+
+
+def test_product_integral_exact_at_alignment(pair_case):
+    # Across the barrier the product is e^(-delta_a (x - d)) e^(nu_b (x - P))
+    # with exponent (nu_b - delta_a) x; give the right state nu_b = delta_a
+    # exactly and it is the constant A_R B_L e^(-delta_a (P - d)).
+    d, period = pair_case.params.d, pair_case.params.period
+    fa = pair_case.left[0].wave
+    fb = dataclasses.replace(pair_case.right[1].wave, nu=fa.delta)
+    flat = fa.amp_right * fb.amp_left * math.exp(-fa.delta * (period - d))
+    value = product_integral(fa, 0.0, fb, period, d, period)
+    assert value == pytest.approx(flat * (period - d), rel=4 * 2.0**-52)
+    ground = pair_case.left[0]
+    right = dataclasses.replace(pair_case.right[1], wave=fb)
+    _assert_within_quad(value, quad_product(ground, 0.0, right, period, d, period))
+    # and beside it, inside the series' reach
+    for step in (1e-12, -1e-9, 1e-6):
+        wave = dataclasses.replace(fb, nu=fa.delta + step)
+        near = dataclasses.replace(right, wave=wave)
+        _assert_within_quad(
+            product_integral(fa, 0.0, wave, period, d, period),
+            quad_product(ground, 0.0, near, period, d, period),
+        )
+
+
+def test_wide_barrier_collapses_splitting(pair_case):
+    # Across a 200-wide barrier every cross integral underflows to 0, and
+    # not to nan. With the right level set exactly onto the left one nothing
+    # is left to split the pair.
+    ground = pair_case.left[0]
+    excited = dataclasses.replace(pair_case.right[1], energy=ground.energy)
+    params = dataclasses.replace(pair_case.params, period=pair_case.params.d + 200.0)
+    ints = coupling_integrals(ground, excited, params)
+    assert (ints.overlap, ints.k_ba, ints.k_ab) == (0.0, 0.0, 0.0)
+    assert ints.d_aa == ints.d_bb == 0.0
+    with pytest.raises(NumericError, match="collapsed"):
+        couple_wells((ground, pair_case.left[1]), (pair_case.right[0], excited), params)
 
 
 def test_branching_rates_weight_by_frequency_cube():

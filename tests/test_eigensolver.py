@@ -21,9 +21,11 @@ from cqwsim import (
     count_nodes,
     design_alignment,
     evaluate_wave,
+    product_integral,
     sample_wavefunction,
     solve_bound_states,
     transcendental_residual,
+    wave_nodes,
 )
 from cqwsim import eigensolver
 from cqwsim.eigensolver import ENERGY_TOL
@@ -226,6 +228,7 @@ def test_levels_sit_in_hard_wall_brackets(v2, depth, d, bias_fraction):
     for state in states:
         n = state.index
         assert n * math.pi < math.sqrt(state.energy - v2) * d < (n + 1) * math.pi
+        assert wave_nodes(state.wave) == n
         residual, branch = transcendental_residual(params, state.energy)
         assert branch == n
         # the bisection fixes the energy to ENERGY_TOL; only a level within
@@ -289,7 +292,10 @@ def test_wave_normalization_and_nodes():
     for state, nodes in zip(states, (0, 1, 2)):
         x, psi = sample_wavefunction(state, grid)
         assert float(simpson(psi * psi, x=x)) == pytest.approx(1.0, abs=1e-6)
-        assert count_nodes(psi) == nodes
+        assert count_nodes(psi) == wave_nodes(state.wave) == nodes
+        # _match_wave normalizes in closed form, so only round-off is left
+        w = state.wave
+        assert product_integral(w, 0.0, w, 0.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_wave_orthogonality():

@@ -2,9 +2,10 @@
 
 Each run goes through ``cli.main`` into a fresh directory; the record is
 the exit code, the names of the files written and the sha256 of each.
-Every run uses symmetric or manual branching, so the bytes depend on
-neither the eigensolver nor the quadrature. Stdout is not recorded: it
-names the temporary output directory.
+The chain runs use symmetric or manual branching, so their bytes depend
+on no physics; the design, levels and physical-branching runs at the
+paper's test pair guard the eigensolver and the closed-form integrals.
+Stdout is not recorded: it names the temporary output directory.
 
 To record new digests after a declared byte change, run
 
@@ -37,8 +38,14 @@ def _manual(p_hh, p_hl, p_lh, p_ll, ch, cl):
     }
 
 
+_PAIR = ["--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"]
+
 # name -> (argv, config document or None)
 RUNS = {
+    "design-v60-d1": (["design", "--v1", "60", "--v2", "0", "--d", "1"], None),
+    "levels-v60-p1.25": (["levels", *_PAIR], None),
+    "simulate-n22-physical": (
+        ["simulate", "--n", "22", "--branching", "physical", *_PAIR], None),
     "simulate-n8-symmetric": (
         ["simulate", "--n", "8", "--branching", "symmetric"], None),
     "simulate-n800-manual": (
