@@ -7,13 +7,17 @@ the photon-counting cascade, and analyze or cross-check the resulting
 distribution.
 
 Each public name is imported from its home module on first access, and
-numpy inside the functions that build arrays, so the command line starts
-without numpy and loads ``analysis`` only for ``analyze``. The physics
-(``design``, ``levels``, ``physical`` and ``dipole-only`` branching)
+numpy inside the functions that build arrays, so each command loads only
+the code it runs. The command line starts with ``cli``, ``cascade``,
+``errors``, ``oracle`` and ``output``; ``analyze`` adds ``analysis``,
+``design`` (or any command given a well) adds ``eigensolver``, and
+``levels`` and the ``physical`` and ``dipole-only`` branching add
+``eigensolver`` and ``coupling``. The physics
 integrates the piecewise waves in closed form and never loads numpy. The
 cascade runs on Python lists up to N = 1024 photons
 (``cascade.LIST_LIMIT``), so ``simulate`` and ``analyze`` load numpy only
-above that; ``verify`` always loads it.
+above that; ``verify`` always loads it. The records are ``NamedTuple``s,
+so no command loads ``dataclasses``.
 """
 
 from importlib import import_module
@@ -29,16 +33,15 @@ _EXPORTS = {
         "marginals", "parity_xor", "purity_check",
     ),
     "cascade": (
-        "CascadeState", "InitialExcitation", "JointDistribution",
-        "evolve_step", "initial_state", "run_cascade", "support_partition",
-        "support_set", "terminal_transition",
+        "BranchingModel", "CascadeState", "InitialExcitation",
+        "JointDistribution", "evolve_step", "initial_state", "run_cascade",
+        "support_partition", "support_set", "terminal_transition",
     ),
     "coupling": (
-        "BranchingModel", "CoupledLevels", "CouplingIntegrals",
-        "DipoleIntegrals", "DipoleMatrix", "ModeFrequencies",
-        "assemble_dipoles", "branching_model", "couple_wells",
-        "coupling_integrals", "dipole_integrals", "dipole_matrix",
-        "mode_frequencies", "split_pair",
+        "CoupledLevels", "CouplingIntegrals", "DipoleIntegrals",
+        "DipoleMatrix", "ModeFrequencies", "assemble_dipoles",
+        "branching_model", "couple_wells", "coupling_integrals",
+        "dipole_integrals", "dipole_matrix", "mode_frequencies", "split_pair",
     ),
     "eigensolver": (
         "BoundState", "DesignResult", "PiecewiseWave", "WellParams",

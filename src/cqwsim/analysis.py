@@ -8,15 +8,14 @@ freedom shared between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, log2, sqrt
+from typing import NamedTuple
 
 from .cascade import JointDistribution
 from .errors import DomainError, NumericError
 
 
-@dataclass(frozen=True)
-class ConditionalState:
+class ConditionalState(NamedTuple):
     """State of the (l, n) pair after conditioning on the central count.
 
     For s = n_total - measured_m remaining photons and k = s // 2, an even
@@ -34,8 +33,7 @@ class ConditionalState:
     weight: float
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     """Per-triple check of the parity gate between m and (l, n)."""
 
     n_total: int
@@ -44,8 +42,7 @@ class ParityReport:
     all_hold: bool
 
 
-@dataclass(frozen=True)
-class PurityReport:
+class PurityReport(NamedTuple):
     """Diagnostics of the rank-one density operator built from the table."""
 
     trace: float
@@ -53,8 +50,7 @@ class PurityReport:
     idempotency_residual: float
 
 
-@dataclass(frozen=True)
-class LogicalProjection:
+class LogicalProjection(NamedTuple):
     """Mass of the (l-parity, n-parity) pairs within one m-parity sector."""
 
     n_total: int

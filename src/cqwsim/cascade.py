@@ -21,18 +21,20 @@ import costs more than the O(N^2) Python loop up to N of about 1300.
 No branching kind loads numpy before the cascade runs, so the cutoff by
 N alone holds for all of them. Above it the numpy ``evolve_step`` loop
 runs.
+
+The branching rows (``BranchingModel``) are defined here, not beside the
+physics in ``coupling`` that derives them, so the cascade and the oracles
+load without the eigensolver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import frexp, fsum, isfinite, ldexp, sqrt
 from sys import float_info
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .coupling import BranchingModel
-from .errors import DomainError, SequencingError
+from .errors import DomainError, NumericError, SequencingError, ValidationError
 
 HIGH = "H"
 LOW = "L"
@@ -49,8 +51,12 @@ StateKey = tuple[str, int, int]
 CountKey = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class InitialExcitation:
+class _InitialExcitation(NamedTuple):
+    c_h: float
+    c_l: float
+
+
+class InitialExcitation(_InitialExcitation):
     """Amplitudes (c_h, c_l) of the starting sublevel superposition.
 
     Both are nonnegative and c_h^2 + c_l^2 = 1 within 1e-12. Only the
@@ -58,21 +64,26 @@ class InitialExcitation:
     matter to the sign audit.
     """
 
-    c_h: float
-    c_l: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isfinite(self.c_h) or not isfinite(self.c_l):
+    def __new__(cls, c_h: float, c_l: float) -> "InitialExcitation":
+        if not isfinite(c_h) or not isfinite(c_l):
             raise DomainError("initial amplitudes must be finite")
-        if self.c_h < 0 or self.c_l < 0:
+        if c_h < 0 or c_l < 0:
             raise DomainError(
-                f"initial amplitudes must be nonnegative, got ({self.c_h}, {self.c_l})"
+                f"initial amplitudes must be nonnegative, got ({c_h}, {c_l})"
             )
-        norm = self.c_h * self.c_h + self.c_l * self.c_l
+        norm = c_h * c_h + c_l * c_l
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(
                 f"initial amplitudes must be normalized: |c|^2 = {norm}"
             )
+        return super().__new__(cls, c_h, c_l)
+
+    @classmethod
+    def _make(cls, iterable) -> "InitialExcitation":
+        # _replace builds through _make: route it through the checks
+        return cls(*iterable)
 
     @classmethod
     def normalized(cls, c_h: float, c_l: float) -> "InitialExcitation":
@@ -104,7 +115,89 @@ class InitialExcitation:
         return cls.normalized(1.0, 1.0)
 
 
-@dataclass(eq=False)
+class _BranchingModel(NamedTuple):
+    p_hh: float
+    p_hl: float
+    p_lh: float
+    p_ll: float
+    weighting: str
+
+
+class BranchingModel(_BranchingModel):
+    """Row-stochastic transition probabilities of the two-sublevel ladder.
+
+    Rows are (p_hh, p_hl) for an H sublevel and (p_lh, p_ll) for an L
+    sublevel. Terminal transitions are fixed: an H sublevel decays to the
+    final ground emitting into the high-frequency accumulator, an L
+    sublevel into the low-frequency one, each with probability 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, p_hh: float, p_hl: float, p_lh: float, p_ll: float,
+        weighting: str = "manual",
+    ) -> "BranchingModel":
+        for name, p in zip(cls._fields, (p_hh, p_hl, p_lh, p_ll)):
+            if not isfinite(p) or p < 0.0 or p > 1.0:
+                raise DomainError(f"{name}={p} is not a probability")
+        if abs(p_hh + p_hl - 1.0) > 1e-9:
+            raise DomainError(
+                f"H row sums to {p_hh + p_hl}, expected 1 within 1e-9"
+            )
+        if abs(p_lh + p_ll - 1.0) > 1e-9:
+            raise DomainError(
+                f"L row sums to {p_lh + p_ll}, expected 1 within 1e-9"
+            )
+        return super().__new__(cls, p_hh, p_hl, p_lh, p_ll, weighting)
+
+    @classmethod
+    def _make(cls, iterable) -> "BranchingModel":
+        # _replace builds through _make: route it through the checks
+        return cls(*iterable)
+
+    @classmethod
+    def symmetric(cls) -> "BranchingModel":
+        """Equal 1/2 probabilities everywhere, bypassing any physics."""
+        return cls(0.5, 0.5, 0.5, 0.5, weighting="symmetric")
+
+    @classmethod
+    def manual(
+        cls, p_hh: float, p_hl: float, p_lh: float, p_ll: float
+    ) -> "BranchingModel":
+        """Explicit probabilities, renormalized to exact row sums.
+
+        Raises ValidationError if an entry is not a probability or a row
+        sum strays from 1 by more than 1e-9.
+        """
+        try:
+            cls(p_hh, p_hl, p_lh, p_ll)
+        except DomainError as exc:
+            raise ValidationError(f"manual branching: {exc}") from None
+        hh, hl = _stochastic_row(p_hh, p_hl)
+        ll, lh = _stochastic_row(p_ll, p_lh)
+        return cls(hh, hl, lh, ll, weighting="manual")
+
+
+def _stochastic_row(stay: float, cross: float) -> tuple[float, float]:
+    """Normalize nonnegative weights into an exactly summing pair.
+
+    The entry at or above 1/2 keeps its directly divided value and the
+    partner takes the complement, which is exact in floating point, so
+    stay + cross == 1.0 holds exactly.
+    """
+    total = stay + cross
+    if not isfinite(total) or total <= 0:
+        raise NumericError(
+            f"degenerate branching row: weights ({stay}, {cross}) sum to {total}"
+        )
+    q = cross / total
+    if q >= 0.5:
+        return 1.0 - q, q
+    p = stay / total
+    return p, 1.0 - p
+
+
 class CascadeState:
     """Populations after ``step`` hops over crossing count c.
 
@@ -113,10 +206,13 @@ class CascadeState:
     Compare states through ``weights``: arrays have no single truth value.
     """
 
-    n_total: int
-    step: int
-    high: np.ndarray
-    low: np.ndarray
+    def __init__(
+        self, n_total: int, step: int, high: np.ndarray, low: np.ndarray
+    ) -> None:
+        self.n_total = n_total
+        self.step = step
+        self.high = high
+        self.low = low
 
     @property
     def weights(self) -> Mapping[StateKey, float]:
@@ -134,12 +230,14 @@ class CascadeState:
         return fsum(self.high.tolist() + self.low.tolist())
 
 
-@dataclass
 class JointDistribution:
     """Final probability table over photon counts (l, m, n)."""
 
-    n_total: int
-    table: dict[CountKey, float] = field(default_factory=dict)
+    def __init__(
+        self, n_total: int, table: dict[CountKey, float] | None = None
+    ) -> None:
+        self.n_total = n_total
+        self.table = {} if table is None else table
 
     def total(self) -> float:
         return fsum(self.table[k] for k in sorted(self.table))

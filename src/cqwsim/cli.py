@@ -11,27 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from .cascade import InitialExcitation, run_cascade
-from .coupling import (
-    BranchingModel,
-    branching_model,
-    couple_wells,
-    dipole_matrix,
-    mode_frequencies,
-)
-from .eigensolver import (
-    WellParams,
-    _lowest_states,
-    count_levels,
-    design_alignment,
-    product_integral,
-    wave_nodes,
-)
+from .cascade import BranchingModel, InitialExcitation, run_cascade
 from .errors import (
     CqwError,
     DomainError,
@@ -133,8 +117,7 @@ _BLOCKS = {key.partition(".")[0] for key in _KEYS if "." in key}
 _FLAG_TYPES = {_as_number: float, _as_int: int, _as_size: int, _as_count: int}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully validated inputs for one subcommand run."""
 
     mode: str
@@ -199,6 +182,8 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
             for key in ("well.v1", "well.v2", "well.d"):
                 if key not in values:
                     raise ValidationError(f"{key} is required")
+            from .eigensolver import WellParams
+
             well = WellParams(
                 values["well.v1"], values["well.v2"], bias or 0.0,
                 values["well.d"], values.get("well.period"),
@@ -270,14 +255,15 @@ def _emit(config: RunConfig, documents: list[tuple[str, str | Iterable[str]]]) -
 
 def _physics(config: RunConfig):
     """Solve the chain physics shared by levels and physical branching."""
+    from .coupling import couple_wells, dipole_matrix, mode_frequencies
+    from .eigensolver import _lowest_states, count_levels, design_alignment
+
     well = config.well
     bias = config.bias
     if bias is None:
         bias = design_alignment(well.v1, well.v2, well.d).bias
-    params = replace(well, b=bias)
-    shifted = WellParams(
-        well.v1 - bias, well.v2 - bias, bias, well.d, well.period
-    )
+    params = well._replace(b=bias)
+    shifted = params._replace(v1=well.v1 - bias, v2=well.v2 - bias)
     # only the two lowest levels enter; a deep well can hold thousands
     held = count_levels(params)
     if held < 2:
@@ -302,11 +288,15 @@ def _resolve_model(config: RunConfig, physics=None) -> BranchingModel:
     """The configured branching model; ``physics`` reuses a solved chain."""
     if config.model is not None:
         return config.model
+    from .coupling import branching_model
+
     *_, freqs, dipoles = physics if physics is not None else _physics(config)
     return branching_model(freqs, dipoles, config.kind or "physical")
 
 
 def _run_design(config: RunConfig) -> int:
+    from .eigensolver import design_alignment, product_integral, wave_nodes
+
     well = config.well
     result = design_alignment(well.v1, well.v2, well.d)
     rows = []
@@ -340,8 +330,8 @@ def _run_levels(config: RunConfig) -> int:
     coupled = {
         "bias": bias,
         "spacing": spacing,
-        **asdict(split),
-        "dipoles": asdict(dipoles),
+        **split._asdict(),
+        "dipoles": dipoles._asdict(),
     }
     branching_doc = {
         "p_hh": model.p_hh,
@@ -377,7 +367,7 @@ def _run_simulate(config: RunConfig) -> int:
     document = {
         "n": config.n,
         "init": {"ch": config.init.c_h, "cl": config.init.c_l},
-        "branching": asdict(model),
+        "branching": model._asdict(),
         "table": table_rows,
     }
     _emit(config, [

@@ -18,9 +18,10 @@ moment-1 products of the translated states on a three-well chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import hypot, inf, isfinite, sqrt
+from math import hypot, inf, sqrt
+from typing import NamedTuple
 
+from .cascade import BranchingModel, _stochastic_row
 from .eigensolver import (
     BoundState,
     WellParams,
@@ -35,10 +36,10 @@ from .errors import DomainError, NumericError, ValidationError
 
 ALIGNMENT_TOL = 1e-6
 OVERLAP_LIMIT = 0.99
+TUNNELING_DOMINANCE = 100.0
 
 
-@dataclass(frozen=True)
-class CoupledLevels:
+class CoupledLevels(NamedTuple):
     """Sublevel energies and mixing coefficients of an aligned pair.
 
     The sublevel states are a_pm * (left-well ground) + b_pm * (right-well
@@ -56,8 +57,7 @@ class CoupledLevels:
     overlap: float
 
 
-@dataclass(frozen=True)
-class CouplingIntegrals:
+class CouplingIntegrals(NamedTuple):
     """Overlap and potential matrix elements of the aligned pair.
 
     With a the left ground state and b the right excited state:
@@ -72,8 +72,7 @@ class CouplingIntegrals:
     d_bb: float
 
 
-@dataclass(frozen=True)
-class ModeFrequencies:
+class ModeFrequencies(NamedTuple):
     """Emission frequencies of the three cavity modes."""
 
     omega_minus: float
@@ -81,8 +80,7 @@ class ModeFrequencies:
     omega_plus: float
 
 
-@dataclass(frozen=True)
-class DipoleIntegrals:
+class DipoleIntegrals(NamedTuple):
     """Position matrix elements between the underlying well states.
 
     intra couples ground and excited of the shared middle well; the other
@@ -95,8 +93,7 @@ class DipoleIntegrals:
     adjacent_ee: float
 
 
-@dataclass(frozen=True)
-class DipoleMatrix:
+class DipoleMatrix(NamedTuple):
     """Dipole elements for the four sublevel transitions plus terminal ones.
 
     First letter is the source sublevel, second the target; ``d_hg`` and
@@ -111,80 +108,8 @@ class DipoleMatrix:
     d_lg: float
 
 
-@dataclass(frozen=True)
-class BranchingModel:
-    """Row-stochastic transition probabilities of the two-sublevel ladder.
-
-    Rows are (p_hh, p_hl) for an H sublevel and (p_lh, p_ll) for an L
-    sublevel. Terminal transitions are fixed: an H sublevel decays to the
-    final ground emitting into the high-frequency accumulator, an L
-    sublevel into the low-frequency one, each with probability 1.
-    """
-
-    p_hh: float
-    p_hl: float
-    p_lh: float
-    p_ll: float
-    weighting: str = "manual"
-
-    def __post_init__(self) -> None:
-        for name in ("p_hh", "p_hl", "p_lh", "p_ll"):
-            p = getattr(self, name)
-            if not isfinite(p) or p < 0.0 or p > 1.0:
-                raise DomainError(f"{name}={p} is not a probability")
-        if abs(self.p_hh + self.p_hl - 1.0) > 1e-9:
-            raise DomainError(
-                f"H row sums to {self.p_hh + self.p_hl}, expected 1 within 1e-9"
-            )
-        if abs(self.p_lh + self.p_ll - 1.0) > 1e-9:
-            raise DomainError(
-                f"L row sums to {self.p_lh + self.p_ll}, expected 1 within 1e-9"
-            )
-
-    @classmethod
-    def symmetric(cls) -> "BranchingModel":
-        """Equal 1/2 probabilities everywhere, bypassing any physics."""
-        return cls(0.5, 0.5, 0.5, 0.5, weighting="symmetric")
-
-    @classmethod
-    def manual(
-        cls, p_hh: float, p_hl: float, p_lh: float, p_ll: float
-    ) -> "BranchingModel":
-        """Explicit probabilities, renormalized to exact row sums.
-
-        Raises ValidationError if an entry is not a probability or a row
-        sum strays from 1 by more than 1e-9.
-        """
-        try:
-            cls(p_hh, p_hl, p_lh, p_ll)
-        except DomainError as exc:
-            raise ValidationError(f"manual branching: {exc}") from None
-        hh, hl = _stochastic_row(p_hh, p_hl)
-        ll, lh = _stochastic_row(p_ll, p_lh)
-        return cls(hh, hl, lh, ll, weighting="manual")
-
-
-def _stochastic_row(stay: float, cross: float) -> tuple[float, float]:
-    """Normalize nonnegative weights into an exactly summing pair.
-
-    The entry at or above 1/2 keeps its directly divided value and the
-    partner takes the complement, which is exact in floating point, so
-    stay + cross == 1.0 holds exactly.
-    """
-    total = stay + cross
-    if not isfinite(total) or total <= 0:
-        raise NumericError(
-            f"degenerate branching row: weights ({stay}, {cross}) sum to {total}"
-        )
-    q = cross / total
-    if q >= 0.5:
-        return 1.0 - q, q
-    p = stay / total
-    return p, 1.0 - p
-
-
 def split_pair(
-    h_aa: float, h_bb: float, h_ab: float, overlap: float
+    h_aa: float, h_bb: float, h_ab: float, overlap: float, residual: float = 0.0
 ) -> CoupledLevels:
     """Solve the two-state generalized eigenproblem H c = E M c.
 
@@ -196,6 +121,16 @@ def split_pair(
     basis (a +- b) / sqrt(2 (1 +- S)), where M is the identity and H reads
     centre + [[d, o], [o, -d]]. The half-splitting is hypot(d, o), which
     stays accurate when the splitting is tiny against the energies.
+
+    ``residual`` is the part of h_aa - h_bb that is alignment error, not
+    physics; ``couple_wells`` passes E_a - E_b. It adds r = residual /
+    (2 sqrt(1 - S^2)) to the detuning term o, and the tunneling term must
+    dominate it: NumericError when |d| < TUNNELING_DOMINANCE (100) |r|,
+    since the splitting would then report the residual. hypot is
+    1-Lipschitz, so an accepted residual moves the splitting by at most 1%
+    of 2 |d|; where r is all of o (wide barriers, whose diagonal shifts
+    vanish) the splitting is within hypot(1, 0.01) - 1 = 5e-5 of the pure
+    tunneling value 2 |d|.
     """
     if abs(overlap) > OVERLAP_LIMIT:
         raise NumericError(
@@ -211,6 +146,12 @@ def split_pair(
     delta = 2.0 * half
     if not (delta > 0):
         raise NumericError(f"level splitting collapsed: delta_e={delta}")
+    detuning = 0.5 * abs(residual) / sqrt(det)
+    if abs(d) < TUNNELING_DOMINANCE * detuning:
+        raise NumericError(
+            f"tunneling no longer dominates the detuning: tunneling term {abs(d)} is "
+            f"below {TUNNELING_DOMINANCE:g} times the alignment detuning {detuning}"
+        )
 
     def coefficients(shift: float) -> tuple[float, float]:
         # Null vector of the larger-norm row of [[d, o], [o, -d]] - shift,
@@ -273,7 +214,8 @@ def couple_wells(
     energy sets live in the same global frame. The alignment precondition
     |E_ground(left) - E_excited(right)| <= 1e-6 must hold.
 
-    The overlap and coupling elements come from ``coupling_integrals``.
+    The overlap and coupling elements come from ``coupling_integrals``, and
+    ``split_pair`` checks that tunneling dominates the alignment residual.
     """
     if len(left) < 1 or len(right) < 2:
         raise DomainError(
@@ -293,7 +235,9 @@ def couple_wells(
     ints = coupling_integrals(ground, excited, params)
     s = ints.overlap
     h_ab = 0.5 * ((e_b * s + ints.k_ab) + (e_a * s + ints.k_ba))
-    return split_pair(e_a + ints.d_aa, e_b + ints.d_bb, h_ab, s)
+    return split_pair(
+        e_a + ints.d_aa, e_b + ints.d_bb, h_ab, s, residual=e_a - e_b
+    )
 
 
 def mode_frequencies(delta_e: float, splitting: float) -> ModeFrequencies:
@@ -322,8 +266,7 @@ def mode_frequencies(delta_e: float, splitting: float) -> ModeFrequencies:
 # bench/selftest.py::test_missing_traced_name_records_zero expects every
 # other traced name to exist. Move it to tests/oracles.py at the next change
 # to bench/.
-@dataclass(frozen=True)
-class ChainWaves:
+class ChainWaves(NamedTuple):
     """Wavefunction samples spanning three consecutive wells.
 
     ground_0 is the first well's ground state, excited_1 and ground_1 the

@@ -22,11 +22,10 @@ refined by bisection.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from math import (
     atan2, ceil, cos, exp, expm1, factorial, floor, inf, isfinite, pi, sin, sqrt,
 )
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DomainError,
@@ -40,8 +39,15 @@ DESIGN_TOL = 1e-9
 BIAS_SCAN_POINTS = 257
 
 
-@dataclass(frozen=True)
-class WellParams:
+class _WellParams(NamedTuple):
+    v1: float
+    v2: float
+    b: float
+    d: float
+    period: float | None
+
+
+class WellParams(_WellParams):
     """Geometry and potentials of one well period.
 
     Attributes
@@ -59,30 +65,33 @@ class WellParams:
         coupled-pair operations; must exceed d when set.
     """
 
-    v1: float
-    v2: float
-    b: float
-    d: float
-    period: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.d > 0):
-            raise DomainError(f"well width must be positive, got d={self.d}")
-        if self.b < 0:
-            raise DomainError(f"bias must be nonnegative, got b={self.b}")
-        if not (self.v2 < self.v1 - self.b):
+    def __new__(
+        cls, v1: float, v2: float, b: float, d: float, period: float | None = None
+    ) -> "WellParams":
+        if not (d > 0):
+            raise DomainError(f"well width must be positive, got d={d}")
+        if b < 0:
+            raise DomainError(f"bias must be nonnegative, got b={b}")
+        if not (v2 < v1 - b):
             raise DomainError(
                 "empty bound-state window: need v2 < v1 - b, got "
-                f"v2={self.v2}, v1-b={self.v1 - self.b}"
+                f"v2={v2}, v1-b={v1 - b}"
             )
-        if self.period is not None and not (self.period > self.d):
+        if period is not None and not (period > d):
             raise DomainError(
-                f"period must exceed the well width, got period={self.period}, d={self.d}"
+                f"period must exceed the well width, got period={period}, d={d}"
             )
+        return super().__new__(cls, v1, v2, b, d, period)
+
+    @classmethod
+    def _make(cls, iterable) -> "WellParams":
+        # _replace builds through _make: route it through the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PiecewiseWave:
+class PiecewiseWave(NamedTuple):
     """Matched piecewise wavefunction coefficients for one bound state.
 
     Left barrier: amp_left * exp(nu * x) for x < 0.
@@ -100,8 +109,7 @@ class PiecewiseWave:
     width: float
 
 
-@dataclass(frozen=True)
-class BoundState:
+class BoundState(NamedTuple):
     """One bound level: branch index, energy, and unit-normalized wave."""
 
     index: int
@@ -109,8 +117,7 @@ class BoundState:
     wave: PiecewiseWave
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(NamedTuple):
     """Outcome of the alignment search: bias, the two levels, residual."""
 
     bias: float
@@ -118,17 +125,23 @@ class DesignResult:
     residual: float
 
 
-def _phase(params: WellParams, energy: float) -> float:
-    """Total phase kappa d - arctan(nu/kappa) - arctan(delta/kappa).
+def _phase_of(params: WellParams) -> Callable[[float], float]:
+    """Total phase kappa d - arctan(nu/kappa) - arctan(delta/kappa) of energy.
 
     atan2 keeps it defined at the floor (kappa = 0), where it equals -pi.
+    The well's numbers are bound once: a design search evaluates the phase
+    about 20,000 times, and a record's fields read slower than locals.
     """
-    kappa = sqrt(energy - params.v2)
-    return (
-        kappa * params.d
-        - atan2(sqrt(params.v1 - energy), kappa)
-        - atan2(sqrt(params.v1 - params.b - energy), kappa)
-    )
+    v1, v2, b, d, _ = params
+    top = v1 - b
+
+    def phase(energy: float) -> float:
+        kappa = sqrt(energy - v2)
+        return (
+            kappa * d - atan2(sqrt(v1 - energy), kappa) - atan2(sqrt(top - energy), kappa)
+        )
+
+    return phase
 
 
 def transcendental_residual(params: WellParams, energy: float) -> tuple[float, int]:
@@ -150,7 +163,7 @@ def transcendental_residual(params: WellParams, energy: float) -> tuple[float, i
         raise DomainError(
             f"energy {energy} outside the bound-state window ({lo}, {hi})"
         )
-    total = _phase(params, energy)
+    total = _phase_of(params)(energy)
     branch = max(int(round(total / pi)), 0)
     return total - branch * pi, branch
 
@@ -199,7 +212,8 @@ def _level_energy(params: WellParams, n: int, tol: float) -> float:
     """Energy of level n, bisected on n pi < kappa d < (n + 1) pi within the window."""
     lo = params.v2 + (n * pi / params.d) ** 2
     hi = min(params.v2 + ((n + 1) * pi / params.d) ** 2, params.v1 - params.b)
-    return bisect_root(lambda e: _phase(params, e) - n * pi, lo, hi, tol)
+    phase = _phase_of(params)
+    return bisect_root(lambda e: phase(e) - n * pi, lo, hi, tol)
 
 
 def solve_bound_states(params: WellParams, tol: float = ENERGY_TOL) -> list[BoundState]:
@@ -243,7 +257,7 @@ def _lowest_states(
 
 def count_levels(params: WellParams) -> int:
     """Number of bound levels: the multiples n pi (n >= 0) below the phase at v1 - b."""
-    return max(ceil(_phase(params, params.v1 - params.b) / pi), 0)
+    return max(ceil(_phase_of(params)(params.v1 - params.b) / pi), 0)
 
 
 def _match_wave(params: WellParams, energy: float) -> PiecewiseWave:

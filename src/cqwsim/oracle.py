@@ -8,18 +8,17 @@ incoherent bookkeeping could deviate from a coherent sum over paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, sqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cascade import (
     HIGH,
     LOW,
+    BranchingModel,
     CountKey,
     InitialExcitation,
     JointDistribution,
 )
-from .coupling import BranchingModel
 from .errors import DomainError, SizeError, ValidationError
 
 ENUM_LIMIT = 20
@@ -27,8 +26,7 @@ AUDIT_LIMIT = 16
 SIGN_MODES = ("all-positive", "cmt-signs")
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     """One fully specified trajectory through the cascade.
 
     ``choices`` holds one stay/cross flag per ladder step; the terminal
@@ -43,8 +41,7 @@ class PathRecord:
     probability: float
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of the signed-amplitude replay.
 
     ``final_norm`` is the squared norm of the coherent final state;

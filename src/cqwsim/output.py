@@ -30,6 +30,9 @@ def _encode(value, indent: int) -> str:
             for key, item in value.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        # a record is written through its _asdict(), never as a bare array
+        raise TypeError(f"cannot serialize {type(value).__name__}")
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"

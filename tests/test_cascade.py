@@ -1,6 +1,7 @@
 """Cascade recursion: hand-checked tables, conservation, support structure."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -13,6 +14,8 @@ from cqwsim import (
     DomainError,
     InitialExcitation,
     SequencingError,
+    ValidationError,
+    WellParams,
     evolve_step,
     initial_state,
     run_cascade,
@@ -49,6 +52,40 @@ def test_initial_excitation_validation():
         InitialExcitation(float("inf"), 0.0)
     with pytest.raises(DomainError):
         InitialExcitation.normalized(0.0, 0.0)
+
+
+# A valid record, one field set out of its domain, and the message that names it.
+_BAD_FIELDS = [
+    (WellParams(60.0, 0.0, 0.0, 1.0, 1.25), {"b": -1.0},
+     "bias must be nonnegative, got b=-1.0"),
+    (BranchingModel(0.5, 0.5, 0.5, 0.5), {"p_hh": 2.0},
+     "p_hh=2.0 is not a probability"),
+    (InitialExcitation(1.0, 0.0), {"c_l": 1.0},
+     "initial amplitudes must be normalized: |c|^2 = 2.0"),
+]
+
+
+@pytest.mark.parametrize("record, change, message", _BAD_FIELDS,
+                         ids=["well", "branching", "init"])
+def test_records_check_every_construction_route(record, change, message):
+    cls = type(record)
+    values = [change.get(name, value) for name, value in zip(cls._fields, record)]
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(DomainError, match=exact):
+        cls(*values)
+    with pytest.raises(DomainError, match=exact):
+        cls._make(values)
+    with pytest.raises(DomainError, match=exact):
+        record._replace(**change)
+    # the valid routes keep the checked type
+    assert type(cls._make(record)) is cls
+    assert type(record._replace()) is cls and record._replace() == record
+
+
+def test_manual_branching_wraps_the_domain_error():
+    message = "manual branching: p_hh=2.0 is not a probability"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        BranchingModel.manual(2.0, -1.0, 0.5, 0.5)
 
 
 def test_initial_excitation_normalized_and_balanced():

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -247,6 +248,26 @@ def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch)
     assert len(solved) <= 4
 
 
+def test_levels_refuses_a_splitting_below_the_alignment_residual(tmp_path, capsys):
+    # At period 8 tunneling splits the pair by about 3e-18, far below the
+    # design's alignment residual (about 2.6e-11), which a splitting would
+    # otherwise report. Period 4 is still inside the domain.
+    out = tmp_path / "o"
+    argv = ["levels", "--v1", "60", "--v2", "0", "--d", "1", "--out", str(out)]
+    assert cli.main(argv + ["--period", "8"]) == 3
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "numeric"
+    match = re.fullmatch(
+        r"tunneling no longer dominates the detuning: tunneling term (\S+) is "
+        r"below 100 times the alignment detuning (\S+)", diagnostic["message"],
+    )
+    tunneling, detuning = float(match[1]), float(match[2])
+    assert 0 < tunneling < 1e-16 and 1e-12 < detuning < 1e-10
+    assert not out.exists()
+    assert cli.main(argv + ["--period", "4"]) == 0
+    assert read_json(out, "coupled.json")["delta_e"] > 1e-8
+
+
 def test_levels_mode_with_fixed_bias(tmp_path):
     out = tmp_path / "levels"
     code = cli.main([
@@ -370,8 +391,8 @@ def test_missing_branching_source_exits_2(tmp_path, capsys):
 
 
 # Runs ``python -m cqwsim ARGS`` (or only imports the CLI) in a fresh
-# interpreter, then prints the exit code and the numpy and scipy modules
-# loaded.
+# interpreter, then prints the exit code, the numpy and scipy modules loaded,
+# the cqwsim modules loaded, and which of dataclasses and inspect are loaded.
 _LOAD_PROBE = """\
 import json, runpy, sys
 code = None
@@ -382,32 +403,40 @@ if sys.argv[1:] != ["import"]:
         code = exc.code
 else:
     import cqwsim.cli
-print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")]]))
+print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")],
+                  sorted(m for m in sys.modules if m.split(".")[0] == "cqwsim"),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 
 _PAIR = ["--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"]
+# what every mode loads; the table adds the physics and the analysis
+_CLI_MODULES = ["cli", "cascade", "errors", "oracle", "output"]
+_PHYSICS = ["eigensolver", "coupling"]
 
 
-@pytest.mark.parametrize("argv, code, numpy", [
-    (["import"], None, False),
-    (["--help"], 0, False),
-    (["audit", "--n", "8", "--branching", "symmetric"], 0, False),
-    (["design", "--v1", "100", "--v2", "0", "--d", "1.1"], 3, False),
-    (["levels", "--v1", "5", "--v2", "0", "--d", "1", "--period", "1.5", "--b", "0"], 3, False),
-    (["simulate", "--n", "0", "--branching", "symmetric"], 2, False),
-    (["simulate", "--n", "8", "--branching", "symmetric"], 0, False),
-    (["analyze", "--n", "8", "--branching", "symmetric"], 0, False),
-    (["design", "--v1", "60", "--v2", "0", "--d", "1"], 0, False),
-    (["levels", *_PAIR], 0, False),
-    (["simulate", "--n", "22", "--branching", "physical", *_PAIR], 0, False),
-    (["simulate", "--n", "22", "--branching", "dipole-only", *_PAIR], 0, False),
-    (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, True),
-    (["verify", "--n", "8", "--branching", "symmetric"], 0, True),
+@pytest.mark.parametrize("argv, code, numpy, extra", [
+    (["import"], None, False, []),
+    (["--help"], 0, False, []),
+    (["audit", "--n", "8", "--branching", "symmetric"], 0, False, []),
+    (["design", "--v1", "100", "--v2", "0", "--d", "1.1"], 3, False, ["eigensolver"]),
+    (["levels", "--v1", "5", "--v2", "0", "--d", "1", "--period", "1.5", "--b", "0"],
+     3, False, _PHYSICS),
+    (["simulate", "--n", "0", "--branching", "symmetric"], 2, False, []),
+    (["simulate", "--n", "8", "--branching", "symmetric"], 0, False, []),
+    (["analyze", "--n", "8", "--branching", "symmetric"], 0, False, ["analysis"]),
+    (["design", "--v1", "60", "--v2", "0", "--d", "1"], 0, False, ["eigensolver"]),
+    (["levels", *_PAIR], 0, False, _PHYSICS),
+    (["simulate", "--n", "22", "--branching", "physical", *_PAIR], 0, False, _PHYSICS),
+    (["simulate", "--n", "22", "--branching", "dipole-only", *_PAIR], 0, False, _PHYSICS),
+    (["simulate", "--n", "8", "--branching", "symmetric", *_PAIR], 0, False, ["eigensolver"]),
+    (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, True, []),
+    (["verify", "--n", "8", "--branching", "symmetric"], 0, True, []),
 ], ids=["import", "help", "audit", "design", "levels", "simulate-n0", "simulate",
         "analyze", "design-feasible", "levels-feasible", "simulate-physical",
-        "simulate-dipole-only", "simulate-array-cascade", "verify"])
-def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy):
+        "simulate-dipole-only", "simulate-symmetric-with-well",
+        "simulate-array-cascade", "verify"])
+def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy, extra):
     src = Path(cqwsim.__file__).resolve().parents[1]
     out = [] if argv[0] in ("import", "--help") else ["--out", str(tmp_path / "o")]
     result = subprocess.run(
@@ -415,12 +444,19 @@ def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy):
         env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
         capture_output=True, text=True, check=True,
     )
-    exit_code, loaded = json.loads(result.stdout.splitlines()[-1])
+    exit_code, loaded, package, stdlib = json.loads(result.stdout.splitlines()[-1])
     assert exit_code == code
     assert not any(m.startswith("scipy") for m in loaded)
     assert ("numpy" in loaded) == numpy
     if not numpy:
         assert loaded == []
+    assert package == sorted(
+        ["cqwsim"] + [f"cqwsim.{name}" for name in _CLI_MODULES + extra]
+    )
+    # numpy imports inspect itself; cqwsim imports neither
+    assert "dataclasses" not in stdlib
+    if not numpy:
+        assert stdlib == []
 
 
 def test_namespace_resolves_lazily():

@@ -1,6 +1,5 @@
 """Two-well coupling, mode frequencies, dipoles, branching ratios."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +65,16 @@ def test_split_pair_rejects_degenerate_or_saturated():
         split_pair(5.0, 5.0, 0.0, 0.0)  # no splitting
     with pytest.raises(NumericError):
         split_pair(5.0, 5.0, 0.7, 0.995)  # basis nearly collinear
+
+
+def test_split_pair_refuses_a_residual_that_tunneling_does_not_dominate():
+    # the same detuned pair is fine as physics, refused as alignment error
+    levels = split_pair(5.0, 5.0 - 1e-3, 1e-6, 0.0)
+    assert levels.delta_e == pytest.approx(1e-3, rel=1e-5)
+    with pytest.raises(NumericError, match="tunneling no longer dominates the detuning"):
+        split_pair(5.0, 5.0 - 1e-3, 1e-6, 0.0, residual=1e-3)
+    # just inside the bound: |d| = 1e-3 against 100 x 0.95e-5
+    assert split_pair(5.0, 5.0, 1e-3, 0.0, residual=1.9e-5).delta_e > 0
 
 
 ENERGY = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
@@ -256,8 +265,7 @@ def test_sampled_dipoles_reject_short_grid(pair_case):
         pair_case.left[0], pair_case.left[1], pair_case.params, n_points=4001
     )
     cut = 400  # removes most of the left decay tail
-    trimmed = dataclasses.replace(
-        clipped,
+    trimmed = clipped._replace(
         x=clipped.x[cut:],
         ground_0=clipped.ground_0[cut:],
         excited_1=clipped.excited_1[cut:],
@@ -339,17 +347,17 @@ def test_product_integral_exact_at_alignment(pair_case):
     # exactly and it is the constant A_R B_L e^(-delta_a (P - d)).
     d, period = pair_case.params.d, pair_case.params.period
     fa = pair_case.left[0].wave
-    fb = dataclasses.replace(pair_case.right[1].wave, nu=fa.delta)
+    fb = pair_case.right[1].wave._replace(nu=fa.delta)
     flat = fa.amp_right * fb.amp_left * math.exp(-fa.delta * (period - d))
     value = product_integral(fa, 0.0, fb, period, d, period)
     assert value == pytest.approx(flat * (period - d), rel=4 * 2.0**-52)
     ground = pair_case.left[0]
-    right = dataclasses.replace(pair_case.right[1], wave=fb)
+    right = pair_case.right[1]._replace(wave=fb)
     _assert_within_quad(value, quad_product(ground, 0.0, right, period, d, period))
     # and beside it, inside the series' reach
     for step in (1e-12, -1e-9, 1e-6):
-        wave = dataclasses.replace(fb, nu=fa.delta + step)
-        near = dataclasses.replace(right, wave=wave)
+        wave = fb._replace(nu=fa.delta + step)
+        near = right._replace(wave=wave)
         _assert_within_quad(
             product_integral(fa, 0.0, wave, period, d, period),
             quad_product(ground, 0.0, near, period, d, period),
@@ -361,8 +369,8 @@ def test_wide_barrier_collapses_splitting(pair_case):
     # not to nan. With the right level set exactly onto the left one nothing
     # is left to split the pair.
     ground = pair_case.left[0]
-    excited = dataclasses.replace(pair_case.right[1], energy=ground.energy)
-    params = dataclasses.replace(pair_case.params, period=pair_case.params.d + 200.0)
+    excited = pair_case.right[1]._replace(energy=ground.energy)
+    params = pair_case.params._replace(period=pair_case.params.d + 200.0)
     ints = coupling_integrals(ground, excited, params)
     assert (ints.overlap, ints.k_ba, ints.k_ab) == (0.0, 0.0, 0.0)
     assert ints.d_aa == ints.d_bb == 0.0

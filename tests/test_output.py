@@ -48,6 +48,18 @@ def test_stable_json_booleans_are_not_integers():
     assert text.count("1") >= 1
 
 
+def test_stable_json_refuses_records():
+    model = BranchingModel.symmetric()
+    with pytest.raises(TypeError, match="cannot serialize BranchingModel"):
+        stable_json({"branching": model})
+    with pytest.raises(TypeError, match="cannot serialize InitialExcitation"):
+        stable_json({"inits": [InitialExcitation(1.0, 0.0)]})
+    assert json.loads(stable_json({"branching": model._asdict()}))["branching"] == {
+        "p_hh": 0.5, "p_hl": 0.5, "p_lh": 0.5, "p_ll": 0.5, "weighting": "symmetric",
+    }
+    assert json.loads(stable_json({"pair": (1, 2.5)})) == {"pair": [1, 2.5]}
+
+
 def test_stable_json_deterministic():
     doc = {"x": 0.1 + 0.2, "items": [{"k": 3.14159}, {"k": -0.0}]}
     assert stable_json(doc) == stable_json(doc)
