@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from math import (
-    atan2, ceil, cos, exp, expm1, factorial, floor, inf, isfinite, pi, sin, sqrt,
+    atan2, ceil, cos, exp, expm1, factorial, floor, inf, isfinite, pi, sin, sqrt, ulp,
 )
 from typing import Callable, NamedTuple, Sequence
 
@@ -36,7 +36,6 @@ from .errors import (
 
 ENERGY_TOL = 1e-12
 DESIGN_TOL = 1e-9
-BIAS_SCAN_POINTS = 257
 
 
 class _WellParams(NamedTuple):
@@ -130,7 +129,7 @@ def _phase_of(params: WellParams) -> Callable[[float], float]:
 
     atan2 keeps it defined at the floor (kappa = 0), where it equals -pi.
     The well's numbers are bound once: a design search evaluates the phase
-    about 20,000 times, and a record's fields read slower than locals.
+    about 4,000 times, and a record's fields read slower than locals.
     """
     v1, v2, b, d, _ = params
     top = v1 - b
@@ -525,27 +524,26 @@ def count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(s[:-1] * s[1:] < 0))
 
 
-def _bias_grid(lo: float, hi: float) -> list[float]:
-    """``BIAS_SCAN_POINTS`` evenly spaced biases from ``lo`` to ``hi``.
-
-    The same arithmetic as ``np.linspace(lo, hi, BIAS_SCAN_POINTS)``:
-    point i is i * step + lo with step = (hi - lo) / (points - 1), and the
-    last point is ``hi`` exactly, so the grid is bit-identical to it.
-    """
-    step = (hi - lo) / (BIAS_SCAN_POINTS - 1)
-    return [i * step + lo for i in range(BIAS_SCAN_POINTS - 1)] + [hi]
-
-
 def design_alignment(
     v1: float, v2: float, d: float, tol: float = DESIGN_TOL
 ) -> DesignResult:
     """Search the bias b at which the level spacing equals the bias itself.
 
-    Scans h(b) = (E1 - E0) - b over the open bias range, brackets a sign
-    change between biases where the well holds at least two levels, refines
-    by bisection, and requires the returned bias to leave exactly two bound
-    levels. The second-well shift identity (re-solving with all potentials
-    lowered by b reproduces the energies minus b) is verified numerically.
+    By Hellmann-Feynman dE_n/db = -P_n, where P_n < 1 is the weight of
+    level n in the right barrier, the only part of the potential b moves.
+    So h(b) = (E1 - E0) - b has slope P0 - P1 - 1 < 0, and each level nears
+    the window top v1 - b at rate 1 - P_n > 0: h strictly decreases and the
+    level count, the ceiling of the top phase over pi, never rises with b.
+    The biases holding exactly two levels thus form one interval [b3, b2],
+    and h has at most one root there. Bisecting the top phase
+    sqrt(v1 - v2 - b) d - arctan(sqrt(b / (v1 - v2 - b))), which decreases
+    in b, against pi gives b2 and against 2 pi gives b3 (the bottom of the
+    bias range if the well never holds three levels); both move inward by
+    one step, tol / 10 or a few ulps of the potentials if those are coarser.
+    A root exists iff h(b2) <= 0 <= h(b3), and bisecting h on [b3, b2] to
+    one step finds it. The root must leave exactly two levels, and the
+    second-well shift identity (all potentials lowered by b shift the
+    energies by -b) is verified numerically.
 
     Returns
     -------
@@ -555,52 +553,53 @@ def design_alignment(
     Raises
     ------
     InfeasibleDesignError
-        If no bias range holds two levels, the residual never changes sign,
-        or the alignment root violates the two-level requirement.
+        If no bias holds two levels, h(b2) > 0, h(b3) < 0 (the root holds
+        three or more levels), or the root violates the two-level condition.
     """
     if not (tol > 0):
         raise DomainError(f"tolerance must be positive, got {tol}")
     if not (d > 0) or not (v1 > v2):
         raise DomainError(f"need d > 0 and v1 > v2, got d={d}, v1={v1}, v2={v2}")
-    lo_b = 1e-6
-    hi_b = (v1 - v2) - 1e-6
+    lo_b, hi_b = 1e-6, (v1 - v2) - 1e-6
     if hi_b <= lo_b:
         raise InfeasibleDesignError(
             f"bias range ({lo_b}, {v1 - v2}) is empty for v1={v1}, v2={v2}"
         )
+    step = max(tol / 10.0, 4 * ulp(max(abs(v1), abs(v2))))
+    well = f"v1={v1}, v2={v2}, d={d}"
 
-    def spacing_residual(bias: float) -> float | None:
+    def top_phase(bias: float) -> float:
+        kappa = sqrt(v1 - v2 - bias)
+        return (kappa * d - atan2(sqrt(bias), kappa)) / pi
+
+    def spacing_residual(bias: float) -> float:
         params = WellParams(v1, v2, bias, d)
-        if count_levels(params) < 2:
-            return None
         e0 = _level_energy(params, 0, ENERGY_TOL)
         return _level_energy(params, 1, ENERGY_TOL) - e0 - bias
 
-    biases = _bias_grid(lo_b, hi_b)
-    residuals = [spacing_residual(b) for b in biases]
-    bracket = None
-    for i in range(len(biases) - 1):
-        r0, r1 = residuals[i], residuals[i + 1]
-        if r0 is None or r1 is None:
-            continue
-        if r0 == 0.0 or r0 * r1 < 0:
-            bracket = (biases[i], biases[i + 1], r0, r1)
-            break
-    if bracket is None:
-        if all(r is None for r in residuals):
-            raise InfeasibleDesignError(
-                f"no bias in ({lo_b}, {hi_b}) yields two bound levels for "
-                f"v1={v1}, v2={v2}, d={d}"
-            )
+    top = top_phase(lo_b)
+    if top <= 1.0:
         raise InfeasibleDesignError(
-            "alignment residual (E1 - E0) - b never changes sign on the "
-            f"scanned bias range for v1={v1}, v2={v2}, d={d}"
+            f"no bias in ({lo_b}, {hi_b}) yields two bound levels for {well}: "
+            f"the second level is unbound already at b={lo_b}"
         )
-
-    b_star = bisect_root(
-        lambda b: spacing_residual(b), bracket[0], bracket[1], tol / 10.0,
-        bracket[2], bracket[3]
-    )
+    b2 = bisect_root(lambda b: top_phase(b) - 1.0, lo_b, v1 - v2, step, top - 1.0) - step
+    h2 = spacing_residual(b2)
+    if h2 > 0:
+        raise InfeasibleDesignError(
+            f"level spacing exceeds the bias wherever two levels are bound for {well}: "
+            f"(E1 - E0) - b = {h2} at b2={b2}, where the second level leaves the window"
+        )
+    b3 = lo_b
+    if top > 2.0:
+        b3 = bisect_root(lambda b: top_phase(b) - 2.0, lo_b, b2, step, top - 2.0) + step
+    h3 = spacing_residual(b3)
+    if h3 < 0:
+        raise InfeasibleDesignError(
+            f"alignment root holds three or more bound levels for {well}: "
+            f"(E1 - E0) - b = {h3} at b3={b3}, where the third level leaves the window"
+        )
+    b_star = bisect_root(spacing_residual, b3, b2, step, h3, h2)
     params = WellParams(v1, v2, b_star, d)
     states = solve_bound_states(params, ENERGY_TOL)
     if len(states) != 2:

@@ -13,6 +13,9 @@ adaptive Gauss-Kronrod quadrature on every region, and the composite
 Simpson route on a uniform grid that the package used before
 (``sampled_coupling_integrals``, and ``sampled_dipole_integrals`` over
 ``cqwsim.coupling.sample_chain_waves``).
+
+``scan_design_reference`` is the alignment search the package used before
+the closed-form bracket: a 257-point bias scan, then bisection.
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ from cqwsim import (
     BoundState,
     CouplingIntegrals,
     DipoleIntegrals,
+    InfeasibleDesignError,
     ValidationError,
     WellParams,
+    bisect_root,
     composite_grid,
+    count_levels,
     evaluate_wave,
 )
 from cqwsim.coupling import ChainWaves
-from cqwsim.eigensolver import simpson
+from cqwsim.eigensolver import DESIGN_TOL, ENERGY_TOL, _level_energy, simpson
 
 
 def dict_cascade(n_total, init, branching):
@@ -349,3 +355,35 @@ def sampled_dipole_integrals(
         far=simpson(waves.excited_2 * x * waves.ground_0, x),
         adjacent_ee=simpson(waves.excited_2 * x * waves.excited_1, x),
     )
+
+
+def spacing_residual(v1, v2, d, bias):
+    """h(b) = (E1 - E0) - b, or None where the well holds fewer than two levels."""
+    params = WellParams(v1, v2, bias, d)
+    if count_levels(params) < 2:
+        return None
+    e0 = _level_energy(params, 0, ENERGY_TOL)
+    return _level_energy(params, 1, ENERGY_TOL) - e0 - bias
+
+
+def scan_design_reference(v1, v2, d):
+    """Aligning bias by a scan of 257 biases, then bisection.
+
+    Scans h over (1e-6, (v1 - v2) - 1e-6), takes the first sign change
+    between two biases that both hold two or more levels, and bisects it at
+    DESIGN_TOL / 10. Raises InfeasibleDesignError when no pair of
+    neighbours brackets a root or the root does not leave exactly two
+    levels. A root on a two-level interval narrower than the scan step
+    goes unseen.
+    """
+    biases = np.linspace(1e-6, (v1 - v2) - 1e-6, 257).tolist()
+    residuals = [spacing_residual(v1, v2, d, b) for b in biases]
+    for b0, b1, r0, r1 in zip(biases, biases[1:], residuals, residuals[1:]):
+        if r0 is not None and r1 is not None and (r0 == 0.0 or r0 * r1 < 0):
+            bias = bisect_root(
+                lambda b: spacing_residual(v1, v2, d, b), b0, b1, DESIGN_TOL / 10.0, r0, r1
+            )
+            if count_levels(WellParams(v1, v2, bias, d)) != 2:
+                raise InfeasibleDesignError(f"alignment root {bias} does not hold two levels")
+            return bias
+    raise InfeasibleDesignError(f"no sign change of h on the scan for v1={v1}, v2={v2}, d={d}")

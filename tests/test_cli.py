@@ -18,6 +18,8 @@ import cqwsim
 import cqwsim.cli as cli
 from cqwsim import JointDistribution, eigensolver
 from cqwsim.cascade import LIST_LIMIT
+from cqwsim.coupling import TUNNELING_DOMINANCE
+from cqwsim.eigensolver import DESIGN_TOL
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -215,13 +217,34 @@ def test_design_rejects_preset_bias(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
+def _refusal(tmp_path, capsys, argv):
+    """Run a command that must exit 3; return its one-line diagnostic message."""
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "numeric"
+    assert not out.exists()
+    return diagnostic["message"]
+
+
 def test_infeasible_design_exits_3(tmp_path, capsys):
-    code = cli.main([
-        "design", "--v1", "0.5", "--v2", "0", "--d", "0.1",
-        "--out", str(tmp_path / "o"),
-    ])
-    assert code == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+    # the well never holds two levels
+    message = _refusal(tmp_path, capsys, ["design", "--v1", "0.5", "--v2", "0", "--d", "0.1"])
+    assert re.search(r"no bias .* unbound already at b=1e-06", message)
+
+
+@pytest.mark.parametrize("argv, cause", [
+    # the spacing exceeds the bias even where the second level leaves
+    (["design", "--v1", "12", "--v2", "0", "--d", "1"], r"spacing exceeds the bias .* at b2=\S+, where"),
+    # the alignment root would hold a third level
+    (["design", "--v1", "70", "--v2", "0", "--d", "1"], r"three or more bound levels .* at b3=\S+, where"),
+    (["levels", "--v1", "70", "--v2", "0", "--d", "1", "--period", "1.25"],
+     r"three or more bound levels .* at b3=\S+, where"),
+], ids=["design-spacing-exceeds-bias", "design-three-levels", "levels-three-levels"])
+def test_design_refusals_name_cause_and_bias(tmp_path, capsys, argv, cause):
+    assert re.search(cause, _refusal(tmp_path, capsys, argv))
 
 
 def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch):
@@ -250,8 +273,8 @@ def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch)
 
 def test_levels_refuses_a_splitting_below_the_alignment_residual(tmp_path, capsys):
     # At period 8 tunneling splits the pair by about 3e-18, far below the
-    # design's alignment residual (about 2.6e-11), which a splitting would
-    # otherwise report. Period 4 is still inside the domain.
+    # design's alignment residual (at most DESIGN_TOL), which a splitting
+    # would otherwise report. Period 4 is still inside the domain.
     out = tmp_path / "o"
     argv = ["levels", "--v1", "60", "--v2", "0", "--d", "1", "--out", str(out)]
     assert cli.main(argv + ["--period", "8"]) == 3
@@ -262,7 +285,8 @@ def test_levels_refuses_a_splitting_below_the_alignment_residual(tmp_path, capsy
         r"below 100 times the alignment detuning (\S+)", diagnostic["message"],
     )
     tunneling, detuning = float(match[1]), float(match[2])
-    assert 0 < tunneling < 1e-16 and 1e-12 < detuning < 1e-10
+    assert 0 < tunneling < 1e-16
+    assert tunneling < TUNNELING_DOMINANCE * detuning and detuning <= DESIGN_TOL
     assert not out.exists()
     assert cli.main(argv + ["--period", "4"]) == 0
     assert read_json(out, "coupled.json")["delta_e"] > 1e-8
