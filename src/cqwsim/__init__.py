@@ -39,9 +39,10 @@ _EXPORTS = {
     ),
     "coupling": (
         "CoupledLevels", "CouplingIntegrals", "DipoleIntegrals",
-        "DipoleMatrix", "ModeFrequencies", "assemble_dipoles",
+        "DipoleMatrix", "ModeFrequencies", "SolvedChain", "assemble_dipoles",
         "branching_model", "couple_wells", "coupling_integrals",
-        "dipole_integrals", "dipole_matrix", "mode_frequencies", "split_pair",
+        "dipole_integrals", "dipole_matrix", "mode_frequencies", "solve_chain",
+        "split_pair",
     ),
     "eigensolver": (
         "BoundState", "DesignResult", "PiecewiseWave", "WellParams",

@@ -19,7 +19,6 @@ from .cascade import BranchingModel, InitialExcitation, run_cascade
 from .errors import (
     CqwError,
     DomainError,
-    InfeasibleDesignError,
     ValidationError,
 )
 from .oracle import (
@@ -253,45 +252,22 @@ def _emit(config: RunConfig, documents: list[tuple[str, str | Iterable[str]]]) -
         raise ValidationError(f"cannot write output.dir {config.out_dir}: {exc}")
 
 
-def _physics(config: RunConfig):
-    """Solve the chain physics shared by levels and physical branching."""
-    from .coupling import couple_wells, dipole_matrix, mode_frequencies
-    from .eigensolver import _lowest_states, count_levels, design_alignment
+def _solve_chain(config: RunConfig):
+    """The configured well's chain, at its given bias or a designed one."""
+    from .coupling import solve_chain
 
     well = config.well
-    bias = config.bias
-    if bias is None:
-        bias = design_alignment(well.v1, well.v2, well.d).bias
-    params = well._replace(b=bias)
-    shifted = params._replace(v1=well.v1 - bias, v2=well.v2 - bias)
-    # only the two lowest levels enter; a deep well can hold thousands
-    held = count_levels(params)
-    if held < 2:
-        raise InfeasibleDesignError(
-            f"well holds {held} bound level(s); coupling needs two"
-        )
-    left = _lowest_states(params, 2)
-    held = count_levels(shifted)
-    if held < 2:
-        raise InfeasibleDesignError(
-            f"shifted well holds {held} bound level(s); coupling needs two"
-        )
-    right = _lowest_states(shifted, 2)
-    split = couple_wells((left[0], left[1]), (right[0], right[1]), params)
-    spacing = left[1].energy - left[0].energy
-    freqs = mode_frequencies(spacing, split.delta_e)
-    dipoles = dipole_matrix(split, split, left[0], left[1], params)
-    return bias, spacing, split, freqs, dipoles
+    return solve_chain(well.v1, well.v2, well.d, well.period, config.bias)
 
 
-def _resolve_model(config: RunConfig, physics=None) -> BranchingModel:
-    """The configured branching model; ``physics`` reuses a solved chain."""
+def _resolve_model(config: RunConfig, chain=None) -> BranchingModel:
+    """The configured branching model; ``chain`` reuses a solved chain."""
     if config.model is not None:
         return config.model
     from .coupling import branching_model
 
-    *_, freqs, dipoles = physics if physics is not None else _physics(config)
-    return branching_model(freqs, dipoles, config.kind or "physical")
+    chain = chain or _solve_chain(config)
+    return branching_model(chain.freqs, chain.dipoles, config.kind or "physical")
 
 
 def _run_design(config: RunConfig) -> int:
@@ -324,24 +300,21 @@ def _run_design(config: RunConfig) -> int:
 
 
 def _run_levels(config: RunConfig) -> int:
-    physics = _physics(config)
-    bias, spacing, split, freqs, dipoles = physics
-    model = _resolve_model(config, physics)
+    chain = _solve_chain(config)
+    model = _resolve_model(config, chain)
     coupled = {
-        "bias": bias,
-        "spacing": spacing,
-        **split._asdict(),
-        "dipoles": dipoles._asdict(),
+        "bias": chain.bias,
+        "spacing": chain.spacing,
+        **chain.split._asdict(),
+        "dipoles": chain.dipoles._asdict(),
     }
     branching_doc = {
         "p_hh": model.p_hh,
         "p_hl": model.p_hl,
         "p_lh": model.p_lh,
         "p_ll": model.p_ll,
-        "omega_minus": freqs.omega_minus,
-        "omega_zero": freqs.omega_zero,
-        "omega_plus": freqs.omega_plus,
-        "delta_e": split.delta_e,
+        **chain.freqs._asdict(),
+        "delta_e": chain.split.delta_e,
         "weighting": model.weighting,
     }
     _emit(config, [

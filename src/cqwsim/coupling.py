@@ -25,14 +25,17 @@ from .cascade import BranchingModel, _stochastic_row
 from .eigensolver import (
     BoundState,
     WellParams,
+    _lowest_states,
     composite_grid,
+    count_levels,
+    design_alignment,
     evaluate_wave,
     product_integral,
 )
 # Unused here: bench/selftest.py::test_missing_traced_name_records_zero
 # deletes this name to test the tracer. Drop it at the next change to bench/.
 from .eigensolver import simpson  # noqa: F401
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, InfeasibleDesignError, NumericError, ValidationError
 
 ALIGNMENT_TOL = 1e-6
 OVERLAP_LIMIT = 0.99
@@ -106,6 +109,19 @@ class DipoleMatrix(NamedTuple):
     d_ll: float
     d_hg: float
     d_lg: float
+
+
+class SolvedChain(NamedTuple):
+    """The aligned chain: one well's two lowest levels, its right neighbor's (every
+    potential lowered by the bias), and the doublet of their (ground, excited) pair."""
+
+    bias: float
+    spacing: float
+    left: tuple[BoundState, BoundState]
+    right: tuple[BoundState, BoundState]
+    split: CoupledLevels
+    freqs: ModeFrequencies
+    dipoles: DipoleMatrix
 
 
 def split_pair(
@@ -203,28 +219,18 @@ def coupling_integrals(
 
 
 def couple_wells(
-    left: tuple[BoundState, BoundState],
-    right: tuple[BoundState, BoundState],
-    params: WellParams,
+    ground: BoundState, excited: BoundState, params: WellParams
 ) -> CoupledLevels:
     """Split the aligned (left ground, right excited) pair by tunneling.
 
-    ``left`` holds the bound states of one well, ``right`` those of its
-    right neighbor solved with all potentials lowered by the bias, so both
-    energy sets live in the same global frame. The alignment precondition
-    |E_ground(left) - E_excited(right)| <= 1e-6 must hold.
+    ``ground`` is one well's ground state, ``excited`` its right neighbor's
+    excited state solved with all potentials lowered by the bias, so both
+    energies live in the same global frame. The alignment precondition
+    |E_ground - E_excited| <= 1e-6 must hold.
 
     The overlap and coupling elements come from ``coupling_integrals``, and
     ``split_pair`` checks that tunneling dominates the alignment residual.
     """
-    if len(left) < 1 or len(right) < 2:
-        raise DomainError(
-            "couple_wells needs the left ground state and the right excited state"
-        )
-    if params.period is None:
-        raise ValidationError("well.period is required to couple wells")
-    ground = left[0]
-    excited = right[1]
     e_a = ground.energy
     e_b = excited.energy
     if abs(e_a - e_b) > ALIGNMENT_TOL:
@@ -322,26 +328,22 @@ def dipole_integrals(
     )
 
 
-def assemble_dipoles(
-    levels_src: CoupledLevels,
-    levels_tgt: CoupledLevels,
-    integrals: DipoleIntegrals,
-) -> DipoleMatrix:
+def assemble_dipoles(levels: CoupledLevels, integrals: DipoleIntegrals) -> DipoleMatrix:
     """Combine mixing coefficients with the underlying matrix elements.
 
-    The dominant contribution to each transition is the shared middle
-    well's intra-well element scaled by a_target * b_source, which fixes
-    the sign pattern: both H-source entries share b_plus's sign, both
-    L-source entries share b_minus's.
+    By the shift identity every pair of the chain splits into the same
+    ``levels``, so source and target sublevels share its coefficients. The
+    dominant contribution to each transition is the shared middle well's
+    intra-well element scaled by a_target * b_source, which fixes the sign
+    pattern: both H-source entries share b_plus's sign, both L-source
+    entries share b_minus's.
     """
-    coeff_src = {"h": (levels_src.a_plus, levels_src.b_plus),
-                 "l": (levels_src.a_minus, levels_src.b_minus)}
-    coeff_tgt = {"h": (levels_tgt.a_plus, levels_tgt.b_plus),
-                 "l": (levels_tgt.a_minus, levels_tgt.b_minus)}
+    coeff = {"h": (levels.a_plus, levels.b_plus),
+             "l": (levels.a_minus, levels.b_minus)}
 
     def element(src: str, tgt: str) -> float:
-        a_x, b_x = coeff_src[src]
-        a_y, b_y = coeff_tgt[tgt]
+        a_x, b_x = coeff[src]
+        a_y, b_y = coeff[tgt]
         return (
             a_y * a_x * integrals.adjacent_gg
             + a_y * b_x * integrals.intra
@@ -350,7 +352,7 @@ def assemble_dipoles(
         )
 
     def terminal(src: str) -> float:
-        a_x, b_x = coeff_src[src]
+        a_x, b_x = coeff[src]
         return a_x * integrals.adjacent_gg + b_x * integrals.intra
 
     return DipoleMatrix(
@@ -364,17 +366,42 @@ def assemble_dipoles(
 
 
 def dipole_matrix(
-    levels_src: CoupledLevels,
-    levels_tgt: CoupledLevels,
-    ground: BoundState,
-    excited: BoundState,
-    params: WellParams,
+    levels: CoupledLevels, ground: BoundState, excited: BoundState, period: float
 ) -> DipoleMatrix:
     """Dipole elements between consecutive sublevel pairs."""
-    if params.period is None:
-        raise ValidationError("well.period is required for dipole integrals")
-    integrals = dipole_integrals(ground, excited, params.period)
-    return assemble_dipoles(levels_src, levels_tgt, integrals)
+    return assemble_dipoles(levels, dipole_integrals(ground, excited, period))
+
+
+def _two_lowest(params: WellParams, name: str) -> tuple[BoundState, BoundState]:
+    # only the two lowest levels enter; a deep well can hold thousands
+    held = count_levels(params)
+    if held < 2:
+        raise InfeasibleDesignError(f"{name} holds {held} bound level(s); coupling needs two")
+    return tuple(_lowest_states(params, 2))
+
+
+def solve_chain(
+    v1: float, v2: float, d: float, period: float, bias: float | None = None
+) -> SolvedChain:
+    """Solve the chain of wells (v1, v2, d) spaced ``period`` apart, end to end.
+
+    Without ``bias`` the design search finds it, and the levels it solved
+    for its shift-identity check are the chain's. A given bias must leave
+    two levels in the well and in its shifted neighbor, and
+    ``couple_wells`` refuses a pair it does not align.
+    """
+    if bias is None:
+        design = design_alignment(v1, v2, d)
+        bias, left, right = design.bias, design.levels, design.shifted
+    else:
+        left = _two_lowest(WellParams(v1, v2, bias, d), "well")
+        right = _two_lowest(WellParams(v1 - bias, v2 - bias, bias, d), "shifted well")
+    params = WellParams(v1, v2, bias, d, period)
+    split = couple_wells(left[0], right[1], params)
+    spacing = left[1].energy - left[0].energy
+    freqs = mode_frequencies(spacing, split.delta_e)
+    dipoles = dipole_matrix(split, left[0], left[1], period)
+    return SolvedChain(bias, spacing, left, right, split, freqs, dipoles)
 
 
 def branching_model(

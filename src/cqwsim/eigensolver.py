@@ -117,11 +117,13 @@ class BoundState(NamedTuple):
 
 
 class DesignResult(NamedTuple):
-    """Outcome of the alignment search: bias, the two levels, residual."""
+    """Outcome of the alignment search: bias, the two levels, residual E1 - E0 - bias,
+    and the right neighbor's two levels (every potential lowered by the bias)."""
 
     bias: float
     levels: tuple[BoundState, BoundState]
     residual: float
+    shifted: tuple[BoundState, BoundState]
 
 
 def _phase_of(params: WellParams) -> Callable[[float], float]:
@@ -207,22 +209,18 @@ def bisect_root(
     return 0.5 * (a + b)
 
 
-def _level_energy(params: WellParams, n: int, tol: float) -> float:
+def _level_energy(params: WellParams, n: int) -> float:
     """Energy of level n, bisected on n pi < kappa d < (n + 1) pi within the window."""
     lo = params.v2 + (n * pi / params.d) ** 2
     hi = min(params.v2 + ((n + 1) * pi / params.d) ** 2, params.v1 - params.b)
     phase = _phase_of(params)
-    return bisect_root(lambda e: phase(e) - n * pi, lo, hi, tol)
+    return bisect_root(lambda e: phase(e) - n * pi, lo, hi, ENERGY_TOL)
 
 
-def solve_bound_states(params: WellParams, tol: float = ENERGY_TOL) -> list[BoundState]:
+def solve_bound_states(params: WellParams) -> list[BoundState]:
     """All bound levels of the well, ordered by branch index.
 
-    Parameters
-    ----------
-    params : WellParams
-    tol : float
-        Absolute energy tolerance of the bisection refinement.
+    Each energy is bisected to the absolute tolerance ``ENERGY_TOL``.
 
     Returns
     -------
@@ -233,23 +231,19 @@ def solve_bound_states(params: WellParams, tol: float = ENERGY_TOL) -> list[Boun
     -----
     The bisection stops on the energy width alone, so the phase residual
     at a returned level is at most the phase slope
-    (d + 1/nu + 1/delta) / (2 kappa) times ``tol``. The slope grows like
-    1/delta toward the window top, so with the default ``tol`` the residual
-    exceeds 1e-9 only within about 1e-8 of v1 - b; the largest seen over
-    102,810 levels of random wells was 3.6e-9.
+    (d + 1/nu + 1/delta) / (2 kappa) times ``ENERGY_TOL``. The slope grows
+    like 1/delta toward the window top, so the residual exceeds 1e-9 only
+    within about 1e-8 of v1 - b; the largest seen over 102,810 levels of
+    random wells was 3.6e-9.
     """
-    if not (tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    return _lowest_states(params, count_levels(params), tol)
+    return _lowest_states(params, count_levels(params))
 
 
-def _lowest_states(
-    params: WellParams, count: int, tol: float = ENERGY_TOL
-) -> list[BoundState]:
+def _lowest_states(params: WellParams, count: int) -> list[BoundState]:
     """The ``count`` lowest bound levels; the caller checks that they exist."""
     states = []
     for n in range(count):
-        energy = _level_energy(params, n, tol)
+        energy = _level_energy(params, n)
         states.append(BoundState(index=n, energy=energy, wave=_match_wave(params, energy)))
     return states
 
@@ -524,9 +518,7 @@ def count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(s[:-1] * s[1:] < 0))
 
 
-def design_alignment(
-    v1: float, v2: float, d: float, tol: float = DESIGN_TOL
-) -> DesignResult:
+def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     """Search the bias b at which the level spacing equals the bias itself.
 
     By Hellmann-Feynman dE_n/db = -P_n, where P_n < 1 is the weight of
@@ -539,16 +531,18 @@ def design_alignment(
     sqrt(v1 - v2 - b) d - arctan(sqrt(b / (v1 - v2 - b))), which decreases
     in b, against pi gives b2 and against 2 pi gives b3 (the bottom of the
     bias range if the well never holds three levels); both move inward by
-    one step, tol / 10 or a few ulps of the potentials if those are coarser.
-    A root exists iff h(b2) <= 0 <= h(b3), and bisecting h on [b3, b2] to
-    one step finds it. The root must leave exactly two levels, and the
-    second-well shift identity (all potentials lowered by b shift the
-    energies by -b) is verified numerically.
+    one step, DESIGN_TOL / 10 or a few ulps of the potentials if those are
+    coarser. A root exists iff h(b2) <= 0 <= h(b3), and bisecting h on
+    [b3, b2] to one step finds it. The root must leave exactly two levels
+    with |h| <= DESIGN_TOL, and the second-well shift identity (all
+    potentials lowered by b shift the energies by -b) is verified
+    numerically.
 
     Returns
     -------
     DesignResult
-        bias b*, the two bound levels at b*, and the residual E1 - E0 - b*.
+        bias b*, the two bound levels at b*, the residual E1 - E0 - b*,
+        and the right neighbor's two levels.
 
     Raises
     ------
@@ -556,8 +550,6 @@ def design_alignment(
         If no bias holds two levels, h(b2) > 0, h(b3) < 0 (the root holds
         three or more levels), or the root violates the two-level condition.
     """
-    if not (tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
     if not (d > 0) or not (v1 > v2):
         raise DomainError(f"need d > 0 and v1 > v2, got d={d}, v1={v1}, v2={v2}")
     lo_b, hi_b = 1e-6, (v1 - v2) - 1e-6
@@ -565,7 +557,7 @@ def design_alignment(
         raise InfeasibleDesignError(
             f"bias range ({lo_b}, {v1 - v2}) is empty for v1={v1}, v2={v2}"
         )
-    step = max(tol / 10.0, 4 * ulp(max(abs(v1), abs(v2))))
+    step = max(DESIGN_TOL / 10.0, 4 * ulp(max(abs(v1), abs(v2))))
     well = f"v1={v1}, v2={v2}, d={d}"
 
     def top_phase(bias: float) -> float:
@@ -574,8 +566,8 @@ def design_alignment(
 
     def spacing_residual(bias: float) -> float:
         params = WellParams(v1, v2, bias, d)
-        e0 = _level_energy(params, 0, ENERGY_TOL)
-        return _level_energy(params, 1, ENERGY_TOL) - e0 - bias
+        e0 = _level_energy(params, 0)
+        return _level_energy(params, 1) - e0 - bias
 
     top = top_phase(lo_b)
     if top <= 1.0:
@@ -601,20 +593,25 @@ def design_alignment(
         )
     b_star = bisect_root(spacing_residual, b3, b2, step, h3, h2)
     params = WellParams(v1, v2, b_star, d)
-    states = solve_bound_states(params, ENERGY_TOL)
+    states = solve_bound_states(params)
     if len(states) != 2:
         raise InfeasibleDesignError(
             f"two-level condition fails at the alignment root b={b_star}: "
             f"{len(states)} levels"
         )
     residual = (states[1].energy - states[0].energy) - b_star
-    if abs(residual) > tol:
-        raise NumericError(
-            f"alignment residual {residual} exceeds tolerance {tol} at b={b_star}"
+    if abs(residual) > DESIGN_TOL:
+        # (v1, v2, d) has the levels of (v1 d^2, v2 d^2, 1) divided by d^2
+        cause = "" if step <= DESIGN_TOL / 10.0 else (
+            f": 4 ulps of the potentials ({step}), not DESIGN_TOL / 10, set the bisection "
+            f"step; design the rescaled well v1={v1 * d * d}, v2={v2 * d * d}, d=1 and "
+            f"divide its bias by d^2={d * d}"
         )
-    shifted = solve_bound_states(
-        WellParams(v1 - b_star, v2 - b_star, b_star, d), ENERGY_TOL
-    )
+        raise NumericError(
+            f"alignment residual {residual} exceeds tolerance {DESIGN_TOL} "
+            f"at b={b_star}{cause}"
+        )
+    shifted = solve_bound_states(WellParams(v1 - b_star, v2 - b_star, b_star, d))
     if len(shifted) != 2:
         raise NumericError(
             f"shifted-well solve found {len(shifted)} levels, expected 2"
@@ -626,4 +623,4 @@ def design_alignment(
                 f"shift identity violated on level {original.index}: "
                 f"drift {drift}"
             )
-    return DesignResult(bias=b_star, levels=(states[0], states[1]), residual=residual)
+    return DesignResult(b_star, (states[0], states[1]), residual, (shifted[0], shifted[1]))

@@ -4,14 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cqwsim import (
-    WellParams,
-    couple_wells,
-    design_alignment,
-    dipole_matrix,
-    mode_frequencies,
-    solve_bound_states,
-)
+from cqwsim import WellParams, design_alignment, solve_chain
 
 V1 = 60.0
 V2 = 0.0
@@ -25,26 +18,10 @@ def aligned_design():
 
 
 @pytest.fixture(scope="session")
-def pair_case(aligned_design):
-    bias = aligned_design.bias
-    params = WellParams(V1, V2, bias, D, period=PERIOD)
-    left = solve_bound_states(params)
-    shifted = WellParams(V1 - bias, V2 - bias, bias, D, period=PERIOD)
-    right = solve_bound_states(shifted)
-    split = couple_wells((left[0], left[1]), (right[0], right[1]), params)
-    spacing = left[1].energy - left[0].energy
-    freqs = mode_frequencies(spacing, split.delta_e)
-    dipoles = dipole_matrix(split, split, left[0], left[1], params)
-    return SimpleNamespace(
-        bias=bias,
-        params=params,
-        left=left,
-        right=right,
-        split=split,
-        spacing=spacing,
-        freqs=freqs,
-        dipoles=dipoles,
-    )
+def pair_case():
+    chain = solve_chain(V1, V2, D, PERIOD)
+    params = WellParams(V1, V2, chain.bias, D, period=PERIOD)
+    return SimpleNamespace(params=params, **chain._asdict())
 
 
 @pytest.fixture(scope="session")

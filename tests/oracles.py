@@ -39,7 +39,7 @@ from cqwsim import (
     evaluate_wave,
 )
 from cqwsim.coupling import ChainWaves
-from cqwsim.eigensolver import DESIGN_TOL, ENERGY_TOL, _level_energy, simpson
+from cqwsim.eigensolver import DESIGN_TOL, _level_energy, simpson
 
 
 def dict_cascade(n_total, init, branching):
@@ -362,8 +362,8 @@ def spacing_residual(v1, v2, d, bias):
     params = WellParams(v1, v2, bias, d)
     if count_levels(params) < 2:
         return None
-    e0 = _level_energy(params, 0, ENERGY_TOL)
-    return _level_energy(params, 1, ENERGY_TOL) - e0 - bias
+    e0 = _level_energy(params, 0)
+    return _level_energy(params, 1) - e0 - bias
 
 
 def scan_design_reference(v1, v2, d):

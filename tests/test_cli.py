@@ -247,14 +247,34 @@ def test_design_refusals_name_cause_and_bias(tmp_path, capsys, argv, cause):
     assert re.search(cause, _refusal(tmp_path, capsys, argv))
 
 
+def test_design_names_the_float_resolution_of_large_potentials(tmp_path, capsys):
+    # (1e8, 0, 0.0005) is the well (25, 0, 1) at 4e6 times its energy scale;
+    # there 4 ulps of the potentials, not DESIGN_TOL / 10, set the bisection
+    # step, and the residual cannot meet DESIGN_TOL
+    message = _refusal(tmp_path, capsys, ["design", "--v1", "1e8", "--v2", "0", "--d", "0.0005"])
+    match = re.fullmatch(
+        r"alignment residual \S+ exceeds tolerance 1e-09 at b=(\S+): 4 ulps of the "
+        r"potentials \(\S+\), not DESIGN_TOL / 10, set the bisection step; design the "
+        r"rescaled well v1=25.0, v2=0.0, d=1 and divide its bias by d\^2=2.5e-07",
+        message,
+    )
+    assert match
+    # the rescaled well designs, and its bias over d^2 is the refused root
+    # within DESIGN_TOL / d^2
+    out = tmp_path / "scaled"
+    assert cli.main(["design", "--v1", "25", "--v2", "0", "--d", "1", "--out", str(out)]) == 0
+    scaled = read_json(out, "design.json")["bias"] / 2.5e-07
+    assert scaled == pytest.approx(float(match[1]), abs=DESIGN_TOL / 2.5e-07)
+
+
 def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch):
     # the well holds about 31,800 levels; coupling needs levels 0 and 1
     solved = []
     level_energy = eigensolver._level_energy
 
-    def counted(params, n, tol):
+    def counted(params, n):
         solved.append(n)
-        return level_energy(params, n, tol)
+        return level_energy(params, n)
 
     monkeypatch.setattr(eigensolver, "_level_energy", counted)
     code = cli.main([

@@ -23,11 +23,10 @@ from cqwsim import (
     branching_model,
     couple_wells,
     coupling_integrals,
-    design_alignment,
     dipole_integrals,
     mode_frequencies,
     product_integral,
-    solve_bound_states,
+    solve_chain,
     split_pair,
 )
 from cqwsim.coupling import sample_chain_waves
@@ -164,32 +163,21 @@ def test_splitting_shrinks_with_separation(pair_case):
     gaps = []
     for period in (1.2, 1.35, 1.5):
         params = WellParams(60.0, 0.0, pair_case.bias, 1.0, period=period)
-        split = couple_wells(
-            (pair_case.left[0], pair_case.left[1]),
-            (pair_case.right[0], pair_case.right[1]),
-            params,
-        )
+        split = couple_wells(pair_case.left[0], pair_case.right[1], params)
         gaps.append(split.delta_e)
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
 def test_couple_wells_rejects_misalignment(pair_case):
     with pytest.raises(DomainError):
-        couple_wells(
-            (pair_case.left[0], pair_case.left[1]),
-            (pair_case.left[0], pair_case.left[1]),  # unshifted: off by the bias
-            pair_case.params,
-        )
+        # the unshifted excited level: off by the bias
+        couple_wells(pair_case.left[0], pair_case.left[1], pair_case.params)
 
 
 def test_couple_wells_needs_period(pair_case):
     bare = WellParams(60.0, 0.0, pair_case.bias, 1.0)
     with pytest.raises(ValidationError):
-        couple_wells(
-            (pair_case.left[0], pair_case.left[1]),
-            (pair_case.right[0], pair_case.right[1]),
-            bare,
-        )
+        couple_wells(pair_case.left[0], pair_case.right[1], bare)
 
 
 def test_mode_frequencies_arithmetic():
@@ -227,7 +215,7 @@ def test_idealized_dipole_pattern():
         a_plus=SQ2, b_plus=SQ2, a_minus=SQ2, b_minus=-SQ2,
         overlap=0.0,
     )
-    dip = assemble_dipoles(ideal, ideal, ints)
+    dip = assemble_dipoles(ideal, ints)
     for value in (dip.d_hh, dip.d_hl, dip.d_lh, dip.d_ll):
         assert abs(value) == pytest.approx(d01 / 2.0, abs=1e-15)
     assert dip.d_hh > 0 and dip.d_hl > 0
@@ -291,11 +279,10 @@ def _assert_within_quad(value, oracle):
 )
 def test_closed_form_matches_quadrature_on_aligned_wells(depth, d, v2, barrier):
     v1 = v2 + depth / (d * d)
-    bias = design_alignment(v1, v2, d).bias
     period = d + barrier
+    chain = solve_chain(v1, v2, d, period)
+    bias, (ground, excited), right = chain.bias, chain.left, chain.right
     params = WellParams(v1, v2, bias, d, period=period)
-    ground, excited = solve_bound_states(params)
-    right = solve_bound_states(WellParams(v1 - bias, v2 - bias, bias, d, period=period))
     ints = coupling_integrals(ground, right[1], params)
 
     # the three potentials, pointwise; v_a and v_b reuse v_pair's expressions,
@@ -341,6 +328,20 @@ def test_closed_form_matches_quadrature_on_aligned_wells(depth, d, v2, barrier):
         _assert_within_quad(value, quad_product(f, f_at, g, g_at, moment=1))
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    depth=st.floats(28.0, 58.0),  # v1 d^2 with v2 = 0: the device-design band
+    d=st.floats(0.8, 1.25),
+    barrier=st.floats(0.15, 0.5),
+)
+def test_designed_chain_equals_the_chain_at_its_bias(depth, d, barrier):
+    # reusing the design's levels is the same as solving them again; repr
+    # round-trips every float, so equal reprs are equal bits
+    v1, period = depth / (d * d), d + barrier
+    designed = solve_chain(v1, 0.0, d, period)
+    assert repr(solve_chain(v1, 0.0, d, period, bias=designed.bias)) == repr(designed)
+
+
 def test_product_integral_exact_at_alignment(pair_case):
     # Across the barrier the product is e^(-delta_a (x - d)) e^(nu_b (x - P))
     # with exponent (nu_b - delta_a) x; give the right state nu_b = delta_a
@@ -375,7 +376,7 @@ def test_wide_barrier_collapses_splitting(pair_case):
     assert (ints.overlap, ints.k_ba, ints.k_ab) == (0.0, 0.0, 0.0)
     assert ints.d_aa == ints.d_bb == 0.0
     with pytest.raises(NumericError, match="collapsed"):
-        couple_wells((ground, pair_case.left[1]), (pair_case.right[0], excited), params)
+        couple_wells(ground, excited, params)
 
 
 def test_branching_rates_weight_by_frequency_cube():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import simpson
 
+import cqwsim.cli as cli
 from cqwsim import (
     DomainError,
     InfeasibleDesignError,
@@ -341,6 +342,7 @@ def test_design_shift_identity(aligned_design):
     shifted = solve_bound_states(WellParams(60.0 - b, -b, b, 1.0))
     for orig, moved in zip(aligned_design.levels, shifted):
         assert moved.energy == pytest.approx(orig.energy - b, abs=1e-8)
+    assert aligned_design.shifted == tuple(shifted)
 
 
 def test_design_infeasible_cases():
@@ -354,15 +356,16 @@ def test_design_infeasible_cases():
     with pytest.raises(InfeasibleDesignError, match=r"spacing exceeds the bias .* at b2="):
         design_alignment(12.0, 0.0, 1.0)
     # deep narrow well: the bracket ends sit near b = 1e8, where one ulp of
-    # the window top exceeds tol / 10
+    # the window top exceeds DESIGN_TOL / 10
     with pytest.raises(InfeasibleDesignError, match=r"three or more bound levels .* at b3="):
         design_alignment(1e8, 0.0, 1.0)
 
 
-def test_design_phase_evaluation_budget(monkeypatch):
+def test_design_phase_evaluation_budget(monkeypatch, tmp_path):
     # the 257-point scan took 20,420 evaluations to design the paper's well
     # and 21,221 to refuse (70, 0, 1); the closed-form bracket takes about
-    # 4,000 and 200 (its own top-phase bisections are not phase calls)
+    # 4,000 and 200 (its own top-phase bisections are not phase calls). A
+    # designed levels job reuses the design's levels and solves none again.
     calls = [0]
     phase_of = eigensolver._phase_of
 
@@ -377,7 +380,12 @@ def test_design_phase_evaluation_budget(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "_phase_of", counted_phase_of)
     design_alignment(60.0, 0.0, 1.0)
-    assert calls[0] <= 5000
+    designed = calls[0]
+    assert designed <= 5000
+    calls[0] = 0
+    argv = ["levels", "--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"]
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert calls[0] == designed
     calls[0] = 0
     with pytest.raises(InfeasibleDesignError):
         design_alignment(70.0, 0.0, 1.0)
@@ -422,7 +430,5 @@ def test_design_matches_the_scan_reference(v1, floor, d):
 
 
 def test_design_rejects_bad_inputs():
-    with pytest.raises(DomainError):
-        design_alignment(60.0, 0.0, 1.0, tol=0.0)
     with pytest.raises(DomainError):
         design_alignment(0.0, 0.0, 1.0)
