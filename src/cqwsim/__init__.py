@@ -14,10 +14,12 @@ the code it runs. The command line starts with ``cli``, ``cascade``,
 ``levels`` and the ``physical`` and ``dipole-only`` branching add
 ``eigensolver`` and ``coupling``. The physics
 integrates the piecewise waves in closed form and never loads numpy. The
-cascade runs on Python lists up to N = 1024 photons
-(``cascade.LIST_LIMIT``), so ``simulate`` and ``analyze`` load numpy only
-above that; ``verify`` always loads it. The records are ``NamedTuple``s,
-so no command loads ``dataclasses``.
+cascade walks each start as two lists split by the parity of the
+crossing count: Python lists up to N = 1024 photons
+(``cascade.LIST_LIMIT``) and numpy arrays of the same layout above it,
+so ``simulate`` and ``analyze`` load numpy only above that; ``verify``
+always loads it. The records are ``NamedTuple``s, so no command loads
+``dataclasses``.
 """
 
 from importlib import import_module
@@ -33,9 +35,8 @@ _EXPORTS = {
         "marginals", "parity_xor", "purity_check",
     ),
     "cascade": (
-        "BranchingModel", "CascadeState", "InitialExcitation",
-        "JointDistribution", "evolve_step", "initial_state", "run_cascade",
-        "support_partition", "support_set", "terminal_transition",
+        "BranchingModel", "InitialExcitation", "JointDistribution",
+        "run_cascade", "support_partition", "support_set",
     ),
     "coupling": (
         "CoupledLevels", "CouplingIntegrals", "DipoleIntegrals",
@@ -53,7 +54,7 @@ _EXPORTS = {
     ),
     "errors": (
         "CqwError", "DomainError", "InfeasibleDesignError", "NumericError",
-        "SequencingError", "SizeError", "ValidationError",
+        "SizeError", "ValidationError",
     ),
     "oracle": (
         "AuditReport", "PathRecord", "coherence_audit", "enumerate_paths",

@@ -11,16 +11,18 @@ A state is fixed by its starting sublevel and its crossing count c, the
 number of hops that changed sublevel. From an H start, c even sits on H
 and c odd on L, with l = c // 2 and n = (c + 1) // 2; an L start is the
 mirror image. The two starts never reach the same (sublevel, l, n)
-before the terminal decay, so the state is two length-N arrays over c,
-one per start. The central count m is implied by the step number.
+before the terminal decay, so each start walks on its own, split by the
+parity of c: ``even[j]`` holds c = 2j and ``odd[j]`` c = 2j + 1. The
+central count m is implied by the step number.
 
-``run_cascade`` has two kernels with the same bits. Up to ``LIST_LIMIT``
-(1024) photons it runs each start as two plain Python lists, split by
-the parity of c, and never imports numpy: in a fresh process, numpy's
-import costs more than the O(N^2) Python loop up to N of about 1300.
-No branching kind loads numpy before the cascade runs, so the cutoff by
-N alone holds for all of them. Above it the numpy ``evolve_step`` loop
-runs.
+``run_cascade`` picks only the element type of that layout, and both
+give the same bits. Up to ``LIST_LIMIT`` (1024) photons the two lists
+are plain Python lists (``_walk``) and numpy is never imported: in a
+fresh process, numpy's import costs more than the O(N^2) Python loop up
+to N of about 1300. No branching kind loads numpy before the cascade
+runs, so the cutoff by N alone holds for all of them. Above it they are
+zero-padded float64 arrays, advanced one hop at a time by
+``evolve_step``.
 
 The branching rows (``BranchingModel``) are defined here, not beside the
 physics in ``coupling`` that derives them, so the cascade and the oracles
@@ -31,10 +33,9 @@ from __future__ import annotations
 
 from math import frexp, fsum, isfinite, ldexp, sqrt
 from sys import float_info
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
-from .errors import DomainError, NumericError, SequencingError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 
 HIGH = "H"
 LOW = "L"
@@ -47,7 +48,6 @@ LOW = "L"
 # Measured on a 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
 LIST_LIMIT = 1024
 
-StateKey = tuple[str, int, int]
 CountKey = tuple[int, int, int]
 
 
@@ -198,38 +198,6 @@ def _stochastic_row(stay: float, cross: float) -> tuple[float, float]:
     return p, 1.0 - p
 
 
-class CascadeState:
-    """Populations after ``step`` hops over crossing count c.
-
-    ``high[c]`` is the mass that started on H and has crossed c times,
-    ``low[c]`` the same for an L start; both have length ``n_total``.
-    Compare states through ``weights``: arrays have no single truth value.
-    """
-
-    def __init__(
-        self, n_total: int, step: int, high: np.ndarray, low: np.ndarray
-    ) -> None:
-        self.n_total = n_total
-        self.step = step
-        self.high = high
-        self.low = low
-
-    @property
-    def weights(self) -> Mapping[StateKey, float]:
-        """Read-only view keyed by (sublevel, l, n), positive masses only."""
-        view: dict[StateKey, float] = {}
-        for c, (h, lo) in enumerate(zip(self.high.tolist(), self.low.tolist())):
-            odd = c & 1
-            if h > 0.0:
-                view[(LOW if odd else HIGH, c // 2, (c + 1) // 2)] = h
-            if lo > 0.0:
-                view[(HIGH if odd else LOW, (c + 1) // 2, c // 2)] = lo
-        return MappingProxyType(dict(sorted(view.items())))
-
-    def mass(self) -> float:
-        return fsum(self.high.tolist() + self.low.tolist())
-
-
 class JointDistribution:
     """Final probability table over photon counts (l, m, n)."""
 
@@ -247,80 +215,14 @@ class JointDistribution:
         return {k: sqrt(self.table[k]) for k in sorted(self.table)}
 
 
-def initial_state(n_total: int, init: InitialExcitation) -> CascadeState:
-    """Populate the first pair's sublevels with the squared amplitudes."""
-    import numpy as np
-
-    if n_total < 1:
-        raise DomainError(f"photon number must be at least 1, got {n_total}")
-    high = np.zeros(n_total)
-    low = np.zeros(n_total)
-    high[0] = init.c_h * init.c_h
-    low[0] = init.c_l * init.c_l
-    return CascadeState(n_total=n_total, step=0, high=high, low=low)
-
-
-def _alternating(even: float, odd: float, size: int) -> np.ndarray:
-    import numpy as np
-
-    rates = np.empty(size)
-    rates[0::2] = even
-    rates[1::2] = odd
-    return rates
-
-
-def _hop(pop: np.ndarray, stay: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """new[c] = pop[c] stay[c] + pop[c - 1] cross[c - 1]."""
-    new = pop * stay
-    new[1:] += pop[:-1] * cross[:-1]
-    return new
-
-
-def evolve_step(state: CascadeState, branching: BranchingModel) -> CascadeState:
-    """Apply one hop: H emits into m or n, L emits into m or l.
-
-    Staying on the same sublevel emits a central photon (m, implied by the
-    step count); crossing from H raises n, crossing from L raises l. From
-    an H start, even crossing counts sit on H; from an L start, on L. Only
-    the first n_total - 1 hops are ladder steps; stepping past that is a
-    sequencing error.
-    """
-    if state.step >= state.n_total - 1:
-        raise SequencingError(
-            f"cascade already at step {state.step} of {state.n_total - 1}; "
-            "only the terminal transition remains"
-        )
-    # rate[c] is the H-start rate at crossing count c; an L start sits
-    # on the other sublevel, so its rate at c is rate[c + 1]
-    size = state.n_total
-    stay = _alternating(branching.p_hh, branching.p_ll, size + 1)
-    cross = _alternating(branching.p_hl, branching.p_lh, size + 1)
-    high = _hop(state.high, stay[:-1], cross[:-1])
-    low = _hop(state.low, stay[1:], cross[1:])
-    return CascadeState(
-        n_total=state.n_total, step=state.step + 1, high=high, low=low
-    )
-
-
-def terminal_transition(state: CascadeState) -> JointDistribution:
-    """Decay the last pair to the final ground level.
+def _decay(n_total: int, high: list[float], low: list[float]) -> JointDistribution:
+    """The terminal decay of the final masses ``high[c]`` and ``low[c]``.
 
     The closing photon goes to n from an H sublevel and to l from an L
     sublevel, with probability 1 either way, so crossing count c ends at
     m = n_total - 1 - c. The two starts meet only on the diagonal
-    (k + 1, m, k + 1) reached with c = 2k + 1 odd. Requires the state to
-    have completed all ladder steps.
+    (k + 1, m, k + 1) reached with c = 2k + 1 odd.
     """
-    if state.step != state.n_total - 1:
-        raise SequencingError(
-            f"terminal transition requires step {state.n_total - 1}, "
-            f"got step {state.step}"
-        )
-    return _decay(state.n_total, state.high.tolist(), state.low.tolist())
-
-
-def _decay(n_total: int, high: list[float], low: list[float]) -> JointDistribution:
-    """The terminal decay of the final masses ``high[c]`` and ``low[c]``."""
     top = n_total - 1
     table: dict[CountKey, float] = {}
 
@@ -345,6 +247,14 @@ def _decay(n_total: int, high: list[float], low: list[float]) -> JointDistributi
     return JointDistribution(n_total=n_total, table=table)
 
 
+def _by_crossing(even: list[float], odd: list[float], size: int) -> list[float]:
+    """Masses over c = 0..size - 1 from ``even[j]`` (c = 2j), ``odd[j]`` (2j + 1)."""
+    out = even + odd
+    out[0::2] = even
+    out[1::2] = odd
+    return out[:size]
+
+
 def _walk(
     steps: int, mass: float, stay_a: float, cross_a: float,
     stay_b: float, cross_b: float,
@@ -354,9 +264,9 @@ def _walk(
     The start sits on sublevel a with rates (stay_a, cross_a); the other
     sublevel b has (stay_b, cross_b). Even crossing counts sit on a, odd
     ones on b, so ``even[j]`` holds c = 2j and ``odd[j]`` holds c = 2j + 1.
-    Each entry is the same two products, added the same way, as ``_hop``;
-    at the growing edge ``_hop`` adds 0.0 to a lone product, which leaves
-    it unchanged, so every bit matches ``evolve_step``.
+    The lists grow by one entry per hop, so their growing edge holds a lone
+    product where ``evolve_step`` adds it to a padded 0.0, which leaves it
+    unchanged: every bit matches ``_walk_arrays``.
     """
     even = [mass]
     odd: list[float] = []
@@ -369,10 +279,39 @@ def _walk(
         else:
             new_odd.append(even[-1] * cross_a)
         even, odd = new_even, new_odd
-    out = even + odd
-    out[0::2] = even
-    out[1::2] = odd
-    return out
+    return _by_crossing(even, odd, steps + 1)
+
+
+def evolve_step(
+    even: np.ndarray, odd: np.ndarray, stay_a: float, cross_a: float,
+    stay_b: float, cross_b: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One hop of ``_walk``'s ladder on zero-padded arrays.
+
+    Staying emits a central photon (m, implied by the step count) and
+    keeps c; crossing raises c by one, from a to b or from b back to a.
+    """
+    new_even = even * stay_a
+    new_even[1:] += odd[:-1] * cross_b
+    new_odd = odd * stay_b
+    new_odd += even * cross_a
+    return new_even, new_odd
+
+
+def _walk_arrays(
+    steps: int, mass: float, stay_a: float, cross_a: float,
+    stay_b: float, cross_b: float,
+) -> list[float]:
+    """``_walk`` on two float64 arrays, each as long as the last ``even``."""
+    import numpy as np
+
+    even = np.zeros(steps // 2 + 1)
+    odd = np.zeros(steps // 2 + 1)
+    even[0] = mass
+    for _ in range(steps):
+        # looked up on each hop, so a wrapper set on the module sees every call
+        even, odd = evolve_step(even, odd, stay_a, cross_a, stay_b, cross_b)
+    return _by_crossing(even.tolist(), odd.tolist(), steps + 1)
 
 
 def run_cascade(
@@ -380,20 +319,16 @@ def run_cascade(
 ) -> JointDistribution:
     """Full evolution: n_total - 1 ladder steps then the terminal decay.
 
-    Up to ``LIST_LIMIT`` photons each start runs as a Python list
-    (``_walk``); above it, as numpy arrays (``evolve_step``). Both give
+    Up to ``LIST_LIMIT`` photons each start runs as Python lists
+    (``_walk``); above it, as numpy arrays (``_walk_arrays``). Both give
     the same bits.
     """
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
-    if n_total > LIST_LIMIT:
-        state = initial_state(n_total, init)
-        for _ in range(n_total - 1):
-            state = evolve_step(state, branching)
-        return terminal_transition(state)
+    walk = _walk if n_total <= LIST_LIMIT else _walk_arrays
     b = branching
-    high = _walk(n_total - 1, init.c_h * init.c_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh)
-    low = _walk(n_total - 1, init.c_l * init.c_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl)
+    high = walk(n_total - 1, init.c_h * init.c_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh)
+    low = walk(n_total - 1, init.c_l * init.c_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl)
     return _decay(n_total, high, low)
 
 

@@ -35,6 +35,7 @@ from .output import csv_table, heatmap_csv, stable_json
 MODES = ("design", "levels", "simulate", "analyze", "verify", "audit")
 CHAIN_MODES = ("simulate", "analyze", "verify", "audit")
 FORMATS = ("json", "csv", "both")
+JSON_ONLY = ("levels", "verify", "audit")  # the modes that write no CSV file
 KINDS = ("symmetric", "dipole-only", "physical", "manual")
 VERIFY_TOL = 1e-10
 
@@ -58,13 +59,17 @@ def _as_int(value, key: str, minimum: int = 0, maximum: int | None = None) -> in
     return value
 
 
-# n_total and sample_count size arrays; numpy refuses lengths above sys.maxsize
+# n_total and sample_count size float64 and int64 arrays; numpy refuses an
+# array of more than sys.maxsize bytes, and these take 8 bytes an element
+MAX_SIZE = sys.maxsize // 8
+
+
 def _as_size(value, key: str) -> int:
-    return _as_int(value, key, maximum=sys.maxsize)
+    return _as_int(value, key, maximum=MAX_SIZE)
 
 
 def _as_count(value, key: str) -> int:
-    return _as_int(value, key, minimum=1, maximum=sys.maxsize)
+    return _as_int(value, key, minimum=1, maximum=MAX_SIZE)
 
 
 def _as_str(value, key: str) -> str:
@@ -202,6 +207,11 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
     needs_period = mode == "levels" or (
         mode in CHAIN_MODES and kind in ("physical", "dipole-only")
     )
+    if mode in JSON_ONLY and values["output.format"] == "csv":
+        raise ValidationError(
+            f"{mode} mode writes JSON files only; output.format must be "
+            f"'json' or 'both', got 'csv'"
+        )
     if mode == "design" and bias is not None:
         raise ValidationError(
             "well.b is not allowed in design mode; the bias search determines it"

@@ -25,9 +25,5 @@ class InfeasibleDesignError(CqwError):
     """No bias satisfies the alignment and two-level requirements."""
 
 
-class SequencingError(CqwError):
-    """Cascade operations invoked out of order."""
-
-
 class SizeError(CqwError):
     """Problem size above a hard enumeration limit."""

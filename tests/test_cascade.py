@@ -13,15 +13,11 @@ from cqwsim import (
     BranchingModel,
     DomainError,
     InitialExcitation,
-    SequencingError,
     ValidationError,
     WellParams,
-    evolve_step,
-    initial_state,
     run_cascade,
     support_partition,
     support_set,
-    terminal_transition,
 )
 from cqwsim import cascade as cascade_module
 from cqwsim.cascade import LIST_LIMIT
@@ -120,41 +116,6 @@ def test_normalized_matches_direct_formula_in_normal_range(c_h, c_l):
     assert (init.c_h, init.c_l) == (c_h / norm, c_l / norm)
 
 
-def test_initial_state_weights():
-    state = initial_state(4, InitialExcitation.normalized(0.6, 0.8))
-    assert state.n_total == 4 and state.step == 0
-    assert state.weights[("H", 0, 0)] == pytest.approx(0.36, abs=1e-12)
-    assert state.weights[("L", 0, 0)] == pytest.approx(0.64, abs=1e-12)
-    # pure starts omit the dead branch entirely
-    assert set(initial_state(4, H_START).weights) == {("H", 0, 0)}
-
-
-def test_initial_state_rejects_empty_run():
-    with pytest.raises(DomainError):
-        initial_state(0, H_START)
-
-
-def test_single_step_weights():
-    model = BranchingModel.manual(0.3, 0.7, 0.6, 0.4)
-    state = evolve_step(initial_state(3, InitialExcitation.normalized(0.6, 0.8)), model)
-    w = state.weights
-    assert w[("H", 0, 0)] == pytest.approx(0.36 * 0.3, abs=1e-15)
-    assert w[("L", 0, 1)] == pytest.approx(0.36 * 0.7, abs=1e-15)
-    assert w[("H", 1, 0)] == pytest.approx(0.64 * 0.6, abs=1e-15)
-    assert w[("L", 0, 0)] == pytest.approx(0.64 * 0.4, abs=1e-15)
-    assert state.step == 1
-    assert state.mass() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_sequencing_guards():
-    state = initial_state(2, H_START)
-    with pytest.raises(SequencingError):
-        terminal_transition(state)  # one emission still pending
-    stepped = evolve_step(state, SYM)
-    with pytest.raises(SequencingError):
-        evolve_step(stepped, SYM)  # only the terminal photon remains
-
-
 def test_cascade_n1_is_terminal_only():
     dist = run_cascade(1, InitialExcitation.normalized(0.6, 0.8), SYM)
     assert dist.table[(0, 0, 1)] == pytest.approx(0.36, abs=1e-15)
@@ -197,14 +158,6 @@ def test_cascade_support_law_random_sweep():
             assert abs(l - nn) <= 1
             assert l + nn >= 1
         assert (0, n, 0) not in dist.table
-
-
-def test_cascade_mass_conserved_each_step():
-    model = BranchingModel.manual(0.2, 0.8, 0.55, 0.45)
-    state = initial_state(9, InitialExcitation.balanced())
-    for _ in range(8):
-        state = evolve_step(state, model)
-        assert state.mass() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_absorbing_high_branch():
@@ -300,11 +253,12 @@ STARTS = st.one_of(
 
 
 def array_cascade(n_total, init, branching):
-    """The numpy kernel at any size: the ``evolve_step`` ladder, then the decay."""
-    state = initial_state(n_total, init)
-    for _ in range(n_total - 1):
-        state = evolve_step(state, branching)
-    return terminal_transition(state).table
+    """The numpy kernel at any size: ``_walk_arrays`` per start, then the decay."""
+    b = branching
+    walk = cascade_module._walk_arrays
+    high = walk(n_total - 1, init.c_h * init.c_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh)
+    low = walk(n_total - 1, init.c_l * init.c_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl)
+    return cascade_module._decay(n_total, high, low).table
 
 
 def assert_bitwise(table, reference):
@@ -341,20 +295,15 @@ def test_cascade_matches_dict_dp_across_the_kernel_cutoff(n, stay_h, stay_l, ini
 
 def test_list_kernel_runs_up_to_the_cutoff(monkeypatch):
     calls = []
+    evolve_step = cascade_module.evolve_step
 
-    def counted(state, branching):
-        calls.append(state.step)
-        return evolve_step(state, branching)
+    def counted(even, odd, *rates):
+        calls.append(len(even))
+        return evolve_step(even, odd, *rates)
 
     monkeypatch.setattr(cascade_module, "evolve_step", counted)
     run_cascade(LIST_LIMIT, H_START, SYM)
     assert calls == []
+    # one hop per start and ladder step, on arrays of length (N - 1) // 2 + 1
     run_cascade(LIST_LIMIT + 1, H_START, SYM)
-    assert calls == list(range(LIST_LIMIT))
-
-
-def test_weights_view_is_read_only_and_positive():
-    state = evolve_step(initial_state(5, H_START), BranchingModel.manual(1.0, 0.0, 0.5, 0.5))
-    assert dict(state.weights) == {("H", 0, 0): 1.0}
-    with pytest.raises(TypeError):
-        state.weights[("L", 0, 1)] = 0.5
+    assert calls == [LIST_LIMIT // 2 + 1] * (2 * LIST_LIMIT)

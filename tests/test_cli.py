@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqwsim
@@ -101,9 +101,9 @@ def test_config_structure_errors(tmp_path, capsys, doc, message):
     (b"[" * 100_000, [], "recursion"),
     (b'{"n_total": ' + b"9" * 5000 + b"}", [], "4300"),
     (None, ["--n", "99999999999999999999"],
-     f"n_total must be at most {sys.maxsize}, got 99999999999999999999"),
+     f"n_total must be at most {sys.maxsize // 8}, got 99999999999999999999"),
     (None, ["--samples", "99999999999999999999"],
-     f"sample_count must be at most {sys.maxsize}, got 99999999999999999999"),
+     f"sample_count must be at most {sys.maxsize // 8}, got 99999999999999999999"),
 ], ids=["not-utf8", "deep-nesting", "long-integer", "huge-n", "huge-samples"])
 def test_config_edge_cases_exit_2(tmp_path, capsys, config, flags, message):
     argv = ["verify", "--branching", "symmetric", *flags]
@@ -120,6 +120,24 @@ def test_config_edge_cases_exit_2(tmp_path, capsys, config, flags, message):
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "validation"
     assert message in diagnostic["message"]
+    assert not out.exists()
+
+
+# numpy refuses arrays of more than sys.maxsize bytes: the largest size
+# that still builds float64 and int64 arrays is sys.maxsize // 8
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--n", str(sys.maxsize // 8 + 1)], "n_total"),
+    (["verify", "--n", "2", "--samples", str(sys.maxsize // 8 + 1)], "sample_count"),
+], ids=["n", "samples"])
+def test_sizes_above_the_array_limit_exit_2(tmp_path, capsys, argv, key):
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--branching", "symmetric", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "validation",
+        "message": f"{key} must be at most {sys.maxsize // 8}, got {sys.maxsize // 8 + 1}",
+    }
     assert not out.exists()
 
 
@@ -175,6 +193,24 @@ def test_output_format_selection(tmp_path):
                      "--format", "csv"]) == 0
     assert {p.name for p in out_json.iterdir()} == {"distribution.json"}
     assert {p.name for p in out_csv.iterdir()} == {"distribution.csv"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["levels", "--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"],
+    ["verify", "--n", "5", "--branching", "symmetric"],
+    ["audit", "--n", "5", "--branching", "symmetric"],
+], ids=["levels", "verify", "audit"])
+def test_csv_format_is_refused_where_no_csv_is_written(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--format", "csv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "validation",
+        "message": f"{argv[0]} mode writes JSON files only; output.format must be "
+                   "'json' or 'both', got 'csv'",
+    }
+    assert not out.exists()
 
 
 def test_byte_determinism(tmp_path):
@@ -601,9 +637,9 @@ _BAD_TYPES = st.one_of(
 _NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 _OUT_OF_DOMAIN = {
     cli._as_number: st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
-    cli._as_count: st.sampled_from([-3, 0, 21, 40]),
+    cli._as_count: st.sampled_from([-3, 0, 21, 40, sys.maxsize // 8 + 1]),
     cli._as_int: st.sampled_from([-5, -1]),
-    cli._as_size: st.sampled_from([-5, -1]),
+    cli._as_size: st.sampled_from([-5, -1, sys.maxsize // 8 + 1]),
 }
 _UNKNOWN = [
     ("", "bogus", 1), ("", "tolerances", {"energy": 1e-12}),
@@ -677,6 +713,10 @@ def _cli_case(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_cli_case())
+@example(case=("verify", {"n_total": 5, "branching": {"kind": "symmetric"},
+                          "output": {"format": "csv"}}, []))
+@example(case=("simulate", {"n_total": 5, "branching": {"kind": "symmetric"}},
+               [f"--n={sys.maxsize // 8 + 1}"]))
 def test_every_generated_run_exits_cleanly(case):
     mode, document, flags = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -691,6 +731,7 @@ def test_every_generated_run_exits_cleanly(case):
         assert "Traceback" not in err
         if code == 0:
             assert err == ""
+            assert any(out.iterdir())
         else:
             assert err.count("\n") == 1
             assert set(json.loads(err)) == {"error", "message"}
