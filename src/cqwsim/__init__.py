@@ -17,9 +17,9 @@ integrates the piecewise waves in closed form and never loads numpy. The
 cascade walks each start as two lists split by the parity of the
 crossing count: Python lists up to N = 1024 photons
 (``cascade.LIST_LIMIT``) and numpy arrays of the same layout above it,
-so ``simulate`` and ``analyze`` load numpy only above that; ``verify``
-always loads it. The records are ``NamedTuple``s, so no command loads
-``dataclasses``.
+so ``simulate`` and ``analyze`` load numpy only above that. The
+``verify`` oracles run on Python lists and ``random``, without numpy.
+The records are ``NamedTuple``s, so no command loads ``dataclasses``.
 """
 
 from importlib import import_module

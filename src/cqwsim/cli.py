@@ -59,13 +59,16 @@ def _as_int(value, key: str, minimum: int = 0, maximum: int | None = None) -> in
     return value
 
 
-# n_total and sample_count size float64 and int64 arrays; numpy refuses an
-# array of more than sys.maxsize bytes, and these take 8 bytes an element
+# n_total sizes the cascade's float64 arrays above its list cutoff; numpy
+# refuses an array of more than sys.maxsize bytes, 8 bytes an element
 MAX_SIZE = sys.maxsize // 8
+# the Monte Carlo walks take time, not memory, in proportion to the sample
+# count: about 7 s for 1e9 samples at N = 20
+SAMPLE_LIMIT = 10**9
 
 
-def _as_size(value, key: str) -> int:
-    return _as_int(value, key, maximum=MAX_SIZE)
+def _as_samples(value, key: str) -> int:
+    return _as_int(value, key, maximum=SAMPLE_LIMIT)
 
 
 def _as_count(value, key: str) -> int:
@@ -114,11 +117,11 @@ _KEYS = {
     "output.dir": _Key(_as_str, "--out", "output directory", "out"),
     "output.format": _Key(_OneOf(FORMATS), "--format", "which file kinds to write", "both"),
     "seed": _Key(_as_int, "--seed", "sampling seed", 0),
-    "sample_count": _Key(_as_size, "--samples", "Monte Carlo sample count", 0),
+    "sample_count": _Key(_as_samples, "--samples", "Monte Carlo sample count", 0),
     "sign_mode": _Key(_OneOf(SIGN_MODES), "--signs", "audit sign mode", "all-positive"),
 }
 _BLOCKS = {key.partition(".")[0] for key in _KEYS if "." in key}
-_FLAG_TYPES = {_as_number: float, _as_int: int, _as_size: int, _as_count: int}
+_FLAG_TYPES = {_as_number: float, _as_int: int, _as_samples: int, _as_count: int}
 
 
 class RunConfig(NamedTuple):

@@ -8,7 +8,11 @@ incoherent bookkeeping could deviate from a coherent sum over paths.
 
 from __future__ import annotations
 
-from math import fsum, sqrt
+import itertools
+from functools import reduce
+from math import comb, fsum, sqrt
+from operator import add
+from random import Random
 from typing import Iterator, NamedTuple
 
 from .cascade import (
@@ -23,6 +27,7 @@ from .errors import DomainError, SizeError, ValidationError
 
 ENUM_LIMIT = 20
 AUDIT_LIMIT = 16
+CHUNK_BITS = 1 << 20  # random bits drawn at once by ``_binomial``
 SIGN_MODES = ("all-positive", "cmt-signs")
 
 
@@ -111,55 +116,83 @@ def enumerate_paths(
     A path is a starting sublevel plus one stay/cross bit per ladder step.
     Exponential in the photon number, so capped at 20.
 
-    The branch strings of one start are grown as arrays, doubling at
-    each ladder step: entry j becomes entries j (stay) and j + 2^step
-    (cross), so after N - 1 steps entry j is the path whose bit ``step``
-    is the crossing flag of that step, least significant bit first, as in
-    ``iter_paths``. Memory is a few arrays of length 2^(N-1) per start.
+    The paths of one start are held in lists grouped by their crossing
+    count c, each list in path-index order: bit ``step`` of index j is the
+    crossing flag of that step, least significant bit first, as in
+    ``iter_paths``. All paths of a group sit on one sublevel (the start's
+    if c is even, the other if odd), so one rate scales the whole group. A
+    step makes the new group c from group c times its stay rate, then
+    group c - 1 times its cross rate: path j stays as j and crosses as
+    j + 2^step, which lies above every older index, so the order holds.
+    The last step is summed as it is made, so memory is about 2^(N-2)
+    floats per start.
+
     The table equals the sum over ``iter_paths`` bit for bit, in the same
     key order: each path weight is the start weight times the branch
-    probabilities multiplied left to right; zero-weight paths are
-    dropped; the H-start paths, then the L-start paths, are added one
-    after another in string order (``np.bincount`` adds its weights in
-    input order, and the L pass starts from the H sums); and keys appear
-    in the order of their first path.
+    probabilities multiplied left to right; each group is added in path
+    order (zero weights add nothing), and an L-start sum continues from
+    the H-start sum of the same key; and keys appear in the order of
+    their first positive path, H-start paths first. ``reduce`` adds
+    plainly, where the builtin ``sum`` compensates from Python 3.12.
     """
-    import numpy as np
-
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     if n_total > ENUM_LIMIT:
         raise SizeError(
             f"exhaustive enumeration capped at {ENUM_LIMIT} photons, got {n_total}"
         )
-    # code l (N + 1) + n: each photon emitted from H adds 1, from L N + 1
-    keys = np.zeros(0, dtype=np.int64)
-    sums = np.zeros(0)
-    for start_high, amplitude in ((True, init.c_h), (False, init.c_l)):
+    steps = n_total - 1
+    h_rates = (float(branching.p_hh), float(branching.p_hl))
+    l_rates = (float(branching.p_ll), float(branching.p_lh))
+    table: dict[CountKey, float] = {}
+    for start, amplitude in ((HIGH, init.c_h), (LOW, init.c_l)):
         if not amplitude > 0:
             continue
-        high = np.array([start_high])
-        code = np.zeros(1, dtype=np.int64)
-        w = np.array([amplitude * amplitude])
-        for _ in range(n_total - 1):
-            emitted = code + np.where(high, 1, n_total + 1)
-            stay = w * np.where(high, branching.p_hh, branching.p_ll)
-            cross = w * np.where(high, branching.p_hl, branching.p_lh)
-            w = np.concatenate((stay, cross))
-            code = np.concatenate((code, emitted))
-            high = np.concatenate((high, ~high))
-        code += np.where(high, 1, n_total + 1)
-        kept = w != 0.0
-        # the earlier start's sums lead, in first-path order, so each sum
-        # continues from where that start left it
-        code = np.concatenate((keys, code[kept]))
-        total = np.bincount(code, weights=np.concatenate((sums, w[kept])))
-        first = np.full(total.size, code.size)
-        np.minimum.at(first, code, np.arange(code.size))
-        keys = np.flatnonzero(first < code.size)
-        keys = keys[np.argsort(first[keys])]
-        sums = total[keys]
-    return _decoded(n_total, keys, sums)
+        # (stay, cross) rates of the sublevel of group c, by the parity of c
+        rates = (h_rates, l_rates) if start == HIGH else (l_rates, h_rates)
+        groups = [[float(amplitude * amplitude)]]
+        for _ in range(steps - 1):
+            groups = list(_grown(groups, rates))
+        # the last step's groups are made and summed one at a time
+        final = _grown(groups, rates) if steps else groups
+        found = []
+        for c, group in enumerate(final):
+            rank = next(itertools.compress(itertools.count(), group), None)
+            if rank is None:
+                continue
+            # H emits into n and L into l, when crossing and when decaying
+            # at the end: c // 2 + 1 photons come from the start sublevel
+            own, other = c // 2 + 1, (c + 1) // 2
+            l, n = (other, own) if start == HIGH else (own, other)
+            key = (l, n_total - l - n, n)
+            total = reduce(add, group, table.get(key, 0.0))
+            found.append((_unranked(rank, c, steps), key, total))
+        # sorted by first path index, which no two groups share
+        for _, key, total in sorted(found):
+            table[key] = total
+    return JointDistribution(n_total=n_total, table=table)
+
+
+def _grown(groups: list[list[float]], rates) -> Iterator[list[float]]:
+    """The groups one step on, by c: group c stays, then group c - 1 crosses."""
+    for c in range(len(groups) + 1):
+        stay, cross = rates[c % 2][0], rates[(c - 1) % 2][1]
+        group = [w * stay for w in groups[c]] if c < len(groups) else []
+        if c:
+            group += [w * cross for w in groups[c - 1]]
+        yield group
+
+
+def _unranked(rank: int, ones: int, width: int) -> int:
+    """The ``rank``-th smallest ``width``-bit integer with ``ones`` set bits."""
+    index = 0
+    for bit in range(width - 1, -1, -1):
+        below = comb(bit, ones)  # those with this bit clear
+        if rank >= below:
+            index |= 1 << bit
+            rank -= below
+            ones -= 1
+    return index
 
 
 def sample_walks(
@@ -171,47 +204,85 @@ def sample_walks(
 ) -> JointDistribution:
     """Empirical (l, m, n) frequencies from Monte Carlo trajectories.
 
-    Uses the PCG64 generator. Draw order is fixed: one uniform array of
-    ``count`` values selects the starting sublevel (u < c_h^2 means H),
-    then one array of ``count`` values per ladder step decides crossing
-    (u < p_hl from H, u < p_lh from L), walker i always taking element i.
-    A given seed therefore reproduces byte-identical frequencies. The
-    table lists keys by ascending code l (N + 1) + n. Trajectories are
-    consumed in lockstep from a single stream; per-worker substreams
-    derived from (seed, worker index) would allow partitioned sampling
-    but only the single-worker partition is implemented.
+    The walkers move as a population on ``random.Random(seed)``:
+    Binomial(count, c_h^2) of them start on H, the rest on L. At each
+    ladder step every occupied state (sublevel, l, n), taken in sorted
+    order, sends Binomial(k, p) of its k walkers across (p = p_hl from H,
+    p_lh from L) and keeps the rest. Each draw is ``_binomial``, so a
+    given seed reproduces byte-identical frequencies, and the result is
+    the one a walker-by-walker comparison of uniforms with p would give
+    on the same random bits. The table lists keys by ascending code
+    l (N + 1) + n. Time is O(N^2) draws plus about 2 ``count`` random
+    bits per step; memory does not grow with ``count``.
     """
-    import numpy as np
-
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     if count < 1:
         raise DomainError(f"sample count must be at least 1, got {count}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(count)
-    is_high = u < init.c_h * init.c_h
-    l = np.zeros(count, dtype=np.int64)
-    n = np.zeros(count, dtype=np.int64)
+    rng = Random(seed)
+    p_hl, p_lh = float(branching.p_hl), float(branching.p_lh)
+    high = _binomial(rng, count, float(init.c_h * init.c_h))
+    states = {(HIGH, 0, 0): high, (LOW, 0, 0): count - high}
     for _ in range(n_total - 1):
-        rng.random(out=u)
-        cross = np.where(is_high, u < branching.p_hl, u < branching.p_lh)
-        n += is_high & cross
-        l += cross & ~is_high
-        is_high ^= cross
-    n += is_high
-    l += ~is_high
-    hits = np.bincount(l * (n_total + 1) + n)
-    present = np.flatnonzero(hits)
-    return _decoded(n_total, present, hits[present] / count)
+        moved: dict[tuple[str, int, int], int] = {}
+        for (branch, l, n), k in sorted(states.items()):
+            if not k:
+                continue
+            if branch == HIGH:
+                crossed = _binomial(rng, k, p_hl)
+                stay, cross = (HIGH, l, n), (LOW, l, n + 1)
+            else:
+                crossed = _binomial(rng, k, p_lh)
+                stay, cross = (LOW, l, n), (HIGH, l + 1, n)
+            moved[stay] = moved.get(stay, 0) + k - crossed
+            moved[cross] = moved.get(cross, 0) + crossed
+        states = moved
+    hits: dict[CountKey, int] = {}
+    m = n_total - 1
+    for (branch, l, n), k in states.items():
+        if not k:
+            continue
+        key = (l, m - l - n, n + 1) if branch == HIGH else (l + 1, m - l - n, n)
+        hits[key] = hits.get(key, 0) + k
+    order = sorted(hits, key=lambda key: key[0] * (n_total + 1) + key[2])
+    return JointDistribution(
+        n_total=n_total, table={key: hits[key] / count for key in order}
+    )
 
 
-def _decoded(n_total: int, codes: np.ndarray, values: np.ndarray) -> JointDistribution:
-    """The table mapping code l (N + 1) + n to (l, m, n), in ``codes`` order."""
-    table: dict[CountKey, float] = {}
-    for code, value in zip(codes.tolist(), values.tolist()):
-        l, n = divmod(code, n_total + 1)
-        table[(l, n_total - l - n, n)] = value
-    return JointDistribution(n_total=n_total, table=table)
+def _binomial(rng: Random, k: int, p: float) -> int:
+    """Binomial(k, p) successes, exact for every float p.
+
+    Trial i succeeds when its uniform u = 0.u1 u2 u3 ... (fair coins) is
+    below p = 0.p1 p2 p3 ..., and the first coin that differs from p's bit
+    decides: a 0 coin against a 1 bit succeeds, a 1 coin against a 0 bit
+    fails. So at each bit of p only the trials still tied draw a coin, and
+    the 1 coins among them are the set bits of ``getrandbits``, drawn in
+    chunks of at most ``CHUNK_BITS``. That is a multiple of 32, so the
+    chunks hold the bits one ``getrandbits(tied)`` would, in bounded
+    memory. Past p's last set bit every tied trial has u >= p and fails,
+    so p = 0 draws nothing. About 2k random bits and no libm call.
+    """
+    if p >= 1.0:
+        return k
+    numerator, denominator = p.as_integer_ratio()  # a power of two
+    successes = 0
+    tied = k
+    for shift in range(denominator.bit_length() - 2, -1, -1):
+        if not tied:
+            break
+        ones = 0
+        left = tied
+        while left > CHUNK_BITS:
+            ones += rng.getrandbits(CHUNK_BITS).bit_count()
+            left -= CHUNK_BITS
+        ones += rng.getrandbits(left).bit_count()
+        if (numerator >> shift) & 1:
+            successes += tied - ones
+            tied = ones
+        else:
+            tied -= ones
+    return successes
 
 
 def _table_of(dist) -> dict[CountKey, float]:

@@ -16,11 +16,18 @@ Simpson route on a uniform grid that the package used before
 
 ``scan_design_reference`` is the alignment search the package used before
 the closed-form bracket: a 257-point bias scan, then bisection.
+
+``array_enumeration`` is the numpy path enumeration the package used
+before its grouped lists. ``walker_samples`` replays the population
+sampler walker by walker: ``below_p`` decides each trial by its own coins
+on the same random words as ``cqwsim.oracle._binomial``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
 import numpy as np
 from scipy.integrate import quad
@@ -80,6 +87,136 @@ def dict_cascade(n_total, init, branching):
         target = (l, m - l - n, n + 1) if branch == "H" else (l + 1, m - l - n, n)
         table[target] = table.get(target, 0.0) + w
     return table
+
+
+def array_enumeration(n_total, init, branching):
+    """Path enumeration over numpy arrays, the package's former oracle.
+
+    Each start's 2^(N-1) branch strings grow as arrays, doubling at each
+    ladder step: entry j becomes entries j (stay) and j + 2^step (cross),
+    so entry j is the path whose bit ``step`` is the crossing flag of that
+    step. Each entry carries the code l (N + 1) + n of the photons it
+    emitted. Zero weights are dropped, ``np.bincount`` adds the rest in
+    path order (the L pass starts from the H sums), and keys appear in the
+    order of their first path. Returns the (l, m, n) -> probability map.
+    """
+    keys = np.zeros(0, dtype=np.int64)
+    sums = np.zeros(0)
+    for start_high, amplitude in ((True, init.c_h), (False, init.c_l)):
+        if not amplitude > 0:
+            continue
+        high = np.array([start_high])
+        code = np.zeros(1, dtype=np.int64)
+        w = np.array([amplitude * amplitude])
+        for _ in range(n_total - 1):
+            emitted = code + np.where(high, 1, n_total + 1)
+            stay = w * np.where(high, branching.p_hh, branching.p_ll)
+            cross = w * np.where(high, branching.p_hl, branching.p_lh)
+            w = np.concatenate((stay, cross))
+            code = np.concatenate((code, emitted))
+            high = np.concatenate((high, ~high))
+        code += np.where(high, 1, n_total + 1)
+        kept = w != 0.0
+        code = np.concatenate((keys, code[kept]))
+        total = np.bincount(code, weights=np.concatenate((sums, w[kept])))
+        first = np.full(total.size, code.size)
+        np.minimum.at(first, code, np.arange(code.size))
+        keys = np.flatnonzero(first < code.size)
+        keys = keys[np.argsort(first[keys])]
+        sums = total[keys]
+    table = {}
+    for code, value in zip(keys.tolist(), sums.tolist()):
+        l, n = divmod(code, n_total + 1)
+        table[(l, n_total - l - n, n)] = value
+    return table
+
+
+def _binary_digits(p):
+    """The bits of p in [0, 1) after the binary point, by exact doubling."""
+    digits = []
+    while p:
+        p *= 2.0
+        digits.append(p >= 1.0)
+        if p >= 1.0:
+            p -= 1.0
+    return digits
+
+
+# coin characters to compress() selectors: 1 where the coin is 1, or 0
+_COIN_ONE = bytes.maketrans(b"01", b"\x00\x01")
+_COIN_ZERO = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def below_p(rng, trials, p):
+    """The trials whose uniform, read one coin at a time, falls below p.
+
+    Trials are decided one by one: each compares its coins with p's bits
+    until they differ, a 0 coin against a 1 bit winning. At each bit of p
+    the tied trials take their coins, in order, from the bits of
+    ``rng.getrandbits`` words of at most 2^20 bits, least significant bit
+    first. Past p's last set bit the tied trials lose.
+    """
+    if not p > 0.0:
+        return []
+    if p >= 1.0:
+        return list(trials)
+    won = []
+    tied = list(trials)
+    for bit in _binary_digits(p):
+        if not tied:
+            break
+        coins = "".join(
+            format(rng.getrandbits(size), f"0{size}b")[::-1]
+            for size in _chunks(len(tied), 1 << 20)
+        ).encode()
+        if bit:
+            won.extend(itertools.compress(tied, coins.translate(_COIN_ZERO)))
+            tied = list(itertools.compress(tied, coins.translate(_COIN_ONE)))
+        else:
+            tied = list(itertools.compress(tied, coins.translate(_COIN_ZERO)))
+    return won
+
+
+def _chunks(total, chunk):
+    """Sizes that split ``total`` into full chunks, then the remainder."""
+    sizes = [chunk] * (total // chunk)
+    if total % chunk:
+        sizes.append(total % chunk)
+    return sizes
+
+
+def walker_samples(n_total, init, branching, count, seed):
+    """Monte Carlo walks decided walker by walker, on the sampler's bits.
+
+    The walkers are numbered; each holds its sublevel and its photon
+    counts. The start draw and then, at each step, each occupied state in
+    sorted order pass their walkers, in number order, through
+    ``below_p`` on one ``random.Random(seed)``. Returns the frequency map,
+    keys by ascending code l (N + 1) + n.
+    """
+    rng = random.Random(seed)
+    high = set(below_p(rng, range(count), init.c_h * init.c_h))
+    walkers = [["H" if i in high else "L", 0, 0] for i in range(count)]
+    for _ in range(n_total - 1):
+        states = {}
+        for i, (branch, l, n) in enumerate(walkers):
+            states.setdefault((branch, l, n), []).append(i)
+        for (branch, _, _), members in sorted(states.items()):
+            p = branching.p_hl if branch == "H" else branching.p_lh
+            for i in below_p(rng, members, p):
+                walker = walkers[i]
+                if branch == "H":
+                    walker[0], walker[2] = "L", walker[2] + 1
+                else:
+                    walker[0], walker[1] = "H", walker[1] + 1
+    hits = {}
+    for branch, l, n in walkers:
+        # the last photon: to n from H, to l from L
+        l, n = (l, n + 1) if branch == "H" else (l + 1, n)
+        key = (l, n_total - l - n, n)
+        hits[key] = hits.get(key, 0) + 1
+    order = sorted(hits, key=lambda key: key[0] * (n_total + 1) + key[2])
+    return {key: hits[key] / count for key in order}
 
 
 def single_well_potential(v1, v2, b, d, x):

@@ -102,8 +102,8 @@ def test_config_structure_errors(tmp_path, capsys, doc, message):
     (b'{"n_total": ' + b"9" * 5000 + b"}", [], "4300"),
     (None, ["--n", "99999999999999999999"],
      f"n_total must be at most {sys.maxsize // 8}, got 99999999999999999999"),
-    (None, ["--samples", "99999999999999999999"],
-     f"sample_count must be at most {sys.maxsize // 8}, got 99999999999999999999"),
+    (None, ["--samples", str(cli.SAMPLE_LIMIT + 1)],
+     f"sample_count must be at most {cli.SAMPLE_LIMIT}, got {cli.SAMPLE_LIMIT + 1}"),
 ], ids=["not-utf8", "deep-nesting", "long-integer", "huge-n", "huge-samples"])
 def test_config_edge_cases_exit_2(tmp_path, capsys, config, flags, message):
     argv = ["verify", "--branching", "symmetric", *flags]
@@ -123,20 +123,22 @@ def test_config_edge_cases_exit_2(tmp_path, capsys, config, flags, message):
     assert not out.exists()
 
 
-# numpy refuses arrays of more than sys.maxsize bytes: the largest size
-# that still builds float64 and int64 arrays is sys.maxsize // 8
-@pytest.mark.parametrize("argv, key", [
-    (["simulate", "--n", str(sys.maxsize // 8 + 1)], "n_total"),
-    (["verify", "--n", "2", "--samples", str(sys.maxsize // 8 + 1)], "sample_count"),
+# numpy refuses arrays of more than sys.maxsize bytes: the largest N that
+# still builds float64 arrays is sys.maxsize // 8; the sample count is
+# capped where the walks would run for minutes
+@pytest.mark.parametrize("argv, key, limit", [
+    (["simulate", "--n"], "n_total", sys.maxsize // 8),
+    (["verify", "--n", "2", "--samples"], "sample_count", cli.SAMPLE_LIMIT),
 ], ids=["n", "samples"])
-def test_sizes_above_the_array_limit_exit_2(tmp_path, capsys, argv, key):
+def test_sizes_above_the_array_limit_exit_2(tmp_path, capsys, argv, key, limit):
     out = tmp_path / "o"
-    assert cli.main(argv + ["--branching", "symmetric", "--out", str(out)]) == 2
+    argv = argv + [str(limit + 1), "--branching", "symmetric", "--out", str(out)]
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err) == {
         "error": "validation",
-        "message": f"{key} must be at most {sys.maxsize // 8}, got {sys.maxsize // 8 + 1}",
+        "message": f"{key} must be at most {limit}, got {limit + 1}",
     }
     assert not out.exists()
 
@@ -511,11 +513,13 @@ _PHYSICS = ["eigensolver", "coupling"]
     (["simulate", "--n", "22", "--branching", "dipole-only", *_PAIR], 0, False, _PHYSICS),
     (["simulate", "--n", "8", "--branching", "symmetric", *_PAIR], 0, False, ["eigensolver"]),
     (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, True, []),
-    (["verify", "--n", "8", "--branching", "symmetric"], 0, True, []),
+    (["verify", "--n", "8", "--branching", "symmetric"], 0, False, []),
+    (["verify", "--n", "8", "--branching", "symmetric", "--samples", "1000"],
+     0, False, []),
 ], ids=["import", "help", "audit", "design", "levels", "simulate-n0", "simulate",
         "analyze", "design-feasible", "levels-feasible", "simulate-physical",
         "simulate-dipole-only", "simulate-symmetric-with-well",
-        "simulate-array-cascade", "verify"])
+        "simulate-array-cascade", "verify", "verify-samples"])
 def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy, extra):
     src = Path(cqwsim.__file__).resolve().parents[1]
     out = [] if argv[0] in ("import", "--help") else ["--out", str(tmp_path / "o")]
@@ -639,7 +643,7 @@ _OUT_OF_DOMAIN = {
     cli._as_number: st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
     cli._as_count: st.sampled_from([-3, 0, 21, 40, sys.maxsize // 8 + 1]),
     cli._as_int: st.sampled_from([-5, -1]),
-    cli._as_size: st.sampled_from([-5, -1, sys.maxsize // 8 + 1]),
+    cli._as_samples: st.sampled_from([-5, -1, cli.SAMPLE_LIMIT + 1]),
 }
 _UNKNOWN = [
     ("", "bogus", 1), ("", "tolerances", {"energy": 1e-12}),

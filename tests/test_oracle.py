@@ -1,6 +1,7 @@
 """Path enumeration, Monte Carlo sampling, and the coherence audit."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from cqwsim import (
     sample_walks,
     tv_distance,
 )
+from cqwsim.oracle import CHUNK_BITS, _binomial
+from oracles import array_enumeration, below_p, walker_samples
 
 SYM = BranchingModel.symmetric()
 H_START = InitialExcitation(1.0, 0.0)
@@ -121,29 +124,18 @@ def test_enumeration_is_the_fold_of_iter_paths(n, stay_h, stay_l, init):
     assert list(table) == list(folded)
 
 
-def _replayed_walks(n_total, init, model, count, seed):
-    """One walker at a time, reading element i of each per-step draw."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = [rng.random(count).tolist() for _ in range(n_total)]
-    hits = {}
-    for i in range(count):
-        high = draws[0][i] < init.c_h * init.c_h
-        l = n = 0
-        for step in range(1, n_total):
-            if high and draws[step][i] < model.p_hl:
-                n += 1
-                high = False
-            elif not high and draws[step][i] < model.p_lh:
-                l += 1
-                high = True
-        if high:
-            n += 1
-        else:
-            l += 1
-        key = (l, n_total - l - n, n)
-        hits[key] = hits.get(key, 0) + 1
-    order = sorted(hits, key=lambda key: key[0] * (n_total + 1) + key[2])
-    return {key: hits[key] / count for key in order}
+@pytest.mark.parametrize("n", [17, 20])
+@pytest.mark.parametrize("init, model", [
+    (BAL, SYM),
+    (InitialExcitation.normalized(0.6, 0.8), SYM),
+    (InitialExcitation.normalized(0.6, 0.8),
+     BranchingModel.manual(1.0, 0.0, 0.45, 0.55)),
+], ids=["symmetric-balanced", "symmetric", "manual-zero-rate"])
+def test_enumeration_matches_the_array_oracle(n, init, model):
+    table = enumerate_paths(n, init, model).table
+    expected = array_enumeration(n, init, model)
+    assert table == expected
+    assert list(table) == list(expected)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
@@ -152,9 +144,40 @@ def test_sample_walks_replays_per_walker(n, count, seed):
     model = BranchingModel.manual(0.3, 0.7, 0.45, 0.55)
     init = InitialExcitation.normalized(0.6, 0.8)
     table = sample_walks(n, init, model, count=count, seed=seed).table
-    expected = _replayed_walks(n, init, model, count, seed)
+    expected = walker_samples(n, init, model, count, seed)
     assert table == expected
     assert list(table) == list(expected)
+
+
+_TRIALS = [0, 1, CHUNK_BITS - 1, CHUNK_BITS, CHUNK_BITS + 1]
+
+
+@pytest.mark.parametrize("k", _TRIALS)
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 3 / 8, 5e-324, 1 - 2**-53])
+def test_binomial_is_the_per_trial_comparison(p, k):
+    rng, reference = random.Random(k), random.Random(k)
+    successes = _binomial(rng, k, p)
+    assert successes == len(below_p(reference, range(k), p))
+    # the same random words, all of them consumed
+    assert rng.getstate() == reference.getstate()
+    if p == 0.0 or k == 0:
+        assert successes == 0
+    elif p == 1.0:
+        assert successes == k
+    if p in (0.0, 1.0) or k == 0:
+        assert rng.getstate() == random.Random(k).getstate()
+
+
+def test_binomial_moments():
+    k, p, draws = 1000, 0.3, 10_000
+    rng = random.Random(2024)
+    xs = [_binomial(rng, k, p) for _ in range(draws)]
+    mean = math.fsum(xs) / draws
+    var = math.fsum((x - mean) ** 2 for x in xs) / (draws - 1)
+    variance = k * p * (1 - p)
+    fourth = variance * (1 + 3 * (k - 2) * p * (1 - p))  # central moment
+    assert abs(mean - k * p) < 5 * math.sqrt(variance / draws)
+    assert abs(var - variance) < 5 * math.sqrt((fourth - variance**2) / draws)
 
 
 def test_sample_walks_deterministic_per_seed():
