@@ -60,16 +60,10 @@ class LogicalProjection(NamedTuple):
     confined: bool
 
 
-def marginals(
-    dist: JointDistribution,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Marginal probability vectors of l, m, and n, each of length n+1."""
-    import numpy as np
-
+def marginals(dist: JointDistribution) -> tuple[list[float], list[float], list[float]]:
+    """Marginal probability lists of l, m, and n, each of length n+1."""
     size = dist.n_total + 1
-    p_l = np.zeros(size)
-    p_m = np.zeros(size)
-    p_n = np.zeros(size)
+    p_l, p_m, p_n = [0.0] * size, [0.0] * size, [0.0] * size
     for key in sorted(dist.table):
         l, m, n = key
         f = dist.table[key]

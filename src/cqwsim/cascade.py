@@ -321,14 +321,16 @@ def run_cascade(
 
     Up to ``LIST_LIMIT`` photons each start runs as Python lists
     (``_walk``); above it, as numpy arrays (``_walk_arrays``). Both give
-    the same bits.
+    the same bits. A start of zero weight is not walked: its masses would
+    all be zero, which ``_decay`` drops.
     """
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     walk = _walk if n_total <= LIST_LIMIT else _walk_arrays
-    b = branching
-    high = walk(n_total - 1, init.c_h * init.c_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh)
-    low = walk(n_total - 1, init.c_l * init.c_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl)
+    b, zeros = branching, [0.0] * n_total
+    mass_h, mass_l = init.c_h * init.c_h, init.c_l * init.c_l
+    high = walk(n_total - 1, mass_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh) if mass_h else zeros
+    low = walk(n_total - 1, mass_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl) if mass_l else zeros
     return _decay(n_total, high, low)
 
 

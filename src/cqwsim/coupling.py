@@ -226,17 +226,17 @@ def couple_wells(
     ``ground`` is one well's ground state, ``excited`` its right neighbor's
     excited state solved with all potentials lowered by the bias, so both
     energies live in the same global frame. The alignment precondition
-    |E_ground - E_excited| <= 1e-6 must hold.
+    |E_ground - E_excited| <= 1e-6 / d^2 must hold.
 
     The overlap and coupling elements come from ``coupling_integrals``, and
     ``split_pair`` checks that tunneling dominates the alignment residual.
     """
     e_a = ground.energy
     e_b = excited.energy
-    if abs(e_a - e_b) > ALIGNMENT_TOL:
+    if abs(e_a - e_b) * (params.d * params.d) > ALIGNMENT_TOL:
         raise DomainError(
             f"wells misaligned: left ground {e_a} vs right excited {e_b} "
-            f"differ by {abs(e_a - e_b)}, tolerance {ALIGNMENT_TOL}"
+            f"differ by {abs(e_a - e_b)}, tolerance {ALIGNMENT_TOL} / d^2"
         )
     ints = coupling_integrals(ground, excited, params)
     s = ints.overlap

@@ -214,13 +214,13 @@ def _level_energy(params: WellParams, n: int) -> float:
     lo = params.v2 + (n * pi / params.d) ** 2
     hi = min(params.v2 + ((n + 1) * pi / params.d) ** 2, params.v1 - params.b)
     phase = _phase_of(params)
-    return bisect_root(lambda e: phase(e) - n * pi, lo, hi, ENERGY_TOL)
+    return bisect_root(lambda e: phase(e) - n * pi, lo, hi, ENERGY_TOL / (params.d * params.d))
 
 
 def solve_bound_states(params: WellParams) -> list[BoundState]:
     """All bound levels of the well, ordered by branch index.
 
-    Each energy is bisected to the absolute tolerance ``ENERGY_TOL``.
+    Each energy is bisected to ``ENERGY_TOL`` in units of the energy scale 1/d^2.
 
     Returns
     -------
@@ -231,10 +231,12 @@ def solve_bound_states(params: WellParams) -> list[BoundState]:
     -----
     The bisection stops on the energy width alone, so the phase residual
     at a returned level is at most the phase slope
-    (d + 1/nu + 1/delta) / (2 kappa) times ``ENERGY_TOL``. The slope grows
-    like 1/delta toward the window top, so the residual exceeds 1e-9 only
-    within about 1e-8 of v1 - b; the largest seen over 102,810 levels of
-    random wells was 3.6e-9.
+    (d + 1/nu + 1/delta) / (2 kappa) times ``ENERGY_TOL`` / d^2: the slope
+    of the scale-free well (V, 0, b d^2, 1) times ``ENERGY_TOL``, the same
+    at every scale. It grows like 1/delta toward the window top, so the
+    residual exceeds 1e-9 only within about 1e-8 / d^2 of v1 - b; the
+    largest seen over 102,821 levels of random wells (d from 0.05 to 3)
+    was 1.6e-10.
     """
     return _lowest_states(params, count_levels(params))
 
@@ -521,20 +523,26 @@ def count_nodes(psi: np.ndarray) -> int:
 def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     """Search the bias b at which the level spacing equals the bias itself.
 
+    The well (v1, v2, b, d) has the levels of (V, 0, b d^2, 1), with the
+    scale-free depth V = (v1 - v2) d^2, divided by d^2 and raised by v2. So
+    the search runs on (V, 0, b, 1) and divides its root by d^2, whether a
+    design exists depends on V alone (from 24.95 to 64.08 on a scan of V in
+    steps of 0.01), and every tolerance is in units of the energy scale 1/d^2.
+
     By Hellmann-Feynman dE_n/db = -P_n, where P_n < 1 is the weight of
     level n in the right barrier, the only part of the potential b moves.
     So h(b) = (E1 - E0) - b has slope P0 - P1 - 1 < 0, and each level nears
-    the window top v1 - b at rate 1 - P_n > 0: h strictly decreases and the
+    the window top V - b at rate 1 - P_n > 0: h strictly decreases and the
     level count, the ceiling of the top phase over pi, never rises with b.
     The biases holding exactly two levels thus form one interval [b3, b2],
     and h has at most one root there. Bisecting the top phase
-    sqrt(v1 - v2 - b) d - arctan(sqrt(b / (v1 - v2 - b))), which decreases
-    in b, against pi gives b2 and against 2 pi gives b3 (the bottom of the
-    bias range if the well never holds three levels); both move inward by
-    one step, DESIGN_TOL / 10 or a few ulps of the potentials if those are
-    coarser. A root exists iff h(b2) <= 0 <= h(b3), and bisecting h on
-    [b3, b2] to one step finds it. The root must leave exactly two levels
-    with |h| <= DESIGN_TOL, and the second-well shift identity (all
+    sqrt(V - b) - arctan(sqrt(b / (V - b))), which decreases in b, against
+    pi gives b2 and against 2 pi gives b3 (the bias floor 1e-6 if the well
+    never holds three levels); both move inward by one step, DESIGN_TOL /
+    10 or 4 ulps of V if those are coarser. A root exists iff
+    h(b2) <= 0 <= h(b3), and bisecting h on [b3, b2] to one step finds it.
+    The root over d^2 must leave exactly two levels with
+    |h| d^2 <= DESIGN_TOL, and the second-well shift identity (all
     potentials lowered by b shift the energies by -b) is verified
     numerically.
 
@@ -552,35 +560,36 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     """
     if not (d > 0) or not (v1 > v2):
         raise DomainError(f"need d > 0 and v1 > v2, got d={d}, v1={v1}, v2={v2}")
-    lo_b, hi_b = 1e-6, (v1 - v2) - 1e-6
-    if hi_b <= lo_b:
-        raise InfeasibleDesignError(
-            f"bias range ({lo_b}, {v1 - v2}) is empty for v1={v1}, v2={v2}"
-        )
-    step = max(DESIGN_TOL / 10.0, 4 * ulp(max(abs(v1), abs(v2))))
+    scale = d * d
+    depth = (v1 - v2) * scale
+    lo_b, hi_b = 1e-6, depth - 1e-6
     well = f"v1={v1}, v2={v2}, d={d}"
+    if hi_b <= lo_b:
+        raise InfeasibleDesignError(f"bias range ({lo_b}, {depth}) / d^2 is empty for {well}")
+    step = max(DESIGN_TOL / 10.0, 4 * ulp(depth))
 
     def top_phase(bias: float) -> float:
-        kappa = sqrt(v1 - v2 - bias)
-        return (kappa * d - atan2(sqrt(bias), kappa)) / pi
+        kappa = sqrt(depth - bias)
+        return (kappa - atan2(sqrt(bias), kappa)) / pi
 
     def spacing_residual(bias: float) -> float:
-        params = WellParams(v1, v2, bias, d)
+        params = WellParams(depth, 0.0, bias, 1.0)
         e0 = _level_energy(params, 0)
         return _level_energy(params, 1) - e0 - bias
 
     top = top_phase(lo_b)
     if top <= 1.0:
         raise InfeasibleDesignError(
-            f"no bias in ({lo_b}, {hi_b}) yields two bound levels for {well}: "
-            f"the second level is unbound already at b={lo_b}"
+            f"no bias in ({lo_b}, {hi_b}) / d^2 yields two bound levels for {well}: "
+            f"the second level is unbound already at b={lo_b} / d^2"
         )
-    b2 = bisect_root(lambda b: top_phase(b) - 1.0, lo_b, v1 - v2, step, top - 1.0) - step
+    b2 = bisect_root(lambda b: top_phase(b) - 1.0, lo_b, depth, step, top - 1.0) - step
     h2 = spacing_residual(b2)
     if h2 > 0:
         raise InfeasibleDesignError(
             f"level spacing exceeds the bias wherever two levels are bound for {well}: "
-            f"(E1 - E0) - b = {h2} at b2={b2}, where the second level leaves the window"
+            f"(E1 - E0) - b = {h2 / scale} at b2={b2 / scale}, where the second level "
+            "leaves the window"
         )
     b3 = lo_b
     if top > 2.0:
@@ -589,27 +598,20 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     if h3 < 0:
         raise InfeasibleDesignError(
             f"alignment root holds three or more bound levels for {well}: "
-            f"(E1 - E0) - b = {h3} at b3={b3}, where the third level leaves the window"
+            f"(E1 - E0) - b = {h3 / scale} at b3={b3 / scale}, where the third level "
+            "leaves the window"
         )
-    b_star = bisect_root(spacing_residual, b3, b2, step, h3, h2)
-    params = WellParams(v1, v2, b_star, d)
-    states = solve_bound_states(params)
+    b_star = bisect_root(spacing_residual, b3, b2, step, h3, h2) / scale
+    states = solve_bound_states(WellParams(v1, v2, b_star, d))
     if len(states) != 2:
         raise InfeasibleDesignError(
             f"two-level condition fails at the alignment root b={b_star}: "
             f"{len(states)} levels"
         )
     residual = (states[1].energy - states[0].energy) - b_star
-    if abs(residual) > DESIGN_TOL:
-        # (v1, v2, d) has the levels of (v1 d^2, v2 d^2, 1) divided by d^2
-        cause = "" if step <= DESIGN_TOL / 10.0 else (
-            f": 4 ulps of the potentials ({step}), not DESIGN_TOL / 10, set the bisection "
-            f"step; design the rescaled well v1={v1 * d * d}, v2={v2 * d * d}, d=1 and "
-            f"divide its bias by d^2={d * d}"
-        )
+    if abs(residual) * scale > DESIGN_TOL:
         raise NumericError(
-            f"alignment residual {residual} exceeds tolerance {DESIGN_TOL} "
-            f"at b={b_star}{cause}"
+            f"alignment residual {residual} exceeds tolerance {DESIGN_TOL} / d^2 at b={b_star}"
         )
     shifted = solve_bound_states(WellParams(v1 - b_star, v2 - b_star, b_star, d))
     if len(shifted) != 2:
@@ -618,7 +620,7 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
         )
     for original, moved in zip(states, shifted):
         drift = moved.energy - (original.energy - b_star)
-        if abs(drift) > 1e-8:
+        if abs(drift) * scale > 1e-8:
             raise NumericError(
                 f"shift identity violated on level {original.index}: "
                 f"drift {drift}"

@@ -508,17 +508,18 @@ def scan_design_reference(v1, v2, d):
 
     Scans h over (1e-6, (v1 - v2) - 1e-6), takes the first sign change
     between two biases that both hold two or more levels, and bisects it at
-    DESIGN_TOL / 10. Raises InfeasibleDesignError when no pair of
-    neighbours brackets a root or the root does not leave exactly two
-    levels. A root on a two-level interval narrower than the scan step
-    goes unseen.
+    DESIGN_TOL / 10 in units of the energy scale 1/d^2. Raises
+    InfeasibleDesignError when no pair of neighbours brackets a root or the
+    root does not leave exactly two levels. A root on a two-level interval
+    narrower than the scan step goes unseen.
     """
     biases = np.linspace(1e-6, (v1 - v2) - 1e-6, 257).tolist()
     residuals = [spacing_residual(v1, v2, d, b) for b in biases]
     for b0, b1, r0, r1 in zip(biases, biases[1:], residuals, residuals[1:]):
         if r0 is not None and r1 is not None and (r0 == 0.0 or r0 * r1 < 0):
             bias = bisect_root(
-                lambda b: spacing_residual(v1, v2, d, b), b0, b1, DESIGN_TOL / 10.0, r0, r1
+                lambda b: spacing_residual(v1, v2, d, b), b0, b1,
+                DESIGN_TOL / 10.0 / (d * d), r0, r1,
             )
             if count_levels(WellParams(v1, v2, bias, d)) != 2:
                 raise InfeasibleDesignError(f"alignment root {bias} does not hold two levels")

@@ -30,9 +30,9 @@ BAL = InitialExcitation.balanced()
 
 def test_marginals_hand_cases():
     p_l, p_m, p_n = marginals(run_cascade(1, H_START, SYM))
-    assert p_l.tolist() == [1.0, 0.0]
-    assert p_m.tolist() == [1.0, 0.0]
-    assert p_n.tolist() == [0.0, 1.0]
+    assert p_l == [1.0, 0.0]
+    assert p_m == [1.0, 0.0]
+    assert p_n == [0.0, 1.0]
     _, p_m3, _ = marginals(run_cascade(3, H_START, SYM))
     assert p_m3 == pytest.approx([0.25, 0.5, 0.25, 0.0], abs=1e-15)
 
@@ -43,15 +43,15 @@ def test_marginals_sum_to_one():
         c = rng.uniform(0.2, 0.8)
         init = InitialExcitation(math.sqrt(c), math.sqrt(1.0 - c))
         for vec in marginals(run_cascade(n, init, SYM)):
-            assert math.fsum(vec.tolist()) == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_balanced_sidebands_identical_bitwise():
     # swapping the sublevels maps the run onto itself, so both sideband
-    # count distributions are the same float array, not merely close
+    # count distributions are the same floats, not merely close
     for n in (5, 12, 22):
         p_l, _, p_n = marginals(run_cascade(n, BAL, SYM))
-        assert np.array_equal(p_l, p_n)
+        assert p_l == p_n
 
 
 def test_joint_pm_hand_case():

@@ -268,6 +268,7 @@ def assert_bitwise(table, reference):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 400), stay_h=STAY, stay_l=STAY, init=STARTS)
+@example(n=400, stay_h=0.995, stay_l=0.6, init=L_START)  # the H start is skipped
 def test_array_cascade_matches_dict_dp_bitwise(n, stay_h, stay_l, init):
     # run_cascade takes the list kernel at these sizes; both kernels must
     # match the dict DP
@@ -285,6 +286,7 @@ def test_array_cascade_matches_dict_dp_bitwise(n, stay_h, stay_l, init):
 )
 @example(n=LIST_LIMIT, stay_h=0.999, stay_l=0.5, init=InitialExcitation.balanced())
 @example(n=LIST_LIMIT + 1, stay_h=0.999, stay_l=0.5, init=InitialExcitation.balanced())
+@example(n=LIST_LIMIT + 1, stay_h=0.995, stay_l=0.6, init=H_START)  # L start skipped
 def test_cascade_matches_dict_dp_across_the_kernel_cutoff(n, stay_h, stay_l, init):
     model = BranchingModel.manual(stay_h, 1.0 - stay_h, 1.0 - stay_l, stay_l)
     table = run_cascade(n, init, model).table
@@ -305,5 +307,9 @@ def test_list_kernel_runs_up_to_the_cutoff(monkeypatch):
     run_cascade(LIST_LIMIT, H_START, SYM)
     assert calls == []
     # one hop per start and ladder step, on arrays of length (N - 1) // 2 + 1
-    run_cascade(LIST_LIMIT + 1, H_START, SYM)
+    run_cascade(LIST_LIMIT + 1, InitialExcitation.balanced(), SYM)
     assert calls == [LIST_LIMIT // 2 + 1] * (2 * LIST_LIMIT)
+    # a start of zero weight is not walked
+    calls.clear()
+    run_cascade(LIST_LIMIT + 1, H_START, SYM)
+    assert calls == [LIST_LIMIT // 2 + 1] * LIST_LIMIT

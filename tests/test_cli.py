@@ -285,24 +285,18 @@ def test_design_refusals_name_cause_and_bias(tmp_path, capsys, argv, cause):
     assert re.search(cause, _refusal(tmp_path, capsys, argv))
 
 
-def test_design_names_the_float_resolution_of_large_potentials(tmp_path, capsys):
+def test_design_of_large_potentials_is_the_rescaled_design(tmp_path):
     # (1e8, 0, 0.0005) is the well (25, 0, 1) at 4e6 times its energy scale;
-    # there 4 ulps of the potentials, not DESIGN_TOL / 10, set the bisection
-    # step, and the residual cannot meet DESIGN_TOL
-    message = _refusal(tmp_path, capsys, ["design", "--v1", "1e8", "--v2", "0", "--d", "0.0005"])
-    match = re.fullmatch(
-        r"alignment residual \S+ exceeds tolerance 1e-09 at b=(\S+): 4 ulps of the "
-        r"potentials \(\S+\), not DESIGN_TOL / 10, set the bisection step; design the "
-        r"rescaled well v1=25.0, v2=0.0, d=1 and divide its bias by d\^2=2.5e-07",
-        message,
+    # the search runs on the scale-free depth (v1 - v2) d^2, so both give
+    # the same bias up to the factor d^2, within DESIGN_TOL / d^2
+    large, scaled = tmp_path / "large", tmp_path / "scaled"
+    argv = ["design", "--v1", "1e8", "--v2", "0", "--d", "0.0005", "--out", str(large)]
+    assert cli.main(argv) == 0
+    assert cli.main(["design", "--v1", "25", "--v2", "0", "--d", "1", "--out", str(scaled)]) == 0
+    bias = read_json(large, "design.json")["bias"]
+    assert bias == pytest.approx(
+        read_json(scaled, "design.json")["bias"] / 2.5e-07, abs=DESIGN_TOL / 2.5e-07
     )
-    assert match
-    # the rescaled well designs, and its bias over d^2 is the refused root
-    # within DESIGN_TOL / d^2
-    out = tmp_path / "scaled"
-    assert cli.main(["design", "--v1", "25", "--v2", "0", "--d", "1", "--out", str(out)]) == 0
-    scaled = read_json(out, "design.json")["bias"] / 2.5e-07
-    assert scaled == pytest.approx(float(match[1]), abs=DESIGN_TOL / 2.5e-07)
 
 
 def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch):
@@ -322,9 +316,9 @@ def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch)
     assert code == 3
     assert json.loads(capsys.readouterr().err) == {
         "error": "numeric",
-        "message": "wells misaligned: left ground 0.09869209628736167 vs right "
-        "excited 0.39476838515025464 differ by 0.29607628886289294, "
-        "tolerance 1e-06",
+        "message": "wells misaligned: left ground 0.09869209628756645 vs right "
+        "excited 0.3947683851502505 differ by 0.296076288862684, "
+        "tolerance 1e-06 / d^2",
     }
     assert len(solved) <= 4
 

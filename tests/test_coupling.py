@@ -342,6 +342,35 @@ def test_designed_chain_equals_the_chain_at_its_bias(depth, d, barrier):
     assert repr(solve_chain(v1, 0.0, d, period, bias=designed.bias)) == repr(designed)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    depth=st.floats(28.0, 58.0),
+    d=st.floats(0.8, 1.25),
+    barrier=st.floats(0.15, 0.5),
+    power=st.integers(-12, 12),
+)
+def test_chain_is_scale_free(depth, d, barrier, power):
+    # (v1 / s^2, 0, s d, s period) has the levels of (v1, 0, d, period)
+    # divided by s^2. For a power of two s every scaling is exact, and so is
+    # each step of the phase and of the bisections, whose tolerances are in
+    # units of 1/d^2: the bias and the energies match bit for bit.
+    s = 2.0**power
+    v1, period = depth / (d * d), d + barrier
+    chain = solve_chain(v1, 0.0, d, period)
+    scaled = solve_chain(v1 / (s * s), 0.0, s * d, s * period)
+    assert scaled.bias == chain.bias / (s * s)
+    energies = [state.energy for state in chain.left + chain.right]
+    assert [state.energy for state in scaled.left + scaled.right] == [
+        e / (s * s) for e in energies
+    ]
+    # the amplitudes scale by 1 / sqrt(s), exactly only when sqrt(s) is a
+    # power of two too
+    if power % 2 == 0:
+        assert scaled.split.delta_e == chain.split.delta_e / (s * s)
+    else:
+        assert scaled.split.delta_e == pytest.approx(chain.split.delta_e / (s * s), rel=1e-12)
+
+
 def test_product_integral_exact_at_alignment(pair_case):
     # Across the barrier the product is e^(-delta_a (x - d)) e^(nu_b (x - P))
     # with exponent (nu_b - delta_a) x; give the right state nu_b = delta_a

@@ -233,10 +233,11 @@ def test_levels_sit_in_hard_wall_brackets(v2, depth, d, bias_fraction):
         assert wave_nodes(state.wave) == n
         residual, branch = transcendental_residual(params, state.energy)
         assert branch == n
-        # the bisection fixes the energy to ENERGY_TOL; only a level within
-        # ~1e-8 of the window top has a phase slope steep enough for that to
-        # exceed 1e-9 in phase
-        assert abs(residual) <= max(1e-9, phase_slope(params, state.energy) * ENERGY_TOL)
+        # the bisection fixes the energy to ENERGY_TOL / d^2; only a level
+        # within ~1e-8 / d^2 of the window top has a phase slope steep enough
+        # for that to exceed 1e-9 in phase
+        tol = ENERGY_TOL / (d * d)
+        assert abs(residual) <= max(1e-9, phase_slope(params, state.energy) * tol)
 
 
 SAMPLES = st.floats(-1e3, 1e3)
@@ -419,13 +420,14 @@ def test_design_matches_the_scan_reference(v1, floor, d):
     except InfeasibleDesignError:
         assert reference is None
         return
+    # the tolerances are in units of the energy scale 1/d^2
     if reference is not None:
-        assert abs(result.bias - reference) <= 2 * DESIGN_TOL / 10
+        assert abs(result.bias - reference) <= 2 * DESIGN_TOL / 10 / (d * d)
     # the new search may find a root on a two-level interval the scan
     # stepped over; either way every postcondition holds
     params = WellParams(v1, v2, result.bias, d)
     assert count_levels(params) == 2
-    assert abs(result.residual) <= DESIGN_TOL
+    assert abs(result.residual) * (d * d) <= DESIGN_TOL
     assert result.residual == result.levels[1].energy - result.levels[0].energy - result.bias
 
 
