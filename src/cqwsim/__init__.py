@@ -47,18 +47,17 @@ _EXPORTS = {
     ),
     "eigensolver": (
         "BoundState", "DesignResult", "PiecewiseWave", "WellParams",
-        "bisect_root", "composite_grid", "count_levels", "count_nodes",
-        "design_alignment", "evaluate_wave", "product_integral",
-        "sample_wavefunction", "solve_bound_states", "transcendental_residual",
-        "wave_nodes",
+        "bisect_root", "composite_grid", "count_levels", "design_alignment",
+        "evaluate_wave", "product_integral", "solve_bound_states",
+        "transcendental_residual", "wave_nodes",
     ),
     "errors": (
         "CqwError", "DomainError", "InfeasibleDesignError", "NumericError",
         "SizeError", "ValidationError",
     ),
     "oracle": (
-        "AuditReport", "PathRecord", "coherence_audit", "enumerate_paths",
-        "iter_paths", "sample_walks", "tv_distance",
+        "AuditReport", "coherence_audit", "enumerate_paths", "sample_walks",
+        "tv_distance",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -32,8 +32,8 @@ from .eigensolver import (
     evaluate_wave,
     product_integral,
 )
-# Unused here: bench/selftest.py::test_missing_traced_name_records_zero
-# deletes this name to test the tracer. Drop it at the next change to bench/.
+# Unused here: bench/tracing.py TARGETS wraps it, and bench/selftest.py::
+# test_missing_traced_name_records_zero deletes it. Drop it when bench/ changes.
 from .eigensolver import simpson  # noqa: F401
 from .errors import DomainError, InfeasibleDesignError, NumericError, ValidationError
 
@@ -112,8 +112,9 @@ class DipoleMatrix(NamedTuple):
 
 
 class SolvedChain(NamedTuple):
-    """The aligned chain: one well's two lowest levels, its right neighbor's (every
-    potential lowered by the bias), and the doublet of their (ground, excited) pair."""
+    """The aligned chain: one well's two lowest levels, its right neighbor's (the same
+    waves, each energy lowered by the bias), and the doublet of their (ground,
+    excited) pair."""
 
     bias: float
     spacing: float
@@ -223,10 +224,10 @@ def couple_wells(
 ) -> CoupledLevels:
     """Split the aligned (left ground, right excited) pair by tunneling.
 
-    ``ground`` is one well's ground state, ``excited`` its right neighbor's
-    excited state solved with all potentials lowered by the bias, so both
-    energies live in the same global frame. The alignment precondition
-    |E_ground - E_excited| <= 1e-6 / d^2 must hold.
+    ``ground`` is one well's ground state, ``excited`` its right neighbor's:
+    the well's own excited state with its energy lowered by the bias, so both
+    live in one global frame. |E_ground - E_excited| <= 1e-6 / d^2 must hold;
+    for a designed chain the difference is the design residual.
 
     The overlap and coupling elements come from ``coupling_integrals``, and
     ``split_pair`` checks that tunneling dominates the alignment residual.
@@ -266,12 +267,10 @@ def mode_frequencies(delta_e: float, splitting: float) -> ModeFrequencies:
     )
 
 
-# The sampled chain is the tests' Simpson reference; no command uses it. It
-# stays in this module, out of the package namespace, because the benchmark
-# tracer wraps cqwsim.coupling.sample_chain_waves and
-# bench/selftest.py::test_missing_traced_name_records_zero expects every
-# other traced name to exist. Move it to tests/oracles.py at the next change
-# to bench/.
+# The tests' Simpson reference, which no command uses. It stays, out of the
+# package namespace, because bench/tracing.py TARGETS wraps sample_chain_waves
+# and bench/selftest.py::test_missing_traced_name_records_zero asserts that it
+# is not missing. Move both to tests/oracles.py when bench/ changes.
 class ChainWaves(NamedTuple):
     """Wavefunction samples spanning three consecutive wells.
 
@@ -296,8 +295,6 @@ def sample_chain_waves(
     n_points: int = 10_000,
 ) -> ChainWaves:
     """Sample the translated well states on a three-well composite grid."""
-    if params.period is None:
-        raise ValidationError("well.period is required to sample a well chain")
     x = composite_grid(params, [ground, excited], n_wells=3, n_points=n_points)
     period = params.period
     return ChainWaves(
@@ -372,30 +369,27 @@ def dipole_matrix(
     return assemble_dipoles(levels, dipole_integrals(ground, excited, period))
 
 
-def _two_lowest(params: WellParams, name: str) -> tuple[BoundState, BoundState]:
-    # only the two lowest levels enter; a deep well can hold thousands
-    held = count_levels(params)
-    if held < 2:
-        raise InfeasibleDesignError(f"{name} holds {held} bound level(s); coupling needs two")
-    return tuple(_lowest_states(params, 2))
-
-
 def solve_chain(
     v1: float, v2: float, d: float, period: float, bias: float | None = None
 ) -> SolvedChain:
     """Solve the chain of wells (v1, v2, d) spaced ``period`` apart, end to end.
 
-    Without ``bias`` the design search finds it, and the levels it solved
-    for its shift-identity check are the chain's. A given bias must leave
-    two levels in the well and in its shifted neighbor, and
-    ``couple_wells`` refuses a pair it does not align.
+    Without ``bias`` the design search finds it, and its levels are the
+    chain's. A given bias must leave two levels in the well, and
+    ``couple_wells`` refuses a pair it does not align. Either way the right
+    neighbor's levels are the well's, lowered by the bias.
     """
     if bias is None:
         design = design_alignment(v1, v2, d)
-        bias, left, right = design.bias, design.levels, design.shifted
+        bias, left = design.bias, design.levels
     else:
-        left = _two_lowest(WellParams(v1, v2, bias, d), "well")
-        right = _two_lowest(WellParams(v1 - bias, v2 - bias, bias, d), "shifted well")
+        # only the two lowest levels enter; a deep well can hold thousands
+        well = WellParams(v1, v2, bias, d)
+        held = count_levels(well)
+        if held < 2:
+            raise InfeasibleDesignError(f"well holds {held} bound level(s); coupling needs two")
+        left = tuple(_lowest_states(well, 2))
+    right = tuple(s._replace(energy=s.energy - bias) for s in left)
     params = WellParams(v1, v2, bias, d, period)
     split = couple_wells(left[0], right[1], params)
     spacing = left[1].energy - left[0].energy
@@ -423,10 +417,13 @@ def branching_model(
         raise ValidationError(
             f"unknown weighting {weighting!r}: expected 'physical' or 'dipole-only'"
         )
-    p_hh, p_hl = _stochastic_row(
-        rate(freqs.omega_zero, dipoles.d_hh), rate(freqs.omega_plus, dipoles.d_hl)
-    )
-    p_ll, p_lh = _stochastic_row(
-        rate(freqs.omega_zero, dipoles.d_ll), rate(freqs.omega_minus, dipoles.d_lh)
-    )
+    try:  # float ** raises where a product would give inf
+        p_hh, p_hl = _stochastic_row(
+            rate(freqs.omega_zero, dipoles.d_hh), rate(freqs.omega_plus, dipoles.d_hl)
+        )
+        p_ll, p_lh = _stochastic_row(
+            rate(freqs.omega_zero, dipoles.d_ll), rate(freqs.omega_minus, dipoles.d_lh)
+        )
+    except OverflowError:
+        raise NumericError(f"omega^3 overflows at omega_plus={freqs.omega_plus}") from None
     return BranchingModel(p_hh, p_hl, p_lh, p_ll, weighting=weighting)

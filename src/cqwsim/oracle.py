@@ -8,9 +8,8 @@ incoherent bookkeeping could deviate from a coherent sum over paths.
 
 from __future__ import annotations
 
-import itertools
 from functools import reduce
-from math import comb, fsum, sqrt
+from math import fsum, sqrt
 from operator import add
 from random import Random
 from typing import Iterator, NamedTuple
@@ -31,21 +30,6 @@ CHUNK_BITS = 1 << 20  # random bits drawn at once by ``_binomial``
 SIGN_MODES = ("all-positive", "cmt-signs")
 
 
-class PathRecord(NamedTuple):
-    """One fully specified trajectory through the cascade.
-
-    ``choices`` holds one stay/cross flag per ladder step; the terminal
-    emission is forced by the final sublevel, so it carries no choice.
-    ``probability`` is the start weight times every branch probability
-    along the way, and ``counts`` the resulting (l, m, n).
-    """
-
-    start: str
-    choices: tuple[bool, ...]
-    counts: CountKey
-    probability: float
-
-
 class AuditReport(NamedTuple):
     """Outcome of the signed-amplitude replay.
 
@@ -60,54 +44,6 @@ class AuditReport(NamedTuple):
     colliding_states: list[CountKey]
 
 
-def iter_paths(
-    n_total: int, init: InitialExcitation, branching: BranchingModel
-) -> Iterator[PathRecord]:
-    """Yield every positive-probability path in deterministic order."""
-    starts = []
-    if init.c_h > 0:
-        starts.append((HIGH, init.c_h * init.c_h))
-    if init.c_l > 0:
-        starts.append((LOW, init.c_l * init.c_l))
-    steps = n_total - 1
-    for branch0, w0 in starts:
-        for bits in range(1 << steps):
-            branch = branch0
-            l = 0
-            n = 0
-            w = w0
-            choices = []
-            for step in range(steps):
-                cross = bool((bits >> step) & 1)
-                choices.append(cross)
-                if branch == HIGH:
-                    if cross:
-                        w *= branching.p_hl
-                        n += 1
-                        branch = LOW
-                    else:
-                        w *= branching.p_hh
-                else:
-                    if cross:
-                        w *= branching.p_lh
-                        l += 1
-                        branch = HIGH
-                    else:
-                        w *= branching.p_ll
-            if w == 0.0:
-                continue
-            if branch == HIGH:
-                n += 1
-            else:
-                l += 1
-            yield PathRecord(
-                start=branch0,
-                choices=tuple(choices),
-                counts=(l, n_total - l - n, n),
-                probability=w,
-            )
-
-
 def enumerate_paths(
     n_total: int, init: InitialExcitation, branching: BranchingModel
 ) -> JointDistribution:
@@ -118,22 +54,21 @@ def enumerate_paths(
 
     The paths of one start are held in lists grouped by their crossing
     count c, each list in path-index order: bit ``step`` of index j is the
-    crossing flag of that step, least significant bit first, as in
-    ``iter_paths``. All paths of a group sit on one sublevel (the start's
-    if c is even, the other if odd), so one rate scales the whole group. A
-    step makes the new group c from group c times its stay rate, then
-    group c - 1 times its cross rate: path j stays as j and crosses as
-    j + 2^step, which lies above every older index, so the order holds.
-    The last step is summed as it is made, so memory is about 2^(N-2)
-    floats per start.
+    crossing flag of that step, least significant bit first. All paths of
+    a group sit on one sublevel (the start's if c is even, the other if
+    odd), so one rate scales the whole group. A step makes the new group c
+    from group c times its stay rate, then group c - 1 times its cross
+    rate: path j stays as j and crosses as j + 2^step, which lies above
+    every older index, so the order holds. The last step is summed as it
+    is made, so memory is about 2^(N-2) floats per start.
 
-    The table equals the sum over ``iter_paths`` bit for bit, in the same
-    key order: each path weight is the start weight times the branch
+    Each value equals the sum of the path weights in path-index order, bit
+    for bit: each path weight is the start weight times the branch
     probabilities multiplied left to right; each group is added in path
     order (zero weights add nothing), and an L-start sum continues from
-    the H-start sum of the same key; and keys appear in the order of
-    their first positive path, H-start paths first. ``reduce`` adds
-    plainly, where the builtin ``sum`` compensates from Python 3.12.
+    the H-start sum of the same key. A key is listed once some path
+    reaches it with positive weight. ``reduce`` adds plainly, where the
+    builtin ``sum`` compensates from Python 3.12.
     """
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
@@ -155,21 +90,15 @@ def enumerate_paths(
             groups = list(_grown(groups, rates))
         # the last step's groups are made and summed one at a time
         final = _grown(groups, rates) if steps else groups
-        found = []
         for c, group in enumerate(final):
-            rank = next(itertools.compress(itertools.count(), group), None)
-            if rank is None:
+            if not any(group):
                 continue
             # H emits into n and L into l, when crossing and when decaying
             # at the end: c // 2 + 1 photons come from the start sublevel
             own, other = c // 2 + 1, (c + 1) // 2
             l, n = (other, own) if start == HIGH else (own, other)
             key = (l, n_total - l - n, n)
-            total = reduce(add, group, table.get(key, 0.0))
-            found.append((_unranked(rank, c, steps), key, total))
-        # sorted by first path index, which no two groups share
-        for _, key, total in sorted(found):
-            table[key] = total
+            table[key] = reduce(add, group, table.get(key, 0.0))
     return JointDistribution(n_total=n_total, table=table)
 
 
@@ -181,18 +110,6 @@ def _grown(groups: list[list[float]], rates) -> Iterator[list[float]]:
         if c:
             group += [w * cross for w in groups[c - 1]]
         yield group
-
-
-def _unranked(rank: int, ones: int, width: int) -> int:
-    """The ``rank``-th smallest ``width``-bit integer with ``ones`` set bits."""
-    index = 0
-    for bit in range(width - 1, -1, -1):
-        below = comb(bit, ones)  # those with this bit clear
-        if rank >= below:
-            index |= 1 << bit
-            rank -= below
-            ones -= 1
-    return index
 
 
 def sample_walks(

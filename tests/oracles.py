@@ -12,11 +12,14 @@ The closed-form wave integrals have two sampled references: ``quad_product``,
 adaptive Gauss-Kronrod quadrature on every region, and the composite
 Simpson route on a uniform grid that the package used before
 (``sampled_coupling_integrals``, and ``sampled_dipole_integrals`` over
-``cqwsim.coupling.sample_chain_waves``).
+``cqwsim.coupling.sample_chain_waves``). ``sample_wavefunction`` and
+``count_nodes`` check a single sampled state's norm and nodes.
 
 ``scan_design_reference`` is the alignment search the package used before
 the closed-form bracket: a 257-point bias scan, then bisection.
 
+``iter_paths`` yields each branch string with its weight, one path at a
+time; ``enumerate_paths`` must equal its fold bit for bit.
 ``array_enumeration`` is the numpy path enumeration the package used
 before its grouped lists. ``walker_samples`` replays the population
 sampler walker by walker: ``below_p`` decides each trial by its own coins
@@ -28,9 +31,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.integrate import simpson as scipy_simpson
 from scipy.linalg import eigh_tridiagonal
 
 from cqwsim import (
@@ -38,6 +43,7 @@ from cqwsim import (
     CouplingIntegrals,
     DipoleIntegrals,
     InfeasibleDesignError,
+    NumericError,
     ValidationError,
     WellParams,
     bisect_root,
@@ -87,6 +93,71 @@ def dict_cascade(n_total, init, branching):
         target = (l, m - l - n, n + 1) if branch == "H" else (l + 1, m - l - n, n)
         table[target] = table.get(target, 0.0) + w
     return table
+
+
+class PathRecord(NamedTuple):
+    """One fully specified trajectory through the cascade.
+
+    ``choices`` holds one stay/cross flag per ladder step; the terminal
+    emission is forced by the final sublevel, so it carries no choice.
+    ``probability`` is the start weight times every branch probability
+    along the way, and ``counts`` the resulting (l, m, n).
+    """
+
+    start: str
+    choices: tuple[bool, ...]
+    counts: tuple[int, int, int]
+    probability: float
+
+
+def iter_paths(n_total, init, branching):
+    """Yield every positive-probability path: H start first, then by index.
+
+    Bit ``step`` of the path index is the crossing flag of that step,
+    least significant bit first.
+    """
+    starts = []
+    if init.c_h > 0:
+        starts.append(("H", init.c_h * init.c_h))
+    if init.c_l > 0:
+        starts.append(("L", init.c_l * init.c_l))
+    steps = n_total - 1
+    for branch0, w0 in starts:
+        for bits in range(1 << steps):
+            branch = branch0
+            l = 0
+            n = 0
+            w = w0
+            choices = []
+            for step in range(steps):
+                cross = bool((bits >> step) & 1)
+                choices.append(cross)
+                if branch == "H":
+                    if cross:
+                        w *= branching.p_hl
+                        n += 1
+                        branch = "L"
+                    else:
+                        w *= branching.p_hh
+                else:
+                    if cross:
+                        w *= branching.p_lh
+                        l += 1
+                        branch = "H"
+                    else:
+                        w *= branching.p_ll
+            if w == 0.0:
+                continue
+            if branch == "H":
+                n += 1
+            else:
+                l += 1
+            yield PathRecord(
+                start=branch0,
+                choices=tuple(choices),
+                counts=(l, n_total - l - n, n),
+                probability=w,
+            )
 
 
 def array_enumeration(n_total, init, branching):
@@ -439,6 +510,49 @@ def quad_product(
         error += part_error
         scale += size
     return value, error + CLOSED_FORM_ROUNDINGS * 2.0**-53 * scale
+
+
+def sample_wavefunction(state, grid):
+    """Sample the wavefunction on ``grid`` and verify its normalization.
+
+    The grid must be ascending, reach at least five decay lengths into each
+    barrier, and hold at least 100 points in each of the three regions.
+    Simpson quadrature of |psi|^2 must land within 1e-6 of one.
+    """
+    x = np.asarray(grid, dtype=float)
+    if x.ndim != 1 or x.size < 3 or np.any(np.diff(x) <= 0):
+        raise ValidationError("grid must be a 1-D ascending array")
+    w = state.wave
+    if x[0] > -5.0 / w.nu or x[-1] < w.width + 5.0 / w.delta:
+        raise ValidationError(
+            "grid must cover five decay lengths into each barrier: need "
+            f"[{-5.0 / w.nu}, {w.width + 5.0 / w.delta}], got [{x[0]}, {x[-1]}]"
+        )
+    counts = {
+        "left barrier": int(np.count_nonzero(x < 0)),
+        "well": int(np.count_nonzero((x >= 0) & (x <= w.width))),
+        "right barrier": int(np.count_nonzero(x > w.width)),
+    }
+    for region, npts in counts.items():
+        if npts < 100:
+            raise ValidationError(
+                f"grid too coarse: {region} has {npts} points, need at least 100"
+            )
+    psi = evaluate_wave(state, x)
+    norm = float(scipy_simpson(psi * psi, x=x))
+    if abs(norm - 1.0) > 1e-6:
+        raise NumericError(
+            f"sampled normalization off by {norm - 1.0}: grid of {x.size} points "
+            f"on [{x[0]}, {x[-1]}]"
+        )
+    return x, psi
+
+
+def count_nodes(psi):
+    """Strict sign changes of a sampled wavefunction."""
+    s = np.sign(psi)
+    s = s[s != 0]
+    return int(np.count_nonzero(s[:-1] * s[1:] < 0))
 
 
 def sampled_coupling_integrals(ground, excited, params, n_points=10_000):

@@ -299,6 +299,23 @@ def test_design_of_large_potentials_is_the_rescaled_design(tmp_path):
     )
 
 
+def test_design_of_a_well_far_wider_than_2_to_53(tmp_path):
+    # (60 * 2^-160, 0, 2^80) is the well (60, 0, 1) scaled by 2^80, exactly:
+    # the same bias up to 2^-160, and unit norms although a step of 1 from
+    # the well's right edge is lost to rounding
+    wide, unit = tmp_path / "wide", tmp_path / "unit"
+    argv = ["design", "--v1", repr(60 * 2.0**-160), "--v2", "0", "--d", repr(2.0**80)]
+    assert cli.main([*argv, "--out", str(wide)]) == 0
+    assert cli.main(["design", "--v1", "60", "--v2", "0", "--d", "1", "--out", str(unit)]) == 0
+    bias = read_json(unit, "design.json")["bias"]
+    assert read_json(wide, "design.json")["bias"] == bias * 2.0**-160
+
+    def norm_residuals(out):
+        return [row.split(",")[-1] for row in (out / "levels.csv").read_text().splitlines()]
+
+    assert norm_residuals(wide) == norm_residuals(unit)
+
+
 def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch):
     # the well holds about 31,800 levels; coupling needs levels 0 and 1
     solved = []
@@ -320,7 +337,7 @@ def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch)
         "excited 0.3947683851502505 differ by 0.296076288862684, "
         "tolerance 1e-06 / d^2",
     }
-    assert len(solved) <= 4
+    assert solved == [0, 1]
 
 
 def test_levels_refuses_a_splitting_below_the_alignment_residual(tmp_path, capsys):
@@ -715,6 +732,12 @@ def _cli_case(draw):
                           "output": {"format": "csv"}}, []))
 @example(case=("simulate", {"n_total": 5, "branching": {"kind": "symmetric"}},
                [f"--n={sys.maxsize // 8 + 1}"]))
+@example(case=("levels", {"well": {"v1": 1e308, "v2": 0.0, "d": 1e200,
+                                   "period": 2e200, "b": 1.0}}, []))
+# (60, 0, 1, 1.25) at 2^400 times its energy scale: the cubes of its emission
+# frequencies, about 4e121, overflow
+@example(case=("levels", {"well": {"v1": 60 * 2.0**400, "v2": 0.0, "d": 2.0**-200,
+                                   "period": 1.25 * 2.0**-200}}, []))
 def test_every_generated_run_exits_cleanly(case):
     mode, document, flags = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -26,6 +26,7 @@ from cqwsim import (
     dipole_integrals,
     mode_frequencies,
     product_integral,
+    solve_bound_states,
     solve_chain,
     split_pair,
 )
@@ -340,6 +341,29 @@ def test_designed_chain_equals_the_chain_at_its_bias(depth, d, barrier):
     v1, period = depth / (d * d), d + barrier
     designed = solve_chain(v1, 0.0, d, period)
     assert repr(solve_chain(v1, 0.0, d, period, bias=designed.bias)) == repr(designed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    depth=st.floats(28.0, 58.0),
+    d=st.floats(0.8, 1.25),
+    barrier=st.floats(0.15, 0.5),
+)
+def test_right_well_is_the_left_well_translated(depth, d, barrier):
+    # the right neighbor is the left well moved by one period with every
+    # potential lowered by the bias: the same waves, each energy lowered by
+    # the bias, whether the bias was designed or given
+    v1, period = depth / (d * d), d + barrier
+    designed = solve_chain(v1, 0.0, d, period)
+    bias = designed.bias
+    for chain in (designed, solve_chain(v1, 0.0, d, period, bias=bias)):
+        assert chain.right == tuple(
+            s._replace(energy=s.energy - bias) for s in chain.left
+        )
+    # and solving the lowered well itself agrees to the solver's tolerance
+    lowered = solve_bound_states(WellParams(v1 - bias, -bias, bias, d))
+    for solved, moved in zip(lowered, designed.right):
+        assert abs(solved.energy - moved.energy) * d * d < 1e-8
 
 
 @settings(max_examples=20, deadline=None)

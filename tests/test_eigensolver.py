@@ -19,18 +19,21 @@ from cqwsim import (
     bisect_root,
     composite_grid,
     count_levels,
-    count_nodes,
     design_alignment,
     evaluate_wave,
     product_integral,
-    sample_wavefunction,
     solve_bound_states,
     transcendental_residual,
     wave_nodes,
 )
 from cqwsim import eigensolver
 from cqwsim.eigensolver import DESIGN_TOL, ENERGY_TOL
-from oracles import scan_design_reference, spacing_residual
+from oracles import (
+    count_nodes,
+    sample_wavefunction,
+    scan_design_reference,
+    spacing_residual,
+)
 
 FINITE = WellParams(50.0, 0.0, 5.0, 1.0)
 DEEP = WellParams(1e4, 0.0, 0.0, 1.0)
@@ -61,6 +64,18 @@ def test_well_params_validation():
         WellParams(50.0, 10.0, 41.0, 1.0)  # floor above the lowered barrier
     with pytest.raises(DomainError):
         WellParams(50.0, 0.0, 5.0, 1.0, period=0.5)  # period must exceed width
+    # beyond float range: (v1 - v2) d^2 or pi^2 / d^2 overflows
+    with pytest.raises(DomainError, match="float range"):
+        WellParams(1e308, 0.0, 1.0, 1e200)
+    with pytest.raises(DomainError, match="float range"):
+        WellParams(1e308, -1e308, 0.0, 1.0)
+    with pytest.raises(DomainError, match="float range"):
+        WellParams(60.0, 0.0, 0.0, 1e-170)
+    # pi^2 / d^2 is finite, but level 1's hard-wall bracket 4 pi^2 / d^2 is not
+    with pytest.raises(DomainError, match="float range"):
+        WellParams(1.7e308, 0.0, 0.0, 3e-154)
+    with pytest.raises(DomainError, match="float range"):
+        design_alignment(1e308, 0.0, 1e200)
 
 
 def test_residual_matches_direct_evaluation():
@@ -343,7 +358,6 @@ def test_design_shift_identity(aligned_design):
     shifted = solve_bound_states(WellParams(60.0 - b, -b, b, 1.0))
     for orig, moved in zip(aligned_design.levels, shifted):
         assert moved.energy == pytest.approx(orig.energy - b, abs=1e-8)
-    assert aligned_design.shifted == tuple(shifted)
 
 
 def test_design_infeasible_cases():

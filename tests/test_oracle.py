@@ -17,13 +17,12 @@ from cqwsim import (
     ValidationError,
     coherence_audit,
     enumerate_paths,
-    iter_paths,
     run_cascade,
     sample_walks,
     tv_distance,
 )
 from cqwsim.oracle import CHUNK_BITS, _binomial
-from oracles import array_enumeration, below_p, walker_samples
+from oracles import array_enumeration, below_p, iter_paths, walker_samples
 
 SYM = BranchingModel.symmetric()
 H_START = InitialExcitation(1.0, 0.0)
@@ -119,9 +118,7 @@ def test_enumeration_is_the_fold_of_iter_paths(n, stay_h, stay_l, init):
     folded = {}
     for record in iter_paths(n, init, model):
         folded[record.counts] = folded.get(record.counts, 0.0) + record.probability
-    table = enumerate_paths(n, init, model).table
-    assert table == folded
-    assert list(table) == list(folded)
+    assert enumerate_paths(n, init, model).table == folded
 
 
 @pytest.mark.parametrize("n", [17, 20])
