@@ -8,7 +8,7 @@ freedom shared between them.
 
 from __future__ import annotations
 
-from math import fsum, log2, sqrt
+from math import fsum, isfinite, log2, sqrt
 from typing import NamedTuple
 
 from .cascade import JointDistribution
@@ -64,9 +64,7 @@ def marginals(dist: JointDistribution) -> tuple[list[float], list[float], list[f
     """Marginal probability lists of l, m, and n, each of length n+1."""
     size = dist.n_total + 1
     p_l, p_m, p_n = [0.0] * size, [0.0] * size, [0.0] * size
-    for key in sorted(dist.table):
-        l, m, n = key
-        f = dist.table[key]
+    for (l, m, n), f in dist.table.items():
         p_l[l] += f
         p_m[m] += f
         p_n[n] += f
@@ -79,21 +77,23 @@ def joint_pm(dist: JointDistribution) -> dict[tuple[int, int], float]:
     The support stays on the three diagonals n - l in {-1, 0, +1}.
     """
     out: dict[tuple[int, int], float] = {}
-    for key in sorted(dist.table):
-        l, _, n = key
-        out[(l, n)] = out.get((l, n), 0.0) + dist.table[key]
+    for (l, _, n), f in dist.table.items():
+        out[(l, n)] = out.get((l, n), 0.0) + f
     return out
 
 
 def _slice_state(
     n_total: int, m: int, slice_f: dict[tuple[int, int], float]
 ) -> ConditionalState:
-    """Classify one fixed-m slice given its positive (l, n) masses."""
+    """Classify one fixed-m slice given its nonzero (l, n) masses."""
+    for (l, n), f in slice_f.items():
+        if not (f > 0.0 and isfinite(f)):
+            raise NumericError(f"slice m={m} holds mass {f} at {(l, m, n)}")
     s = n_total - m
     k = s // 2
-    weight = fsum(slice_f.values())
-    if weight == 0.0:
+    if not slice_f:
         return ConditionalState(m, s, k, "empty", None, None, 0.0)
+    weight = fsum(slice_f.values())
     if s % 2 == 0:
         if set(slice_f) != {(k, k)}:
             raise NumericError(
@@ -111,31 +111,37 @@ def _slice_state(
     return ConditionalState(m, s, k, kind, alpha, beta, weight)
 
 
+def _slices(dist: JointDistribution) -> list[dict[tuple[int, int], float]]:
+    """The nonzero (l, n) masses of each fixed-m slice, by m."""
+    slices: list[dict[tuple[int, int], float]] = [{} for _ in range(dist.n_total + 1)]
+    for (l, m, n), f in dist.table.items():
+        if not 0 <= m <= dist.n_total:
+            raise NumericError(
+                f"entry {(l, m, n)} has central count outside [0, {dist.n_total}]"
+            )
+        if f != 0.0:
+            slices[m][(l, n)] = f
+    return slices
+
+
 def conditional_state(dist: JointDistribution, m: int) -> ConditionalState:
-    """Renormalized (l, n) state of the fixed-m slice of the table."""
+    """Renormalized (l, n) state of the fixed-m slice of the table.
+
+    Raises NumericError for an entry with m outside [0, n_total] and for
+    a slice holding a negative or non-finite mass or a key off its support.
+    """
     if not (0 <= m <= dist.n_total):
         raise DomainError(
             f"central count {m} outside [0, {dist.n_total}]"
         )
-    slice_f = {
-        (l, n): f
-        for (l, mm, n), f in dist.table.items()
-        if mm == m and f > 0.0
-    }
-    return _slice_state(dist.n_total, m, slice_f)
+    return _slice_state(dist.n_total, m, _slices(dist)[m])
 
 
 def conditional_states(dist: JointDistribution) -> list[ConditionalState]:
     """``conditional_state`` for every m in [0, n_total], in one pass."""
-    slices: list[dict[tuple[int, int], float]] = [
-        {} for _ in range(dist.n_total + 1)
-    ]
-    for (l, m, n), f in dist.table.items():
-        if 0 <= m <= dist.n_total and f > 0.0:
-            slices[m][(l, n)] = f
     return [
         _slice_state(dist.n_total, m, slice_f)
-        for m, slice_f in enumerate(slices)
+        for m, slice_f in enumerate(_slices(dist))
     ]
 
 
@@ -186,8 +192,7 @@ def parity_xor(dist: JointDistribution) -> ParityReport:
     even_total = dist.n_total % 2 == 0
     rows = []
     all_hold = True
-    for key in sorted(dist.table):
-        l, m, n = key
+    for l, m, n in dist.table:
         parity_l = l & 1
         parity_n = n & 1
         parity_m = m & 1
@@ -216,9 +221,7 @@ def logical_qubit_projection(
     if m_parity not in (0, 1):
         raise DomainError(f"m parity must be 0 or 1, got {m_parity}")
     support: dict[tuple[int, int], float] = {}
-    for key in sorted(dist.table):
-        l, m, n = key
-        f = dist.table[key]
+    for (l, m, n), f in dist.table.items():
         if f <= 0.0 or (m & 1) != m_parity:
             continue
         pair = (l & 1, n & 1)

@@ -31,7 +31,7 @@ load without the eigensolver.
 
 from __future__ import annotations
 
-from math import frexp, fsum, isfinite, ldexp, sqrt
+from math import copysign, frexp, fsum, isfinite, ldexp, sqrt
 from sys import float_info
 from typing import NamedTuple
 
@@ -59,9 +59,9 @@ class _InitialExcitation(NamedTuple):
 class InitialExcitation(_InitialExcitation):
     """Amplitudes (c_h, c_l) of the starting sublevel superposition.
 
-    Both are nonnegative and c_h^2 + c_l^2 = 1 within 1e-12. Only the
-    squared magnitudes enter the evolution; the amplitudes themselves
-    matter to the sign audit.
+    Both are nonnegative, with the sign bit clear (-0.0 is refused), and
+    c_h^2 + c_l^2 = 1 within 1e-12. Only the squared magnitudes enter the
+    evolution; the amplitudes themselves matter to the sign audit.
     """
 
     __slots__ = ()
@@ -69,7 +69,8 @@ class InitialExcitation(_InitialExcitation):
     def __new__(cls, c_h: float, c_l: float) -> "InitialExcitation":
         if not isfinite(c_h) or not isfinite(c_l):
             raise DomainError("initial amplitudes must be finite")
-        if c_h < 0 or c_l < 0:
+        # by the sign bit, so a negative entry rounded to -0.0 by scaling is refused
+        if copysign(1.0, c_h) < 0 or copysign(1.0, c_l) < 0:
             raise DomainError(
                 f"initial amplitudes must be nonnegative, got ({c_h}, {c_l})"
             )
@@ -92,12 +93,10 @@ class InitialExcitation(_InitialExcitation):
         If c_h^2 + c_l^2 would overflow or fall below the normal range,
         both entries are first scaled by the power of two that brings the
         larger one into [0.5, 1). Elsewhere the direct formula is used
-        unchanged, so those results keep every bit.
+        unchanged, so those results keep every bit. The constructor
+        refuses a negative entry of the scaled pair; division by the norm
+        keeps each sign.
         """
-        if c_h < 0 or c_l < 0:
-            raise DomainError(
-                f"initial amplitudes must be nonnegative, got ({c_h}, {c_l})"
-            )
         total = c_h * c_h + c_l * c_l
         if not float_info.min <= total <= float_info.max:
             exponent = frexp(max(c_h, c_l))[1]
@@ -199,29 +198,38 @@ def _stochastic_row(stay: float, cross: float) -> tuple[float, float]:
 
 
 class JointDistribution:
-    """Final probability table over photon counts (l, m, n)."""
+    """Final probability table over photon counts (l, m, n).
+
+    ``table`` lists its keys in ascending (l, m, n) order, whatever order
+    the producer built them in, so every reader iterates it as it is.
+    """
 
     def __init__(
         self, n_total: int, table: dict[CountKey, float] | None = None
     ) -> None:
         self.n_total = n_total
-        self.table = {} if table is None else table
+        self.table = dict(sorted(table.items())) if table else {}
 
     def total(self) -> float:
-        return fsum(self.table[k] for k in sorted(self.table))
+        return fsum(self.table.values())
 
     def amplitudes(self) -> dict[CountKey, float]:
         """Square roots of the probabilities, for the positive pure state."""
-        return {k: sqrt(self.table[k]) for k in sorted(self.table)}
+        return {k: sqrt(f) for k, f in self.table.items()}
 
 
-def _decay(n_total: int, high: list[float], low: list[float]) -> JointDistribution:
-    """The terminal decay of the final masses ``high[c]`` and ``low[c]``.
+Walk = tuple[list[float], list[float]]
+
+
+def _decay(n_total: int, high: Walk, low: Walk) -> JointDistribution:
+    """The terminal decay of the H start's (``high``) and L start's (``low``)
+    final ``(even, odd)`` masses; a start not walked is ``([], [])``.
 
     The closing photon goes to n from an H sublevel and to l from an L
     sublevel, with probability 1 either way, so crossing count c ends at
     m = n_total - 1 - c. The two starts meet only on the diagonal
-    (k + 1, m, k + 1) reached with c = 2k + 1 odd.
+    (k + 1, m, k + 1) reached with c = 2k + 1 odd, where the sum of two
+    masses does not depend on their order.
     """
     top = n_total - 1
     table: dict[CountKey, float] = {}
@@ -230,43 +238,30 @@ def _decay(n_total: int, high: list[float], low: list[float]) -> JointDistributi
         if w != 0.0:
             table[target] = table.get(target, 0.0) + w
 
-    # H-sublevel decays first, then L, each in increasing (l, n): the
-    # order of the sorted (sublevel, l, n) keys.
-    for c in range(n_total):
-        k = c // 2
-        if c & 1:
-            decay((k + 1, top - c, k + 1), low[c])
-        else:
-            decay((k, top - c, k + 1), high[c])
-    for c in range(n_total):
-        k = c // 2
-        if c & 1:
-            decay((k + 1, top - c, k + 1), high[c])
-        else:
-            decay((k + 1, top - c, k), low[c])
+    (h_even, h_odd), (l_even, l_odd) = high, low
+    for k, w in enumerate(h_even):
+        decay((k, top - 2 * k, k + 1), w)
+    for k, w in enumerate(l_even):
+        decay((k + 1, top - 2 * k, k), w)
+    for odd in (h_odd, l_odd):
+        for k, w in enumerate(odd):
+            decay((k + 1, top - 1 - 2 * k, k + 1), w)
     return JointDistribution(n_total=n_total, table=table)
-
-
-def _by_crossing(even: list[float], odd: list[float], size: int) -> list[float]:
-    """Masses over c = 0..size - 1 from ``even[j]`` (c = 2j), ``odd[j]`` (2j + 1)."""
-    out = even + odd
-    out[0::2] = even
-    out[1::2] = odd
-    return out[:size]
 
 
 def _walk(
     steps: int, mass: float, stay_a: float, cross_a: float,
     stay_b: float, cross_b: float,
-) -> list[float]:
-    """One start's masses over c = 0..steps after ``steps`` hops.
+) -> Walk:
+    """One start's ``(even, odd)`` masses after ``steps`` hops.
 
     The start sits on sublevel a with rates (stay_a, cross_a); the other
     sublevel b has (stay_b, cross_b). Even crossing counts sit on a, odd
-    ones on b, so ``even[j]`` holds c = 2j and ``odd[j]`` holds c = 2j + 1.
-    The lists grow by one entry per hop, so their growing edge holds a lone
-    product where ``evolve_step`` adds it to a padded 0.0, which leaves it
-    unchanged: every bit matches ``_walk_arrays``.
+    ones on b, so ``even[j]`` holds c = 2j and ``odd[j]`` holds c = 2j + 1,
+    with steps // 2 + 1 and (steps + 1) // 2 entries. The lists grow by one
+    entry per hop, so their growing edge holds a lone product where
+    ``evolve_step`` adds it to a padded 0.0, which leaves it unchanged:
+    every bit matches ``_walk_arrays``.
     """
     even = [mass]
     odd: list[float] = []
@@ -279,7 +274,7 @@ def _walk(
         else:
             new_odd.append(even[-1] * cross_a)
         even, odd = new_even, new_odd
-    return _by_crossing(even, odd, steps + 1)
+    return even, odd
 
 
 def evolve_step(
@@ -301,8 +296,8 @@ def evolve_step(
 def _walk_arrays(
     steps: int, mass: float, stay_a: float, cross_a: float,
     stay_b: float, cross_b: float,
-) -> list[float]:
-    """``_walk`` on two float64 arrays, each as long as the last ``even``."""
+) -> Walk:
+    """``_walk`` on two zero-padded float64 arrays, the padding cut off after."""
     import numpy as np
 
     even = np.zeros(steps // 2 + 1)
@@ -311,7 +306,7 @@ def _walk_arrays(
     for _ in range(steps):
         # looked up on each hop, so a wrapper set on the module sees every call
         even, odd = evolve_step(even, odd, stay_a, cross_a, stay_b, cross_b)
-    return _by_crossing(even.tolist(), odd.tolist(), steps + 1)
+    return even.tolist(), odd[:(steps + 1) // 2].tolist()
 
 
 def run_cascade(
@@ -327,10 +322,10 @@ def run_cascade(
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     walk = _walk if n_total <= LIST_LIMIT else _walk_arrays
-    b, zeros = branching, [0.0] * n_total
+    b, nothing = branching, ([], [])
     mass_h, mass_l = init.c_h * init.c_h, init.c_l * init.c_l
-    high = walk(n_total - 1, mass_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh) if mass_h else zeros
-    low = walk(n_total - 1, mass_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl) if mass_l else zeros
+    high = walk(n_total - 1, mass_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh) if mass_h else nothing
+    low = walk(n_total - 1, mass_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl) if mass_l else nothing
     return _decay(n_total, high, low)
 
 

@@ -340,16 +340,11 @@ def _run_levels(config: RunConfig) -> int:
 def _run_simulate(config: RunConfig) -> int:
     model = _resolve_model(config)
     dist = run_cascade(config.n, config.init, model)
-    amps = dist.amplitudes()
     table_rows = []
     csv_rows = []
-    for key in sorted(dist.table):
-        l, m, n = key
-        f = dist.table[key]
-        table_rows.append(
-            {"l": l, "m": m, "n": n, "f": f, "amp": amps[key]}
-        )
-        csv_rows.append([l, m, n, f, amps[key]])
+    for ((l, m, n), f), amp in zip(dist.table.items(), dist.amplitudes().values()):
+        table_rows.append({"l": l, "m": m, "n": n, "f": f, "amp": amp})
+        csv_rows.append([l, m, n, f, amp])
     document = {
         "n": config.n,
         "init": {"ch": config.init.c_h, "cl": config.init.c_l},
@@ -413,7 +408,7 @@ def _run_verify(config: RunConfig) -> int:
     model = _resolve_model(config)
     dist = run_cascade(config.n, config.init, model)
     exact = enumerate_paths(config.n, config.init, model)
-    keys = sorted(set(dist.table) | set(exact.table))
+    keys = dist.table.keys() | exact.table.keys()
     max_abs_diff = max(
         abs(dist.table.get(key, 0.0) - exact.table.get(key, 0.0))
         for key in keys

@@ -66,9 +66,10 @@ def enumerate_paths(
     for bit: each path weight is the start weight times the branch
     probabilities multiplied left to right; each group is added in path
     order (zero weights add nothing), and an L-start sum continues from
-    the H-start sum of the same key. A key is listed once some path
-    reaches it with positive weight. ``reduce`` adds plainly, where the
-    builtin ``sum`` compensates from Python 3.12.
+    the H-start sum of the same key. A key enters the table once some
+    path reaches it with positive weight; ``JointDistribution`` lists the
+    keys in ascending order. ``reduce`` adds plainly, where the builtin
+    ``sum`` compensates from Python 3.12.
     """
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
@@ -128,9 +129,9 @@ def sample_walks(
     p_lh from L) and keeps the rest. Each draw is ``_binomial``, so a
     given seed reproduces byte-identical frequencies, and the result is
     the one a walker-by-walker comparison of uniforms with p would give
-    on the same random bits. The table lists keys by ascending code
-    l (N + 1) + n. Time is O(N^2) draws plus about 2 ``count`` random
-    bits per step; memory does not grow with ``count``.
+    on the same random bits; the table's keys then ascend like any
+    ``JointDistribution``'s. Time is O(N^2) draws plus about 2 ``count``
+    random bits per step; memory does not grow with ``count``.
     """
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
@@ -161,9 +162,8 @@ def sample_walks(
             continue
         key = (l, m - l - n, n + 1) if branch == HIGH else (l + 1, m - l - n, n)
         hits[key] = hits.get(key, 0) + k
-    order = sorted(hits, key=lambda key: key[0] * (n_total + 1) + key[2])
     return JointDistribution(
-        n_total=n_total, table={key: hits[key] / count for key in order}
+        n_total=n_total, table={key: k / count for key, k in hits.items()}
     )
 
 
@@ -214,7 +214,7 @@ def tv_distance(p, q) -> float:
     """
     p_table = _table_of(p)
     q_table = _table_of(q)
-    keys = sorted(set(p_table) | set(q_table))
+    keys = p_table.keys() | q_table.keys()
     return 0.5 * fsum(abs(p_table.get(k, 0.0) - q_table.get(k, 0.0)) for k in keys)
 
 
@@ -286,7 +286,7 @@ def coherence_audit(
             contribution = low_sign * amp[key]
         final_amp[target] = final_amp.get(target, 0.0) + contribution
         final_paths[target] = final_paths.get(target, 0) + paths[key]
-    norm = fsum(final_amp[k] ** 2 for k in sorted(final_amp))
+    norm = fsum(a ** 2 for a in final_amp.values())
     colliding = sorted(k for k, c in final_paths.items() if c >= 2)
     return AuditReport(
         sign_mode=sign_mode, final_norm=norm, colliding_states=colliding

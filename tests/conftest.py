@@ -1,5 +1,7 @@
-"""Shared fixtures: the aligned pair is expensive, solve it once per run."""
+"""Shared fixtures (the aligned pair is expensive, solve it once per run) and
+the warning rules of this directory."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +12,22 @@ V1 = 60.0
 V2 = 0.0
 D = 1.0
 PERIOD = 1.25
+
+# An unclosed file or process fails a test here instead of warning. The rules
+# sit on the items of this directory, not in pyproject.toml, because
+# bench/run.py reaps its jobs with os.wait4 and its Popen objects warn.
+_UNCLOSED_IS_AN_ERROR = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
+
+
+def pytest_collection_modifyitems(items):
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            for mark in _UNCLOSED_IS_AN_ERROR:
+                item.add_marker(mark)
 
 
 @pytest.fixture(scope="session")

@@ -251,6 +251,9 @@ def test_conditional_states_match_per_slice_calls():
     ({(2, 2, 0): 1.0}, 2),
     ({(1, 1, 1): 0.5, (0, 1, 3): 0.5}, 1),
     ({(1, 2, 1): 0.75, (0, 3, 2): 0.25}, 3),
+    # an entry off [0, n_total] in m, and a slice holding negative mass
+    ({(0, 5, 0): 0.5, (1, 2, 1): 0.5}, 2),
+    ({(1, 2, 1): 1.5, (1, 1, 2): -0.5}, 1),
 ])
 def test_conditional_states_rejects_malformed_slice(table, bad_m):
     bad = JointDistribution(n_total=4, table=table)

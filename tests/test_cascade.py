@@ -13,9 +13,16 @@ from cqwsim import (
     BranchingModel,
     DomainError,
     InitialExcitation,
+    JointDistribution,
     ValidationError,
     WellParams,
+    conditional_states,
+    enumerate_paths,
+    joint_pm,
+    marginals,
+    parity_xor,
     run_cascade,
+    sample_walks,
     support_partition,
     support_set,
 )
@@ -91,6 +98,12 @@ def test_initial_excitation_normalized_and_balanced():
     bal = InitialExcitation.balanced()
     assert bal.c_h == bal.c_l
     assert bal.c_h**2 + bal.c_l**2 == pytest.approx(1.0, abs=1e-12)
+    # the constructor's checks refuse the scaled pair
+    bad = [(-1.0, 0.0), (-3.0, 4.0), (-math.inf, 0.0), (math.nan, 1.0),
+           (-1e-320, 1e10)]  # scales to (-0.0, 1.0)
+    for c_h, c_l in bad:
+        with pytest.raises(DomainError):
+            InitialExcitation.normalized(c_h, c_l)
 
 
 @pytest.mark.parametrize("c_h, c_l, expected", [
@@ -263,7 +276,7 @@ def array_cascade(n_total, init, branching):
 
 def assert_bitwise(table, reference):
     assert table == reference
-    assert list(table) == list(reference)
+    assert list(table) == sorted(table)
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,3 +326,35 @@ def test_list_kernel_runs_up_to_the_cutoff(monkeypatch):
     calls.clear()
     run_cascade(LIST_LIMIT + 1, H_START, SYM)
     assert calls == [LIST_LIMIT // 2 + 1] * LIST_LIMIT
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12), stay_h=STAY, stay_l=STAY, init=STARTS,
+    count=st.integers(1, 50), seed=st.integers(0, 2**32),
+)
+@example(n=5, stay_h=0.5, stay_l=0.5, init=InitialExcitation.balanced(),
+         count=20, seed=0)  # the two starts' keys interleave
+@example(n=6, stay_h=0.3, stay_l=0.6, init=L_START, count=7, seed=1)
+def test_every_table_lists_its_keys_in_ascending_order(
+    n, stay_h, stay_l, init, count, seed
+):
+    model = BranchingModel.manual(stay_h, 1.0 - stay_h, 1.0 - stay_l, stay_l)
+    tables = [
+        enumerate_paths(n, init, model).table,
+        sample_walks(n, init, model, count, seed).table,
+    ]
+    # both kernels: the list cutoff set below n puts run_cascade on arrays
+    for limit in (LIST_LIMIT, n - 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cascade_module, "LIST_LIMIT", limit)
+            tables.append(run_cascade(n, init, model).table)
+    for table in tables:
+        assert list(table) == sorted(table)
+    ordered = JointDistribution(n, tables[-1])
+    flipped = JointDistribution(n, dict(reversed(tables[-1].items())))
+    assert list(flipped.table.items()) == list(ordered.table.items())
+    assert conditional_states(flipped) == conditional_states(ordered)
+    assert parity_xor(flipped).rows == parity_xor(ordered).rows
+    assert marginals(flipped) == marginals(ordered)
+    assert list(joint_pm(flipped).items()) == list(joint_pm(ordered).items())
