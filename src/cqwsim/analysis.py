@@ -9,9 +9,9 @@ freedom shared between them.
 from __future__ import annotations
 
 from math import fsum, isfinite, log2, sqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .cascade import JointDistribution
+from .cascade import CountKey, JointDistribution
 from .errors import DomainError, NumericError
 
 
@@ -60,11 +60,27 @@ class LogicalProjection(NamedTuple):
     confined: bool
 
 
+def _entries(dist: JointDistribution) -> Iterator[tuple[CountKey, float]]:
+    """The table's items, refusing an entry with a count outside [0, n_total].
+
+    Raises NumericError naming the first such key.
+    """
+    top = dist.n_total
+    for key, f in dist.table.items():
+        l, m, n = key
+        if not (0 <= l <= top and 0 <= m <= top and 0 <= n <= top):
+            raise NumericError(f"entry {key} has a count outside [0, {top}]")
+        yield key, f
+
+
 def marginals(dist: JointDistribution) -> tuple[list[float], list[float], list[float]]:
-    """Marginal probability lists of l, m, and n, each of length n+1."""
+    """Marginal probability lists of l, m, and n, each of length n+1.
+
+    Raises NumericError for an entry with a count outside [0, n_total].
+    """
     size = dist.n_total + 1
     p_l, p_m, p_n = [0.0] * size, [0.0] * size, [0.0] * size
-    for (l, m, n), f in dist.table.items():
+    for (l, m, n), f in _entries(dist):
         p_l[l] += f
         p_m[m] += f
         p_n[n] += f
@@ -74,10 +90,11 @@ def marginals(dist: JointDistribution) -> tuple[list[float], list[float], list[f
 def joint_pm(dist: JointDistribution) -> dict[tuple[int, int], float]:
     """Joint probability of (l, n), summed over the central count.
 
-    The support stays on the three diagonals n - l in {-1, 0, +1}.
+    The support stays on the three diagonals n - l in {-1, 0, +1}. Raises
+    NumericError for an entry with a count outside [0, n_total].
     """
     out: dict[tuple[int, int], float] = {}
-    for (l, _, n), f in dist.table.items():
+    for (l, _, n), f in _entries(dist):
         out[(l, n)] = out.get((l, n), 0.0) + f
     return out
 
@@ -114,11 +131,7 @@ def _slice_state(
 def _slices(dist: JointDistribution) -> list[dict[tuple[int, int], float]]:
     """The nonzero (l, n) masses of each fixed-m slice, by m."""
     slices: list[dict[tuple[int, int], float]] = [{} for _ in range(dist.n_total + 1)]
-    for (l, m, n), f in dist.table.items():
-        if not 0 <= m <= dist.n_total:
-            raise NumericError(
-                f"entry {(l, m, n)} has central count outside [0, {dist.n_total}]"
-            )
+    for (l, m, n), f in _entries(dist):
         if f != 0.0:
             slices[m][(l, n)] = f
     return slices
@@ -127,8 +140,8 @@ def _slices(dist: JointDistribution) -> list[dict[tuple[int, int], float]]:
 def conditional_state(dist: JointDistribution, m: int) -> ConditionalState:
     """Renormalized (l, n) state of the fixed-m slice of the table.
 
-    Raises NumericError for an entry with m outside [0, n_total] and for
-    a slice holding a negative or non-finite mass or a key off its support.
+    Raises NumericError for an entry with a count outside [0, n_total] and
+    for a slice holding a negative or non-finite mass or a key off its support.
     """
     if not (0 <= m <= dist.n_total):
         raise DomainError(

@@ -15,12 +15,18 @@ before the terminal decay, so each start walks on its own, split by the
 parity of c: ``even[j]`` holds c = 2j and ``odd[j]`` c = 2j + 1. The
 central count m is implied by the step number.
 
-``run_cascade`` picks only the element type of that layout, and both
+``run_cascade`` picks one of three walks of that layout, and all three
 give the same bits. Up to ``LIST_LIMIT`` (1024) photons the two lists
-are plain Python lists (``_walk``) and numpy is never imported: in a
-fresh process, numpy's import costs more than the O(N^2) Python loop up
-to N of about 1300. No branching kind loads numpy before the cascade
-runs, so the cutoff by N alone holds for all of them. Above it they are
+are plain Python lists and numpy is never imported: in a fresh process,
+numpy's import costs more than the O(N^2) Python loop up to N of about
+1300. No branching kind loads numpy before the cascade runs, so the
+cutoff by N alone holds for all of them. Below it, when all four rates
+are 1/2 (the symmetric kind, or manual rows that normalize to 1/2) and
+the start mass is at least 2^(steps - 1022), ``_walk_equal`` adds
+instead of multiplying: halving is exact in the normal range and
+rounding commutes with it, so it takes the factor 2^-steps out of the
+loop and applies it once at the end with no bit changed. Every other
+start below the cutoff runs ``_walk``. Above it the lists are
 zero-padded float64 arrays, advanced one hop at a time by
 ``evolve_step``.
 
@@ -41,11 +47,15 @@ HIGH = "H"
 LOW = "L"
 
 # run_cascade's largest N for the list kernel. Up to it a fresh process
-# saves numpy's import (0.14-0.18 s) at a small cost: the list kernel takes
-# 0.1 / 18 / 74 / 90 ms at N = 22 / 492 / 800 / 1024 against 0.3 / 8 / 15 /
-# 15 ms for the arrays. The two meet near N = 1300 (160 ms against 24 ms plus
-# the import); at N = 1500 the lists take 195 ms and the arrays 36 ms.
-# Measured on a 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
+# saves numpy's import (0.14-0.18 s) at a small cost: the general list kernel
+# takes 0.1 / 18 / 74 / 90 ms at N = 22 / 492 / 800 / 1024 against 0.3 / 8 /
+# 15 / 15 ms for the arrays. The two meet near N = 1300 (160 ms against 24 ms
+# plus the import); at N = 1500 the lists take 195 ms and the arrays 36 ms.
+# With equal branching the add-only walk (_walk_equal) takes about a third:
+# 0.04 / 6 / 18 ms at N = 22 / 492 / 800 in a run where the general kernel
+# took 0.09 / 18 / 49 ms. Its mass bound fails for every start at N >= 1024,
+# so the cutoff is the same for all kinds. Measured on a 2-vCPU VM, Python
+# 3.11.7, numpy 2.4.6.
 LIST_LIMIT = 1024
 
 CountKey = tuple[int, int, int]
@@ -277,6 +287,42 @@ def _walk(
     return even, odd
 
 
+def _walk_equal(steps: int, mass: float) -> Walk:
+    """``_walk`` with every rate 1/2, bit for bit, by additions alone.
+
+    With all rates equal the sublevel no longer matters, so the masses
+    by crossing count c form one row v[c] = even[c // 2] or odd[c // 2],
+    and a hop adds v[c - 1] to v[c]: Pascal's triangle on mass. Float
+    addition commutes, so each row is symmetric bit for bit, v[c] =
+    v[k - c] after k hops, and only its first half is kept, so a hop adds
+    about k / 2 pairs where ``_walk`` multiplies and adds k. The row is
+    mirrored, scaled by 2^-steps once and split by parity at the end.
+
+    Why the bits match ``_walk``: while every value stays normal, halving
+    is exact and rounding commutes with it, so fl(a/2 + b/2) =
+    fl(a + b) / 2, and ``_walk``'s masses after k hops are this row times
+    2^-k. Its smallest value is mass 2^-k (c = 0, and v >= mass for every
+    c), so a mass of at least 2^(steps - 1022) keeps all of them at or
+    above 2^-1022; that also bounds steps by 1022, so no sum exceeds
+    2^1023 and none overflows. A smaller mass runs ``_walk`` itself:
+    below the bound, a halving in ``_walk`` rounds a subnormal and the
+    two walks can differ in the last bit.
+    """
+    if steps > 1022 or mass < ldexp(1.0, steps - 1022):
+        return _walk(steps, mass, 0.5, 0.5, 0.5, 0.5)
+    half = [mass]  # v[0 .. k // 2] after k hops
+    for k in range(steps):
+        new_half = [mass]
+        new_half += [a + b for a, b in zip(half, half[1:])]
+        if k & 1:  # the new middle entry: v[k // 2] on both sides
+            new_half.append(half[-1] + half[-1])
+        half = new_half
+    scale = ldexp(1.0, -steps)
+    half = [v * scale for v in half]
+    row = half + half[-1 - (steps + 1) % 2::-1]
+    return row[0::2], row[1::2]
+
+
 def evolve_step(
     even: np.ndarray, odd: np.ndarray, stay_a: float, cross_a: float,
     stay_b: float, cross_b: float,
@@ -314,19 +360,29 @@ def run_cascade(
 ) -> JointDistribution:
     """Full evolution: n_total - 1 ladder steps then the terminal decay.
 
-    Up to ``LIST_LIMIT`` photons each start runs as Python lists
-    (``_walk``); above it, as numpy arrays (``_walk_arrays``). Both give
-    the same bits. A start of zero weight is not walked: its masses would
-    all be zero, which ``_decay`` drops.
+    Up to ``LIST_LIMIT`` photons each start runs as Python lists: by
+    additions alone (``_walk_equal``) when all four rates are 1/2, as for
+    the symmetric kind, and by ``_walk`` otherwise. Above it each start
+    runs as numpy arrays (``_walk_arrays``). All three give the same bits.
+    A start of zero weight is not walked: its masses would all be zero,
+    which ``_decay`` drops.
     """
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
-    walk = _walk if n_total <= LIST_LIMIT else _walk_arrays
-    b, nothing = branching, ([], [])
-    mass_h, mass_l = init.c_h * init.c_h, init.c_l * init.c_l
-    high = walk(n_total - 1, mass_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh) if mass_h else nothing
-    low = walk(n_total - 1, mass_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl) if mass_l else nothing
-    return _decay(n_total, high, low)
+    b, steps = branching, n_total - 1
+    equal = n_total <= LIST_LIMIT and b[:4] == (0.5, 0.5, 0.5, 0.5)
+    kernel = _walk if n_total <= LIST_LIMIT else _walk_arrays
+
+    def walk(mass: float, *rates: float) -> Walk:
+        if not mass:
+            return [], []
+        return _walk_equal(steps, mass) if equal else kernel(steps, mass, *rates)
+
+    return _decay(
+        n_total,
+        walk(init.c_h * init.c_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh),
+        walk(init.c_l * init.c_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl),
+    )
 
 
 def support_set(n_total: int) -> frozenset[CountKey]:

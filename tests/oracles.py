@@ -20,6 +20,9 @@ the closed-form bracket: a 257-point bias scan, then bisection.
 
 ``iter_paths`` yields each branch string with its weight, one path at a
 time; ``enumerate_paths`` must equal its fold bit for bit.
+``reference_json`` and ``reference_csv`` are the recursive writer the
+package used before its one-pass containers: ``stable_json`` and
+``csv_table`` must give the same bytes and the same refusals.
 ``array_enumeration`` is the numpy path enumeration the package used
 before its grouped lists. ``walker_samples`` replays the population
 sampler walker by walker: ``below_p`` decides each trial by its own coins
@@ -29,6 +32,7 @@ on the same random words as ``cqwsim.oracle._binomial``.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from typing import NamedTuple
@@ -53,6 +57,7 @@ from cqwsim import (
 )
 from cqwsim.coupling import ChainWaves
 from cqwsim.eigensolver import DESIGN_TOL, _level_energy, simpson
+from cqwsim.output import format_float
 
 
 def dict_cascade(n_total, init, branching):
@@ -93,6 +98,50 @@ def dict_cascade(n_total, init, branching):
         target = (l, m - l - n, n + 1) if branch == "H" else (l + 1, m - l - n, n)
         table[target] = table.get(target, 0.0) + w
     return table
+
+
+def _encode(value, indent: int) -> str:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(str(key))}: {_encode(item, indent + 1)}"
+            for key, item in value.items()
+        ]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        # a record is written through its _asdict(), never as a bare array
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [f"{inner}{_encode(item, indent + 1)}" for item in value]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_json(document):
+    """``stable_json`` by one recursive call per value."""
+    return _encode(document, 0) + "\n"
+
+
+def reference_csv(header, rows):
+    """``csv_table`` for bool, int and float cells, each cell by ``_encode``."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_encode(value, 0) for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 class PathRecord(NamedTuple):

@@ -1,6 +1,7 @@
 """Marginals, conditional slices, entropy, parity and purity checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,3 +263,14 @@ def test_conditional_states_rejects_malformed_slice(table, bad_m):
     with pytest.raises(NumericError) as all_slices:
         conditional_states(bad)
     assert str(all_slices.value) == str(per_slice.value)
+
+
+@pytest.mark.parametrize("key", [(0, 5, 0), (5, 0, 0), (0, 0, 5), (-1, 4, 1), (1, -1, 4)])
+def test_marginals_and_joint_pm_refuse_counts_off_range(key):
+    # at the parent marginals raised a bare IndexError on (0, 5, 0), and
+    # joint_pm booked its mass at (l, n) = (0, 0)
+    bad = JointDistribution(n_total=4, table={key: 0.5, (1, 2, 1): 0.5})
+    message = re.escape(f"entry {key} has a count outside [0, 4]")
+    for reduction in (marginals, joint_pm, conditional_states):
+        with pytest.raises(NumericError, match=message):
+            reduction(bad)

@@ -328,6 +328,84 @@ def test_list_kernel_runs_up_to_the_cutoff(monkeypatch):
     assert calls == [LIST_LIMIT // 2 + 1] * LIST_LIMIT
 
 
+def hex_walk(walk):
+    return [[value.hex() for value in side] for side in walk]
+
+
+def equal_walk_bound(steps):
+    return math.ldexp(1.0, steps - 1022)
+
+
+# the bound 2^(steps - 1022), one ulp either side of it, subnormal masses and 1
+@st.composite
+def steps_and_mass(draw):
+    steps = draw(st.integers(0, LIST_LIMIT - 1))
+    bound = equal_walk_bound(steps)
+    mass = draw(st.one_of(
+        st.sampled_from([bound, math.nextafter(bound, 0.0),
+                         math.nextafter(bound, math.inf), 1.0, 5e-324]),
+        st.floats(5e-324, sys.float_info.min, exclude_max=True),
+        st.floats(min(bound, 1.0), 1.0),
+    ))
+    return steps, mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=steps_and_mass())
+@example(case=(0, 1.0))
+@example(case=(1022, 1.0))
+@example(case=(1023, 1.0))
+@example(case=(275, float.fromhex("0x1.91b7585b1e2d6p-774")))  # below the bound
+@example(case=(799, equal_walk_bound(799)))
+def test_equal_walk_matches_the_general_walk_bitwise(case):
+    steps, mass = case
+    expected = cascade_module._walk(steps, mass, 0.5, 0.5, 0.5, 0.5)
+    assert hex_walk(cascade_module._walk_equal(steps, mass)) == hex_walk(expected)
+
+
+def test_equal_walk_runs_only_above_its_bound(monkeypatch):
+    calls = []
+    walk = cascade_module._walk
+
+    def counted(steps, mass, *rates):
+        calls.append((steps, mass, rates))
+        return walk(steps, mass, *rates)
+
+    monkeypatch.setattr(cascade_module, "_walk", counted)
+    for steps in (0, 1, 500, 1022):
+        bound = equal_walk_bound(steps)
+        cascade_module._walk_equal(steps, bound)
+        assert calls == []
+        cascade_module._walk_equal(steps, math.nextafter(bound, 0.0))
+        assert calls == [(steps, math.nextafter(bound, 0.0), (0.5,) * 4)]
+        calls.clear()
+    cascade_module._walk_equal(1023, 1.0)
+    assert len(calls) == 1
+    # run_cascade: equal rates take the add-only walk while the bound holds
+    calls.clear()
+    run_cascade(800, InitialExcitation.balanced(), SYM)
+    assert calls == []
+    run_cascade(LIST_LIMIT - 1, InitialExcitation.balanced(), SYM)
+    assert [steps for steps, _, _ in calls] == [LIST_LIMIT - 2] * 2
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(1, 900), init=STARTS)
+@example(n=800, init=InitialExcitation.balanced())
+@example(n=LIST_LIMIT - 1, init=H_START)  # the equal walk's largest N
+@example(n=LIST_LIMIT, init=L_START)  # past its bound: the general walk
+@example(n=1000, init=InitialExcitation.normalized(1.0, 1e-4))  # L start below it
+def test_symmetric_cascade_matches_manual_halves_and_arrays(n, init):
+    table = run_cascade(n, init, SYM).table
+    manual = BranchingModel.manual(0.5, 0.5, 0.5, 0.5)
+    assert manual[:4] == SYM[:4]
+    assert_bitwise(run_cascade(n, init, manual).table, table)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cascade_module, "LIST_LIMIT", n - 1)
+        assert_bitwise(run_cascade(n, init, SYM).table, table)
+    assert_bitwise(array_cascade(n, init, SYM), table)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 12), stay_h=STAY, stay_l=STAY, init=STARTS,

@@ -523,6 +523,11 @@ _PHYSICS = ["eigensolver", "coupling"]
     (["simulate", "--n", "22", "--branching", "physical", *_PAIR], 0, False, _PHYSICS),
     (["simulate", "--n", "22", "--branching", "dipole-only", *_PAIR], 0, False, _PHYSICS),
     (["simulate", "--n", "8", "--branching", "symmetric", *_PAIR], 0, False, ["eigensolver"]),
+    (["simulate", "--n", str(LIST_LIMIT - 1), "--branching", "symmetric", "--ch", "1",
+      "--cl", "0"], 0, False, []),
+    (["simulate", "--n", str(LIST_LIMIT), "--branching", "symmetric"], 0, False, []),
+    (["analyze", "--n", str(LIST_LIMIT), "--branching", "symmetric"], 0, False,
+     ["analysis"]),
     (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, True, []),
     (["verify", "--n", "8", "--branching", "symmetric"], 0, False, []),
     (["verify", "--n", "8", "--branching", "symmetric", "--samples", "1000"],
@@ -530,6 +535,7 @@ _PHYSICS = ["eigensolver", "coupling"]
 ], ids=["import", "help", "audit", "design", "levels", "simulate-n0", "simulate",
         "analyze", "design-feasible", "levels-feasible", "simulate-physical",
         "simulate-dipole-only", "simulate-symmetric-with-well",
+        "simulate-equal-walk", "simulate-at-cutoff", "analyze-at-cutoff",
         "simulate-array-cascade", "verify", "verify-samples"])
 def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy, extra):
     src = Path(cqwsim.__file__).resolve().parents[1]
@@ -552,6 +558,23 @@ def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy, extra
     assert "dataclasses" not in stdlib
     if not numpy:
         assert stdlib == []
+
+
+def test_output_loads_no_module_beyond_json():
+    # json loads json.encoder, whose C string escaper the writers use
+    probe = (
+        "import json, sys; before = set(sys.modules); import cqwsim.output; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    src = Path(cqwsim.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    # __future__ is the annotations import every cqwsim module starts with
+    assert json.loads(result.stdout) == [
+        "__future__", "cqwsim", "cqwsim.errors", "cqwsim.output",
+    ]
 
 
 def test_namespace_resolves_lazily():

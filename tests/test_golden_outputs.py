@@ -53,6 +53,14 @@ RUNS = {
     "simulate-n1500-manual": (
         ["simulate", "--n", "1500", "--format", "csv"],
         _manual(0.7, 0.3, 0.45, 0.55, 0.6, 0.8)),
+    "simulate-n1000-symmetric": (
+        ["simulate", "--n", "1000", "--branching", "symmetric"], None),
+    "simulate-n1000-symmetric-faint-l": (
+        ["simulate", "--n", "1000", "--branching", "symmetric", "--ch", "1",
+         "--cl", "1e-4"], None),
+    "analyze-n501-symmetric": (
+        ["analyze", "--n", "501", "--branching", "symmetric", "--ch", "0.6",
+         "--cl", "0.8"], None),
     "analyze-n21-symmetric": (
         ["analyze", "--n", "21", "--branching", "symmetric", "--ch", "0.6",
          "--cl", "0.8"], None),
