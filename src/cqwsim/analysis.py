@@ -4,15 +4,20 @@ The support constraint |l - n| <= 1 makes every fixed-m slice at most
 two-dimensional in (l, n), so conditioning on the central count either
 pins the side counts completely or leaves a single two-level degree of
 freedom shared between them.
+
+Every reader trusts the table: ``JointDistribution`` refuses an entry off
+the support, or with a mass that is not finite and positive, when it is
+built. So each (l, n) has one m, a slice is read by looking up its at
+most two keys, and a missing key means the count did not occur.
 """
 
 from __future__ import annotations
 
-from math import fsum, isfinite, log2, sqrt
-from typing import Iterator, NamedTuple
+from math import log2, sqrt
+from typing import NamedTuple
 
-from .cascade import CountKey, JointDistribution
-from .errors import DomainError, NumericError
+from .cascade import JointDistribution
+from .errors import DomainError
 
 
 class ConditionalState(NamedTuple):
@@ -60,27 +65,11 @@ class LogicalProjection(NamedTuple):
     confined: bool
 
 
-def _entries(dist: JointDistribution) -> Iterator[tuple[CountKey, float]]:
-    """The table's items, refusing an entry with a count outside [0, n_total].
-
-    Raises NumericError naming the first such key.
-    """
-    top = dist.n_total
-    for key, f in dist.table.items():
-        l, m, n = key
-        if not (0 <= l <= top and 0 <= m <= top and 0 <= n <= top):
-            raise NumericError(f"entry {key} has a count outside [0, {top}]")
-        yield key, f
-
-
 def marginals(dist: JointDistribution) -> tuple[list[float], list[float], list[float]]:
-    """Marginal probability lists of l, m, and n, each of length n+1.
-
-    Raises NumericError for an entry with a count outside [0, n_total].
-    """
+    """Marginal probability lists of l, m, and n, each of length n+1."""
     size = dist.n_total + 1
     p_l, p_m, p_n = [0.0] * size, [0.0] * size, [0.0] * size
-    for (l, m, n), f in _entries(dist):
+    for (l, m, n), f in dist.table.items():
         p_l[l] += f
         p_m[m] += f
         p_n[n] += f
@@ -90,72 +79,45 @@ def marginals(dist: JointDistribution) -> tuple[list[float], list[float], list[f
 def joint_pm(dist: JointDistribution) -> dict[tuple[int, int], float]:
     """Joint probability of (l, n), summed over the central count.
 
-    The support stays on the three diagonals n - l in {-1, 0, +1}. Raises
-    NumericError for an entry with a count outside [0, n_total].
+    The support stays on the three diagonals n - l in {-1, 0, +1}, and
+    l + n fixes m, so each (l, n) carries one entry of the table.
     """
-    out: dict[tuple[int, int], float] = {}
-    for (l, _, n), f in _entries(dist):
-        out[(l, n)] = out.get((l, n), 0.0) + f
-    return out
-
-
-def _slice_state(
-    n_total: int, m: int, slice_f: dict[tuple[int, int], float]
-) -> ConditionalState:
-    """Classify one fixed-m slice given its nonzero (l, n) masses."""
-    for (l, n), f in slice_f.items():
-        if not (f > 0.0 and isfinite(f)):
-            raise NumericError(f"slice m={m} holds mass {f} at {(l, m, n)}")
-    s = n_total - m
-    k = s // 2
-    if not slice_f:
-        return ConditionalState(m, s, k, "empty", None, None, 0.0)
-    weight = fsum(slice_f.values())
-    if s % 2 == 0:
-        if set(slice_f) != {(k, k)}:
-            raise NumericError(
-                f"even slice m={m} occupies {sorted(slice_f)}, expected {[(k, k)]}"
-            )
-        return ConditionalState(m, s, k, "product", None, None, weight)
-    extras = set(slice_f) - {(k, k + 1), (k + 1, k)}
-    if extras:
-        raise NumericError(
-            f"odd slice m={m} occupies unexpected keys {sorted(extras)}"
-        )
-    alpha = sqrt(slice_f.get((k, k + 1), 0.0) / weight)
-    beta = sqrt(slice_f.get((k + 1, k), 0.0) / weight)
-    kind = "entangled-pair" if alpha > 0.0 and beta > 0.0 else "product"
-    return ConditionalState(m, s, k, kind, alpha, beta, weight)
-
-
-def _slices(dist: JointDistribution) -> list[dict[tuple[int, int], float]]:
-    """The nonzero (l, n) masses of each fixed-m slice, by m."""
-    slices: list[dict[tuple[int, int], float]] = [{} for _ in range(dist.n_total + 1)]
-    for (l, m, n), f in _entries(dist):
-        if f != 0.0:
-            slices[m][(l, n)] = f
-    return slices
+    return {(l, n): f for (l, _, n), f in dist.table.items()}
 
 
 def conditional_state(dist: JointDistribution, m: int) -> ConditionalState:
     """Renormalized (l, n) state of the fixed-m slice of the table.
 
-    Raises NumericError for an entry with a count outside [0, n_total] and
-    for a slice holding a negative or non-finite mass or a key off its support.
+    With s = n_total - m and k = s // 2 the slice holds at most the
+    entry (k, m, k) for an even s, and (k, m, k + 1) and (k + 1, m, k)
+    for an odd s; its weight is their sum, which is correctly rounded.
     """
     if not (0 <= m <= dist.n_total):
         raise DomainError(
             f"central count {m} outside [0, {dist.n_total}]"
         )
-    return _slice_state(dist.n_total, m, _slices(dist)[m])
+    s = dist.n_total - m
+    k = s // 2
+    get = dist.table.get
+    if s % 2 == 0:
+        weight = get((k, m, k), 0.0)
+        if not weight:
+            return ConditionalState(m, s, k, "empty", None, None, 0.0)
+        return ConditionalState(m, s, k, "product", None, None, weight)
+    a = get((k, m, k + 1), 0.0)
+    b = get((k + 1, m, k), 0.0)
+    weight = a + b
+    if not weight:
+        return ConditionalState(m, s, k, "empty", None, None, 0.0)
+    alpha = sqrt(a / weight)
+    beta = sqrt(b / weight)
+    kind = "entangled-pair" if alpha > 0.0 and beta > 0.0 else "product"
+    return ConditionalState(m, s, k, kind, alpha, beta, weight)
 
 
 def conditional_states(dist: JointDistribution) -> list[ConditionalState]:
-    """``conditional_state`` for every m in [0, n_total], in one pass."""
-    return [
-        _slice_state(dist.n_total, m, slice_f)
-        for m, slice_f in enumerate(_slices(dist))
-    ]
+    """``conditional_state`` for every m in [0, n_total]."""
+    return [conditional_state(dist, m) for m in range(dist.n_total + 1)]
 
 
 def entanglement_entropy(cond: ConditionalState) -> float:
@@ -235,7 +197,7 @@ def logical_qubit_projection(
         raise DomainError(f"m parity must be 0 or 1, got {m_parity}")
     support: dict[tuple[int, int], float] = {}
     for (l, m, n), f in dist.table.items():
-        if f <= 0.0 or (m & 1) != m_parity:
+        if (m & 1) != m_parity:
             continue
         pair = (l & 1, n & 1)
         support[pair] = support.get(pair, 0.0) + f

@@ -207,18 +207,47 @@ def _stochastic_row(stay: float, cross: float) -> tuple[float, float]:
     return p, 1.0 - p
 
 
+def _on_support(n_total: int, key: CountKey) -> bool:
+    """Whether ``key`` is an (l, m, n) of int counts in ``support_set(n_total)``."""
+    if type(key) is not tuple or len(key) != 3:
+        return False
+    l, m, n = key
+    # |l - n| <= 1 and l + n >= 1 already make l and n nonnegative
+    return (
+        type(l) is type(m) is type(n) is int and m >= 0
+        and l + m + n == n_total and abs(l - n) <= 1 and l + n >= 1
+    )
+
+
 class JointDistribution:
     """Final probability table over photon counts (l, m, n).
 
-    ``table`` lists its keys in ascending (l, m, n) order, whatever order
-    the producer built them in, so every reader iterates it as it is.
+    Every entry lies on the support: its key is three int counts in
+    ``support_set(n_total)`` (l + m + n = n_total, |l - n| <= 1,
+    l + n >= 1) and its mass is finite and positive; a count that did not
+    occur has no entry. The constructor checks this once and raises
+    NumericError naming the first entry off it, so the readers in
+    ``analysis`` trust the table as it is. ``table`` lists its keys in
+    ascending (l, m, n) order, whatever order the producer built them in.
     """
 
     def __init__(
         self, n_total: int, table: dict[CountKey, float] | None = None
     ) -> None:
+        table = table or {}
+        for key, f in table.items():
+            if not _on_support(n_total, key):
+                raise NumericError(
+                    f"entry {key} is off the support of N = {n_total}: "
+                    "l + m + n = N, |l - n| <= 1, l + n >= 1"
+                )
+            if not (f > 0.0 and isfinite(f)):
+                raise NumericError(
+                    f"entry {key} of N = {n_total} holds mass {f}, "
+                    "not finite and positive"
+                )
         self.n_total = n_total
-        self.table = dict(sorted(table.items())) if table else {}
+        self.table = dict(sorted(table.items()))
 
     def total(self) -> float:
         return fsum(self.table.values())

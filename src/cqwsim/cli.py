@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -43,7 +43,10 @@ VERIFY_TOL = 1e-10
 def _as_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float range
+        number = inf
     if not isfinite(number):
         raise ValidationError(f"{key} must be finite, got {value!r}")
     return number

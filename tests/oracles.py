@@ -20,6 +20,10 @@ the closed-form bracket: a 257-point bias scan, then bisection.
 
 ``iter_paths`` yields each branch string with its weight, one path at a
 time; ``enumerate_paths`` must equal its fold bit for bit.
+``reference_conditional_states`` and ``reference_joint_pm`` are the
+slice builder and the summing (l, n) table the analysis used before the
+table checked its own support: ``conditional_states`` and ``joint_pm``
+must give the same values, bit for bit.
 ``reference_json`` and ``reference_csv`` are the recursive writer the
 package used before its one-pass containers: ``stable_json`` and
 ``csv_table`` must give the same bytes and the same refusals.
@@ -44,6 +48,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from cqwsim import (
     BoundState,
+    ConditionalState,
     CouplingIntegrals,
     DipoleIntegrals,
     InfeasibleDesignError,
@@ -142,6 +147,71 @@ def reference_csv(header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(_encode(value, 0) for value in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _entries(dist):
+    """The table's items, refusing an entry with a count outside [0, n_total].
+
+    Raises NumericError naming the first such key.
+    """
+    top = dist.n_total
+    for key, f in dist.table.items():
+        l, m, n = key
+        if not (0 <= l <= top and 0 <= m <= top and 0 <= n <= top):
+            raise NumericError(f"entry {key} has a count outside [0, {top}]")
+        yield key, f
+
+
+def reference_joint_pm(dist):
+    """Joint probability of (l, n), summed over the central count."""
+    out = {}
+    for (l, _, n), f in _entries(dist):
+        out[(l, n)] = out.get((l, n), 0.0) + f
+    return out
+
+
+def _slice_state(n_total, m, slice_f):
+    """Classify one fixed-m slice given its nonzero (l, n) masses."""
+    for (l, n), f in slice_f.items():
+        if not (f > 0.0 and math.isfinite(f)):
+            raise NumericError(f"slice m={m} holds mass {f} at {(l, m, n)}")
+    s = n_total - m
+    k = s // 2
+    if not slice_f:
+        return ConditionalState(m, s, k, "empty", None, None, 0.0)
+    weight = math.fsum(slice_f.values())
+    if s % 2 == 0:
+        if set(slice_f) != {(k, k)}:
+            raise NumericError(
+                f"even slice m={m} occupies {sorted(slice_f)}, expected {[(k, k)]}"
+            )
+        return ConditionalState(m, s, k, "product", None, None, weight)
+    extras = set(slice_f) - {(k, k + 1), (k + 1, k)}
+    if extras:
+        raise NumericError(
+            f"odd slice m={m} occupies unexpected keys {sorted(extras)}"
+        )
+    alpha = math.sqrt(slice_f.get((k, k + 1), 0.0) / weight)
+    beta = math.sqrt(slice_f.get((k + 1, k), 0.0) / weight)
+    kind = "entangled-pair" if alpha > 0.0 and beta > 0.0 else "product"
+    return ConditionalState(m, s, k, kind, alpha, beta, weight)
+
+
+def _slices(dist):
+    """The nonzero (l, n) masses of each fixed-m slice, by m."""
+    slices = [{} for _ in range(dist.n_total + 1)]
+    for (l, m, n), f in _entries(dist):
+        if f != 0.0:
+            slices[m][(l, n)] = f
+    return slices
+
+
+def reference_conditional_states(dist):
+    """Every fixed-m slice's state, from the table's full slices, by m."""
+    return [
+        _slice_state(dist.n_total, m, slice_f)
+        for m, slice_f in enumerate(_slices(dist))
+    ]
 
 
 class PathRecord(NamedTuple):

@@ -1,10 +1,11 @@
 """Marginals, conditional slices, entropy, parity and purity checks."""
 
 import math
-import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cqwsim import (
     BranchingModel,
@@ -22,7 +23,9 @@ from cqwsim import (
     parity_xor,
     purity_check,
     run_cascade,
+    support_set,
 )
+from oracles import reference_conditional_states, reference_joint_pm
 
 SYM = BranchingModel.symmetric()
 H_START = InitialExcitation(1.0, 0.0)
@@ -114,10 +117,17 @@ def test_conditional_out_of_range():
         conditional_state(dist, 3)
 
 
+def refusal(table, n_total=4):
+    """The message of the NumericError that building ``table`` raises."""
+    with pytest.raises(NumericError) as refused:
+        JointDistribution(n_total=n_total, table=table)
+    return str(refused.value)
+
+
 def test_conditional_rejects_malformed_slice():
-    bad = JointDistribution(n_total=4, table={(2, 2, 0): 1.0})
-    with pytest.raises(NumericError):
-        conditional_state(bad, 2)
+    # |l - n| = 2: the slice readers refused it before, the table now does
+    message = refusal({(2, 2, 0): 1.0})
+    assert message.startswith("entry (2, 2, 0) is off the support of N = 4")
 
 
 def test_conditional_weights_reassemble():
@@ -248,6 +258,41 @@ def test_conditional_states_match_per_slice_calls():
     assert empty > 0
 
 
+# (stay, cross) rows: any split, the absorbing ends, stays in [0.99, 1), and
+# a cross rate so small that two crossings underflow, emptying whole slices
+_ROWS = st.one_of(
+    st.floats(0.0, 1.0).map(lambda p: (p, 1.0 - p)),
+    st.sampled_from([0.0, 1.0]).map(lambda p: (p, 1.0 - p)),
+    st.floats(0.99, 1.0, exclude_max=True).map(lambda p: (p, 1.0 - p)),
+    st.sampled_from([5e-324, 1e-300, 1e-200]).map(lambda t: (1.0, t)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    high=_ROWS,
+    low=_ROWS,
+    c=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)),
+)
+@example(n=9, high=(1.0, 1e-200), low=(0.5, 0.5), c=1.0)
+def test_slice_lookups_match_the_full_slice_reference(n, high, low, c):
+    model = BranchingModel(high[0], high[1], low[1], low[0])
+    init = InitialExcitation(math.sqrt(c), math.sqrt(1.0 - c))
+    dist = run_cascade(n, init, model)
+    states = conditional_states(dist)
+    expected = reference_conditional_states(dist)
+    assert len(states) == len(expected) == n + 1
+    for state, reference in zip(states, expected):
+        assert state == reference
+        assert conditional_state(dist, state.measured_m) == state
+    assert list(joint_pm(dist).items()) == list(reference_joint_pm(dist).items())
+
+
+# Tables the slice readers refused before, by the slice m whose read raised;
+# the table now refuses each when it is built, naming its first bad entry.
+# From (0, 0, 4) on, each was accepted before: an off-support key inside
+# [0, N], masses that are not finite and positive, and a float count.
 @pytest.mark.parametrize("table, bad_m", [
     ({(2, 2, 0): 1.0}, 2),
     ({(1, 1, 1): 0.5, (0, 1, 3): 0.5}, 1),
@@ -255,22 +300,38 @@ def test_conditional_states_match_per_slice_calls():
     # an entry off [0, n_total] in m, and a slice holding negative mass
     ({(0, 5, 0): 0.5, (1, 2, 1): 0.5}, 2),
     ({(1, 2, 1): 1.5, (1, 1, 2): -0.5}, 1),
+    ({(0, 0, 4): 1.0}, 0),
+    ({(1, 2, 1): float("nan")}, 2),
+    ({(1, 2, 1): float("inf")}, 2),
+    ({(1, 2, 1): -0.5}, 2),
+    ({(1, 2, 1): 0.0}, 2),
+    ({(1, 2, 1): -0.0}, 2),
+    ({(1.0, 2, 1): 1.0}, 2),
 ])
 def test_conditional_states_rejects_malformed_slice(table, bad_m):
-    bad = JointDistribution(n_total=4, table=table)
-    with pytest.raises(NumericError) as per_slice:
-        conditional_state(bad, bad_m)
-    with pytest.raises(NumericError) as all_slices:
-        conditional_states(bad)
-    assert str(all_slices.value) == str(per_slice.value)
+    message = refusal(table)
+    named = [key for key in table if message.startswith(f"entry {key} ")]
+    assert len(named) == 1
+    key = named[0]
+    assert message in (
+        f"entry {key} is off the support of N = 4: "
+        "l + m + n = N, |l - n| <= 1, l + n >= 1",
+        f"entry {key} of N = 4 holds mass {table[key]}, not finite and positive",
+    )
 
 
-@pytest.mark.parametrize("key", [(0, 5, 0), (5, 0, 0), (0, 0, 5), (-1, 4, 1), (1, -1, 4)])
+@pytest.mark.parametrize("key", [
+    (0, 5, 0), (5, 0, 0), (0, 0, 5), (-1, 4, 1), (1, -1, 4),
+    # accepted before: inside [0, N] but off the support, and a float count
+    # (on which marginals raised a bare TypeError)
+    (0, 0, 4), (4, 0, 0), (0, 4, 0), (1.0, 2, 1),
+])
 def test_marginals_and_joint_pm_refuse_counts_off_range(key):
-    # at the parent marginals raised a bare IndexError on (0, 5, 0), and
-    # joint_pm booked its mass at (l, n) = (0, 0)
-    bad = JointDistribution(n_total=4, table={key: 0.5, (1, 2, 1): 0.5})
-    message = re.escape(f"entry {key} has a count outside [0, 4]")
-    for reduction in (marginals, joint_pm, conditional_states):
-        with pytest.raises(NumericError, match=message):
-            reduction(bad)
+    # before, marginals raised a bare IndexError on (0, 5, 0), and joint_pm
+    # booked its mass at (l, n) = (0, 0); now no such table is built
+    table = {key: 0.5, (1, 2, 1): 0.5}
+    message = refusal(table)
+    assert message == (
+        f"entry {key} is off the support of N = 4: "
+        "l + m + n = N, |l - n| <= 1, l + n >= 1"
+    )

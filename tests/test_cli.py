@@ -104,7 +104,10 @@ def test_config_structure_errors(tmp_path, capsys, doc, message):
      f"n_total must be at most {sys.maxsize // 8}, got 99999999999999999999"),
     (None, ["--samples", str(cli.SAMPLE_LIMIT + 1)],
      f"sample_count must be at most {cli.SAMPLE_LIMIT}, got {cli.SAMPLE_LIMIT + 1}"),
-], ids=["not-utf8", "deep-nesting", "long-integer", "huge-n", "huge-samples"])
+    # an int beyond float range: float() of it raises OverflowError
+    (b'{"init": {"ch": 1' + b"0" * 400 + b"}}", [], "init.ch must be finite"),
+], ids=["not-utf8", "deep-nesting", "long-integer", "huge-n", "huge-samples",
+        "int-beyond-float"])
 def test_config_edge_cases_exit_2(tmp_path, capsys, config, flags, message):
     argv = ["verify", "--branching", "symmetric", *flags]
     if "--n" not in flags:
@@ -672,7 +675,10 @@ _BAD_TYPES = st.one_of(
     st.text(max_size=3), st.booleans(), st.none(),
     st.lists(st.integers(0, 3), max_size=2), st.just({}),
 )
-_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# an int beyond float range is not finite either: float() of it overflows
+_NON_FINITE = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 10**400, -10**400]
+)
 _OUT_OF_DOMAIN = {
     cli._as_number: st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
     cli._as_count: st.sampled_from([-3, 0, 21, 40, sys.maxsize // 8 + 1]),
@@ -761,6 +767,8 @@ def _cli_case(draw):
 # frequencies, about 4e121, overflow
 @example(case=("levels", {"well": {"v1": 60 * 2.0**400, "v2": 0.0, "d": 2.0**-200,
                                    "period": 1.25 * 2.0**-200}}, []))
+@example(case=("design", {"well": {"v1": 10**400, "v2": 0, "d": 1}}, []))
+@example(case=("simulate", {"n_total": 5, "init": {"ch": 10**400}}, []))
 def test_every_generated_run_exits_cleanly(case):
     mode, document, flags = case
     with tempfile.TemporaryDirectory() as tmp:
