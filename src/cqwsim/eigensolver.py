@@ -218,8 +218,11 @@ def bisect_root(
 
 def _level_energy(params: WellParams, n: int) -> float:
     """Energy of level n, bisected on n pi < kappa d < (n + 1) pi within the window."""
-    lo = params.v2 + (n * pi / params.d) ** 2
-    hi = min(params.v2 + ((n + 1) * pi / params.d) ** 2, params.v1 - params.b)
+    # products, not ** 2: libm's pow is not always correctly rounded, so it
+    # would break the exact scaling of the levels under a power-of-two width
+    edge, next_edge = n * pi / params.d, (n + 1) * pi / params.d
+    lo = params.v2 + edge * edge
+    hi = min(params.v2 + next_edge * next_edge, params.v1 - params.b)
     phase = _phase_of(params)
     return bisect_root(lambda e: phase(e) - n * pi, lo, hi, ENERGY_TOL / (params.d * params.d))
 
