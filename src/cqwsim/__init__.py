@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "cascade": (
         "BranchingModel", "InitialExcitation", "JointDistribution",
-        "run_cascade", "support_partition", "support_set",
+        "run_cascade",
     ),
     "coupling": (
         "CoupledLevels", "CouplingIntegrals", "DipoleIntegrals",

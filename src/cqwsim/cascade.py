@@ -208,7 +208,7 @@ def _stochastic_row(stay: float, cross: float) -> tuple[float, float]:
 
 
 def _on_support(n_total: int, key: CountKey) -> bool:
-    """Whether ``key`` is an (l, m, n) of int counts in ``support_set(n_total)``."""
+    """Whether ``key`` is an (l, m, n) of int counts on the support of ``n_total``."""
     if type(key) is not tuple or len(key) != 3:
         return False
     l, m, n = key
@@ -222,13 +222,13 @@ def _on_support(n_total: int, key: CountKey) -> bool:
 class JointDistribution:
     """Final probability table over photon counts (l, m, n).
 
-    Every entry lies on the support: its key is three int counts in
-    ``support_set(n_total)`` (l + m + n = n_total, |l - n| <= 1,
-    l + n >= 1) and its mass is finite and positive; a count that did not
-    occur has no entry. The constructor checks this once and raises
-    NumericError naming the first entry off it, so the readers in
-    ``analysis`` trust the table as it is. ``table`` lists its keys in
-    ascending (l, m, n) order, whatever order the producer built them in.
+    Every entry lies on the support: its key is three int counts with
+    l + m + n = n_total, |l - n| <= 1 and l + n >= 1, and its mass is
+    finite and positive; a count that did not occur has no entry. The
+    constructor checks this once and raises NumericError naming the first
+    entry off it, so the readers in ``analysis`` trust the table as it is.
+    ``table`` lists its keys in ascending (l, m, n) order, whatever order
+    the producer built them in.
     """
 
     def __init__(
@@ -412,34 +412,3 @@ def run_cascade(
         walk(init.c_h * init.c_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh),
         walk(init.c_l * init.c_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl),
     )
-
-
-def support_set(n_total: int) -> frozenset[CountKey]:
-    """All (l, m, n) reachable for ``n_total`` photons.
-
-    The support is exactly {l + m + n = n_total, |l - n| <= 1, l + n >= 1};
-    in particular the all-central triple (0, n_total, 0) never occurs.
-    """
-    if n_total < 1:
-        raise DomainError(f"photon number must be at least 1, got {n_total}")
-    keys = set()
-    for k in range(1, n_total // 2 + 1):
-        keys.add((k, n_total - 2 * k, k))
-    for l in range((n_total - 1) // 2 + 1):
-        keys.add((l, n_total - 2 * l - 1, l + 1))
-        keys.add((l + 1, n_total - 2 * l - 1, l))
-    return frozenset(keys)
-
-
-def support_partition(n_total: int) -> dict[str, frozenset[CountKey]]:
-    """Split the support by which starting sublevel can reach each triple.
-
-    n = l + 1 triples are reachable only from an H start, l = n + 1 only
-    from an L start, and the diagonal l = n >= 1 from both.
-    """
-    full = support_set(n_total)
-    return {
-        "h_only": frozenset(k for k in full if k[2] == k[0] + 1),
-        "l_only": frozenset(k for k in full if k[0] == k[2] + 1),
-        "shared": frozenset(k for k in full if k[0] == k[2]),
-    }

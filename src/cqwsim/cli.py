@@ -2,13 +2,16 @@
 
 Each subcommand reads an optional JSON config file, applies flag
 overrides on top, runs one pipeline stage, and writes its result files
-into the output directory. Exit codes: 0 success, 2 configuration
-problem, 3 numeric failure or infeasible physics, 4 failed verification.
+into the output directory. The command line is the mode first, then
+exact long flags as ``--flag value`` or ``--flag=value``; the key table
+``_KEYS`` drives the flags, their conversion and ``--help``, without
+argparse. Exit codes: 0 success, 2 configuration problem (a bad command
+line included), 3 numeric failure or infeasible physics, 4 failed
+verification.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from math import inf, isfinite
@@ -470,47 +473,54 @@ def _fail(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a ValidationError instead of exiting."""
+# flag -> (key, type): each value is converted as typed, then checked by
+# load_config like a file value
+_FLAGS = {"--config": ("config", str)} | {
+    spec.flag: (key, _FLAG_TYPES.get(spec.check, str))
+    for key, spec in _KEYS.items() if spec.flag
+}
 
-    def error(self, message: str):
-        raise ValidationError(message)
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
+def _usage() -> str:
+    lines = [f"usage: cqwsim {{{','.join(MODES)}}} [--flag VALUE | --flag=VALUE ...]",
+             "", "Cascaded-well multiphoton emission simulator.", "",
+             "  --config PATH  JSON config file"]
     for key, spec in _KEYS.items():
         if spec.flag:
-            choices = isinstance(spec.check, _OneOf)
-            common.add_argument(
-                spec.flag,
-                dest=key,
-                type=_FLAG_TYPES.get(spec.check, str),
-                metavar="{%s}" % ",".join(spec.check) if choices else None,
-                help=spec.help,
-            )
-    parser = _Parser(
-        prog="cqwsim",
-        description="Cascaded-well multiphoton emission simulator.",
-    )
-    subparsers = parser.add_subparsers(dest="mode", required=True)
-    for mode, text in (
-        ("design", "find the bias aligning neighboring wells"),
-        ("levels", "solve coupling, dipoles, and branching"),
-        ("simulate", "run the cascade and write the count distribution"),
-        ("analyze", "conditional states, parity, and purity"),
-        ("verify", "compare the cascade against exhaustive enumeration"),
-        ("audit", "signed amplitude replay of the cascade"),
-    ):
-        subparsers.add_parser(mode, parents=[common], help=text)
-    return parser
+            kind = _FLAGS[spec.flag][1].__name__.upper()
+            value = "{%s}" % ",".join(spec.check) if isinstance(spec.check, _OneOf) else kind
+            default = "" if spec.default is None else f" (default {spec.default})"
+            lines.append(f"  {spec.flag} {value}  {spec.help}{default}")
+    return "\n".join(lines)
+
+
+def _parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
+    """Read ``MODE --flag VALUE --flag=VALUE ...`` into (mode, config, flags)."""
+    if "-h" in argv or "--help" in argv:
+        print(_usage())
+        raise SystemExit(0)
+    tokens = iter(argv)
+    mode = _KEYS["mode"].check(next(tokens, None), "mode")
+    flags = {}
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in _FLAGS:
+            raise ValidationError(f"unknown argument: {token}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValidationError(f"{flag} expects a value")
+        key, kind = _FLAGS[flag]
+        try:
+            flags[key] = kind(value)
+        except ValueError:
+            raise ValidationError(f"{flag} expects {kind.__name__}, got {value!r}") from None
+    return mode, flags.pop("config", None), flags
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return run(load_config(args.mode, args.config, vars(args)))
+        return run(load_config(*_parse_args(sys.argv[1:] if argv is None else argv)))
     except ValidationError as exc:
         _fail("validation", str(exc))
         return 2

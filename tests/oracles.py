@@ -15,6 +15,10 @@ Simpson route on a uniform grid that the package used before
 ``cqwsim.coupling.sample_chain_waves``). ``sample_wavefunction`` and
 ``count_nodes`` check a single sampled state's norm and nodes.
 
+``support_set`` enumerates the (l, m, n) support of an N-photon table,
+and ``support_partition`` splits it by the starting sublevel that reaches
+each key; the package checks membership key by key instead.
+
 ``scan_design_reference`` is the alignment search the package used before
 the closed-form bracket: a 257-point bias scan, then bisection.
 
@@ -51,6 +55,7 @@ from cqwsim import (
     ConditionalState,
     CouplingIntegrals,
     DipoleIntegrals,
+    DomainError,
     InfeasibleDesignError,
     NumericError,
     ValidationError,
@@ -103,6 +108,37 @@ def dict_cascade(n_total, init, branching):
         target = (l, m - l - n, n + 1) if branch == "H" else (l + 1, m - l - n, n)
         table[target] = table.get(target, 0.0) + w
     return table
+
+
+def support_set(n_total):
+    """All (l, m, n) reachable for ``n_total`` photons.
+
+    The support is exactly {l + m + n = n_total, |l - n| <= 1, l + n >= 1};
+    in particular the all-central triple (0, n_total, 0) never occurs.
+    """
+    if n_total < 1:
+        raise DomainError(f"photon number must be at least 1, got {n_total}")
+    keys = set()
+    for k in range(1, n_total // 2 + 1):
+        keys.add((k, n_total - 2 * k, k))
+    for l in range((n_total - 1) // 2 + 1):
+        keys.add((l, n_total - 2 * l - 1, l + 1))
+        keys.add((l + 1, n_total - 2 * l - 1, l))
+    return frozenset(keys)
+
+
+def support_partition(n_total):
+    """Split the support by which starting sublevel can reach each triple.
+
+    n = l + 1 triples are reachable only from an H start, l = n + 1 only
+    from an L start, and the diagonal l = n >= 1 from both.
+    """
+    full = support_set(n_total)
+    return {
+        "h_only": frozenset(k for k in full if k[2] == k[0] + 1),
+        "l_only": frozenset(k for k in full if k[0] == k[2] + 1),
+        "shared": frozenset(k for k in full if k[0] == k[2]),
+    }
 
 
 def _encode(value, indent: int) -> str:

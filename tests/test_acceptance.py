@@ -35,7 +35,6 @@ from cqwsim import (
     sample_walks,
     solve_bound_states,
     split_pair,
-    support_set,
     tv_distance,
 )
 
@@ -89,6 +88,8 @@ def test_criterion_02_oracle_equivalence():
 
 
 def test_criterion_03_support_law():
+    from oracles import support_set
+
     rng = np.random.default_rng(303)
     points = 0
     for _ in range(40):

@@ -23,9 +23,8 @@ from cqwsim import (
     parity_xor,
     purity_check,
     run_cascade,
-    support_set,
 )
-from oracles import reference_conditional_states, reference_joint_pm
+from oracles import reference_conditional_states, reference_joint_pm, support_set
 
 SYM = BranchingModel.symmetric()
 H_START = InitialExcitation(1.0, 0.0)

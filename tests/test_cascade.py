@@ -23,12 +23,10 @@ from cqwsim import (
     parity_xor,
     run_cascade,
     sample_walks,
-    support_partition,
-    support_set,
 )
 from cqwsim import cascade as cascade_module
 from cqwsim.cascade import LIST_LIMIT
-from oracles import dict_cascade
+from oracles import dict_cascade, support_partition, support_set
 
 SYM = BranchingModel.symmetric()
 H_START = InitialExcitation(1.0, 0.0)

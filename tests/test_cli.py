@@ -488,7 +488,8 @@ def test_missing_branching_source_exits_2(tmp_path, capsys):
 
 # Runs ``python -m cqwsim ARGS`` (or only imports the CLI) in a fresh
 # interpreter, then prints the exit code, the numpy and scipy modules loaded,
-# the cqwsim modules loaded, and which of dataclasses and inspect are loaded.
+# the cqwsim modules loaded, and which of dataclasses, inspect, argparse and
+# gettext are loaded.
 _LOAD_PROBE = """\
 import json, runpy, sys
 code = None
@@ -501,7 +502,8 @@ else:
     import cqwsim.cli
 print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")],
                   sorted(m for m in sys.modules if m.split(".")[0] == "cqwsim"),
-                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+                  [m for m in ("dataclasses", "inspect", "argparse", "gettext")
+                   if m in sys.modules]]))
 """
 
 
@@ -519,6 +521,7 @@ _PHYSICS = ["eigensolver", "coupling"]
     (["levels", "--v1", "5", "--v2", "0", "--d", "1", "--period", "1.5", "--b", "0"],
      3, False, _PHYSICS),
     (["simulate", "--n", "0", "--branching", "symmetric"], 2, False, []),
+    (["simulate", "--n", "8", "--branching", "symmetric", "--bogus", "1"], 2, False, []),
     (["simulate", "--n", "8", "--branching", "symmetric"], 0, False, []),
     (["analyze", "--n", "8", "--branching", "symmetric"], 0, False, ["analysis"]),
     (["design", "--v1", "60", "--v2", "0", "--d", "1"], 0, False, ["eigensolver"]),
@@ -535,7 +538,8 @@ _PHYSICS = ["eigensolver", "coupling"]
     (["verify", "--n", "8", "--branching", "symmetric"], 0, False, []),
     (["verify", "--n", "8", "--branching", "symmetric", "--samples", "1000"],
      0, False, []),
-], ids=["import", "help", "audit", "design", "levels", "simulate-n0", "simulate",
+], ids=["import", "help", "audit", "design", "levels", "simulate-n0",
+        "simulate-bad-flag", "simulate",
         "analyze", "design-feasible", "levels-feasible", "simulate-physical",
         "simulate-dipole-only", "simulate-symmetric-with-well",
         "simulate-equal-walk", "simulate-at-cutoff", "analyze-at-cutoff",
@@ -557,10 +561,8 @@ def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy, extra
     assert package == sorted(
         ["cqwsim"] + [f"cqwsim.{name}" for name in _CLI_MODULES + extra]
     )
-    # numpy imports inspect itself; cqwsim imports neither
-    assert "dataclasses" not in stdlib
-    if not numpy:
-        assert stdlib == []
+    # numpy imports inspect itself; cqwsim imports none of the four
+    assert stdlib == (["inspect"] if numpy else [])
 
 
 def test_output_loads_no_module_beyond_json():
@@ -623,6 +625,101 @@ def test_help_lists_every_flag(capsys):
     for spec in flags:
         assert spec.flag in text and spec.help in text
     assert "--config" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4", "--branching", "symmetric", "-h"],
+    ["--help"],
+], ids=["h-after-flags", "help-without-mode"])
+def test_help_anywhere_lists_every_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for spec in cli._KEYS.values():
+        if spec.flag:
+            assert f"{spec.flag} " in text and spec.help in text
+    assert "--config" in text
+
+
+def _run_files(out, *flags):
+    assert cli.main(["simulate", "--branching", "symmetric", *flags,
+                     "--out", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_equals_and_space_forms_write_identical_files(tmp_path):
+    spaced = _run_files(tmp_path / "a", "--n", "5", "--ch", "0.6")
+    joined = _run_files(tmp_path / "b", "--n=5", "--ch=0.6")
+    assert sorted(spaced) == ["distribution.csv", "distribution.json"]
+    assert spaced == joined
+
+
+def test_repeated_flag_keeps_its_last_value(tmp_path):
+    assert _run_files(tmp_path / "a", "--n", "9", "--n=2", "--n", "5") == (
+        _run_files(tmp_path / "b", "--n", "5")
+    )
+
+
+def _diagnostic(capsys, argv, tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and not out.exists()
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "validation"
+    return diagnostic["message"]
+
+
+def test_negative_amplitude_reaches_the_sign_check(tmp_path, capsys):
+    argv = ["simulate", "--n", "4", "--branching", "symmetric", "--ch", "-3", "--cl", "4"]
+    assert "must be nonnegative" in _diagnostic(capsys, argv, tmp_path)
+
+
+def test_flag_without_a_value_exits_2(tmp_path, capsys):
+    argv = ["simulate", "--n", "4", "--branching", "symmetric", "--seed"]
+    assert "--seed" in _diagnostic(capsys, argv, tmp_path)
+
+
+def test_abbreviated_flag_exits_2_naming_it(tmp_path, capsys):
+    # flags are exact long names: a prefix is an unknown flag
+    argv = ["simulate", "--n", "4", "--bran", "symmetric"]
+    assert "--bran" in _diagnostic(capsys, argv, tmp_path)
+
+
+# one valid value per flagged key, as a flag string and as a JSON value
+_FLAG_VALUES = {
+    "well.v1": ("61.5", 61.5), "well.v2": ("-2", -2.0), "well.d": ("1.1e0", 1.1),
+    "well.period": ("1.3", 1.3), "well.b": ("2.25", 2.25), "n_total": ("7", 7),
+    "init.ch": ("0.6", 0.6), "init.cl": ("0.8", 0.8),
+    "branching.kind": ("manual", "manual"), "output.dir": ("res", "res"),
+    "output.format": ("json", "json"), "seed": ("11", 11),
+    "sample_count": ("300", 300), "sign_mode": ("cmt-signs", "cmt-signs"),
+}
+_BASE = {
+    "n_total": 4,
+    "well": {"v1": 60.0, "v2": 0.0, "d": 1.0, "period": 1.25},
+    "branching": {"kind": "symmetric", "p_hh": 0.3, "p_hl": 0.7,
+                  "p_lh": 0.6, "p_ll": 0.4},
+}
+
+
+def test_flag_values_cover_every_flagged_key():
+    assert set(_FLAG_VALUES) == {key for key, spec in cli._KEYS.items() if spec.flag}
+
+
+@pytest.mark.parametrize("key", sorted(_FLAG_VALUES))
+def test_flag_string_equals_the_config_file_value(tmp_path, key):
+    text, value = _FLAG_VALUES[key]
+    document = json.loads(json.dumps(_BASE))
+    parent, _, name = key.rpartition(".")
+    (document.setdefault(parent, {}) if parent else document)[name] = value
+    from_file = cli.load_config("simulate", write_config(tmp_path, document), {})
+    base = write_config(tmp_path, _BASE, "base.json")
+    args = cli._parse_args(["simulate", "--config", base, cli._KEYS[key].flag, text])
+    from_flag = cli.load_config(*args)
+    assert from_flag == from_file
+    assert from_flag != cli.load_config("simulate", base, {})
 
 
 def test_huge_amplitudes_normalize(tmp_path):
