@@ -29,10 +29,9 @@ __version__ = "0.1.0"
 # home module -> the public names it defines
 _EXPORTS = {
     "analysis": (
-        "ConditionalState", "LogicalProjection", "ParityReport",
-        "PurityReport", "conditional_state", "conditional_states",
-        "entanglement_entropy", "joint_pm", "logical_qubit_projection",
-        "marginals", "parity_xor", "purity_check",
+        "ConditionalState", "ParityReport", "PurityReport",
+        "conditional_state", "conditional_states", "entanglement_entropy",
+        "joint_pm", "marginals", "parity_xor", "purity_check",
     ),
     "cascade": (
         "BranchingModel", "InitialExcitation", "JointDistribution",
@@ -48,8 +47,7 @@ _EXPORTS = {
     "eigensolver": (
         "BoundState", "DesignResult", "PiecewiseWave", "WellParams",
         "bisect_root", "composite_grid", "count_levels", "design_alignment",
-        "evaluate_wave", "product_integral", "solve_bound_states",
-        "transcendental_residual", "wave_nodes",
+        "evaluate_wave", "product_integral", "solve_bound_states", "wave_nodes",
     ),
     "errors": (
         "CqwError", "DomainError", "InfeasibleDesignError", "NumericError",

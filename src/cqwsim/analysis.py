@@ -55,16 +55,6 @@ class PurityReport(NamedTuple):
     idempotency_residual: float
 
 
-class LogicalProjection(NamedTuple):
-    """Mass of the (l-parity, n-parity) pairs within one m-parity sector."""
-
-    n_total: int
-    m_parity: int
-    support: dict[tuple[int, int], float]
-    allowed: frozenset[tuple[int, int]]
-    confined: bool
-
-
 def marginals(dist: JointDistribution) -> tuple[list[float], list[float], list[float]]:
     """Marginal probability lists of l, m, and n, each of length n+1."""
     size = dist.n_total + 1
@@ -183,32 +173,3 @@ def parity_xor(dist: JointDistribution) -> ParityReport:
         all_hold=all_hold,
     )
 
-
-def logical_qubit_projection(
-    dist: JointDistribution, m_parity: int
-) -> LogicalProjection:
-    """Collapse one m-parity sector onto (l-parity, n-parity) pairs.
-
-    The parity law confines each sector to one diagonal of the 2x2 parity
-    grid: equal side parities when parity(m) matches parity(n_total),
-    opposite ones otherwise.
-    """
-    if m_parity not in (0, 1):
-        raise DomainError(f"m parity must be 0 or 1, got {m_parity}")
-    support: dict[tuple[int, int], float] = {}
-    for (l, m, n), f in dist.table.items():
-        if (m & 1) != m_parity:
-            continue
-        pair = (l & 1, n & 1)
-        support[pair] = support.get(pair, 0.0) + f
-    if m_parity == dist.n_total % 2:
-        allowed = frozenset({(0, 0), (1, 1)})
-    else:
-        allowed = frozenset({(0, 1), (1, 0)})
-    return LogicalProjection(
-        n_total=dist.n_total,
-        m_parity=m_parity,
-        support=support,
-        allowed=allowed,
-        confined=set(support) <= allowed,
-    )

@@ -6,8 +6,8 @@ into the output directory. The command line is the mode first, then
 exact long flags as ``--flag value`` or ``--flag=value``; the key table
 ``_KEYS`` drives the flags, their conversion and ``--help``, without
 argparse. Exit codes: 0 success, 2 configuration problem (a bad command
-line included), 3 numeric failure or infeasible physics, 4 failed
-verification.
+line and an N above an oracle's cap included), 3 numeric failure or
+infeasible physics, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from .cascade import BranchingModel, InitialExcitation, run_cascade
 from .errors import (
     CqwError,
     DomainError,
+    SizeError,
     ValidationError,
 )
 from .oracle import (
-    AUDIT_LIMIT,
-    ENUM_LIMIT,
     SIGN_MODES,
     coherence_audit,
     enumerate_paths,
@@ -234,11 +233,6 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
         raise ValidationError(f"{mode} mode requires a well block")
     if needs_period and well.period is None:
         raise ValidationError(f"{mode} mode requires well.period")
-    limit = {"verify": ENUM_LIMIT, "audit": AUDIT_LIMIT}.get(mode)
-    if limit is not None and n > limit:
-        raise ValidationError(
-            f"n_total must be at most {limit} for {mode} mode, got {n}"
-        )
     return RunConfig(
         mode=mode,
         well=well,
@@ -321,19 +315,28 @@ def _run_design(config: RunConfig) -> int:
 def _run_levels(config: RunConfig) -> int:
     chain = _solve_chain(config)
     model = _resolve_model(config, chain)
+    # the chain is scale-free: energies scale by 1/d^2 and sit above the
+    # floor v2, dipoles scale by d, and the rest does not scale
+    d, v2 = config.well.d, config.well.v2
+    scale = d * d
+    split = chain.split
+    delta_e = split.delta_e / scale
     coupled = {
-        "bias": chain.bias,
-        "spacing": chain.spacing,
-        **chain.split._asdict(),
-        "dipoles": chain.dipoles._asdict(),
+        "bias": chain.bias / scale,
+        "spacing": chain.spacing / scale,
+        **split._replace(
+            e_plus=split.e_plus / scale + v2, e_minus=split.e_minus / scale + v2,
+            delta_e=delta_e,
+        )._asdict(),
+        "dipoles": {name: dip * d for name, dip in chain.dipoles._asdict().items()},
     }
     branching_doc = {
         "p_hh": model.p_hh,
         "p_hl": model.p_hl,
         "p_lh": model.p_lh,
         "p_ll": model.p_ll,
-        **chain.freqs._asdict(),
-        "delta_e": chain.split.delta_e,
+        **{name: omega / scale for name, omega in chain.freqs._asdict().items()},
+        "delta_e": delta_e,
         "weighting": model.weighting,
     }
     _emit(config, [
@@ -412,8 +415,9 @@ def _run_analyze(config: RunConfig) -> int:
 
 def _run_verify(config: RunConfig) -> int:
     model = _resolve_model(config)
-    dist = run_cascade(config.n, config.init, model)
+    # the enumeration refuses an N above its cap before the cascade runs
     exact = enumerate_paths(config.n, config.init, model)
+    dist = run_cascade(config.n, config.init, model)
     keys = dist.table.keys() | exact.table.keys()
     max_abs_diff = max(
         abs(dist.table.get(key, 0.0) - exact.table.get(key, 0.0))
@@ -521,7 +525,7 @@ def _parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(load_config(*_parse_args(sys.argv[1:] if argv is None else argv)))
-    except ValidationError as exc:
+    except (ValidationError, SizeError) as exc:
         _fail("validation", str(exc))
         return 2
     except CqwError as exc:

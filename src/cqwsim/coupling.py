@@ -26,6 +26,7 @@ from .eigensolver import (
     BoundState,
     WellParams,
     _lowest_states,
+    _scale_free,
     composite_grid,
     count_levels,
     design_alignment,
@@ -112,9 +113,9 @@ class DipoleMatrix(NamedTuple):
 
 
 class SolvedChain(NamedTuple):
-    """The aligned chain: one well's two lowest levels, its right neighbor's (the same
-    waves, each energy lowered by the bias), and the doublet of their (ground,
-    excited) pair."""
+    """The aligned chain of the scale-free well (V, 0, B, 1): one well's two lowest
+    levels, its right neighbor's (the same waves, each energy lowered by the bias),
+    and the doublet of their (ground, excited) pair."""
 
     bias: float
     spacing: float
@@ -226,18 +227,19 @@ def couple_wells(
 
     ``ground`` is one well's ground state, ``excited`` its right neighbor's:
     the well's own excited state with its energy lowered by the bias, so both
-    live in one global frame. |E_ground - E_excited| <= 1e-6 / d^2 must hold;
-    for a designed chain the difference is the design residual.
+    live in one global frame. |E_ground - E_excited| <= 1e-6 must hold, in
+    the units of ``solve_chain``'s scale-free well; for a designed chain the
+    difference is the design residual.
 
     The overlap and coupling elements come from ``coupling_integrals``, and
     ``split_pair`` checks that tunneling dominates the alignment residual.
     """
     e_a = ground.energy
     e_b = excited.energy
-    if abs(e_a - e_b) * (params.d * params.d) > ALIGNMENT_TOL:
+    if abs(e_a - e_b) > ALIGNMENT_TOL:
         raise DomainError(
             f"wells misaligned: left ground {e_a} vs right excited {e_b} "
-            f"differ by {abs(e_a - e_b)}, tolerance {ALIGNMENT_TOL} / d^2"
+            f"differ by {abs(e_a - e_b)}, tolerance {ALIGNMENT_TOL}"
         )
     ints = coupling_integrals(ground, excited, params)
     s = ints.overlap
@@ -372,30 +374,36 @@ def dipole_matrix(
 def solve_chain(
     v1: float, v2: float, d: float, period: float, bias: float | None = None
 ) -> SolvedChain:
-    """Solve the chain of wells (v1, v2, d) spaced ``period`` apart, end to end.
+    """Solve the chain of wells (v1, v2, d) spaced ``period`` apart, on its scale-free well.
 
-    Without ``bias`` the design search finds it, and its levels are the
-    chain's. A given bias must leave two levels in the well, and
-    ``couple_wells`` refuses a pair it does not align. Either way the right
-    neighbor's levels are the well's, lowered by the bias.
+    The chain is that of (V, 0, B, 1) with V = (v1 - v2) d^2 and B = b d^2,
+    spaced period / d apart, and so is every field of the result: energies,
+    bias, spacing, splitting and frequencies are in units of 1/d^2 above the
+    floor v2, and dipoles in units of d. The mixing, the overlap and both
+    branching weightings do not scale: the rows of ``branching_model`` are
+    those of the well itself. Without ``bias`` the design search on
+    (V, 0, 1) finds it, and its levels are the chain's. A given bias must
+    leave two levels in the well, and ``couple_wells`` refuses a pair it does
+    not align. Either way the right neighbor's levels are the well's,
+    lowered by the bias.
     """
+    # WellParams raises DomainError outside the domain of the well and its scale-free twin
+    depth, b = _scale_free(WellParams(v1, v2, bias or 0.0, d, period))
     if bias is None:
-        design = design_alignment(v1, v2, d)
-        bias, left = design.bias, design.levels
-    else:
+        b, left, _ = design_alignment(depth, 0.0, 1.0)
+    params = WellParams(depth, 0.0, b, 1.0, period / d)
+    if bias is not None:
         # only the two lowest levels enter; a deep well can hold thousands
-        well = WellParams(v1, v2, bias, d)
-        held = count_levels(well)
+        held = count_levels(params)
         if held < 2:
             raise InfeasibleDesignError(f"well holds {held} bound level(s); coupling needs two")
-        left = tuple(_lowest_states(well, 2))
-    right = tuple(s._replace(energy=s.energy - bias) for s in left)
-    params = WellParams(v1, v2, bias, d, period)
+        left = tuple(_lowest_states(depth, b, 2))
+    right = tuple(s._replace(energy=s.energy - b) for s in left)
     split = couple_wells(left[0], right[1], params)
     spacing = left[1].energy - left[0].energy
     freqs = mode_frequencies(spacing, split.delta_e)
-    dipoles = dipole_matrix(split, left[0], left[1], period)
-    return SolvedChain(bias, spacing, left, right, split, freqs, dipoles)
+    dipoles = dipole_matrix(split, left[0], left[1], params.period)
+    return SolvedChain(b, spacing, left, right, split, freqs, dipoles)
 
 
 def branching_model(
@@ -405,7 +413,10 @@ def branching_model(
 
     ``weighting`` selects the rate rule: "physical" uses omega^3 * d^2,
     "dipole-only" uses d^2 alone. Each row is normalized exactly; an
-    all-zero row is a numeric error.
+    all-zero row is a numeric error. The row factor of either rule, d^-4
+    or d^2, cancels in the normalization, so the rows of a chain are those
+    of its scale-free well, where omega_plus < 2 (4 pi^2) keeps omega^3
+    below 5e5.
     """
     if weighting == "physical":
         def rate(omega: float, dip: float) -> float:
@@ -417,13 +428,10 @@ def branching_model(
         raise ValidationError(
             f"unknown weighting {weighting!r}: expected 'physical' or 'dipole-only'"
         )
-    try:  # float ** raises where a product would give inf
-        p_hh, p_hl = _stochastic_row(
-            rate(freqs.omega_zero, dipoles.d_hh), rate(freqs.omega_plus, dipoles.d_hl)
-        )
-        p_ll, p_lh = _stochastic_row(
-            rate(freqs.omega_zero, dipoles.d_ll), rate(freqs.omega_minus, dipoles.d_lh)
-        )
-    except OverflowError:
-        raise NumericError(f"omega^3 overflows at omega_plus={freqs.omega_plus}") from None
+    p_hh, p_hl = _stochastic_row(
+        rate(freqs.omega_zero, dipoles.d_hh), rate(freqs.omega_plus, dipoles.d_hl)
+    )
+    p_ll, p_lh = _stochastic_row(
+        rate(freqs.omega_zero, dipoles.d_ll), rate(freqs.omega_minus, dipoles.d_lh)
+    )
     return BranchingModel(p_hh, p_hl, p_lh, p_ll, weighting=weighting)

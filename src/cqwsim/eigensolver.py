@@ -17,6 +17,14 @@ level count is the number of multiples of pi below that top value. The two
 arctan terms sum to a value in (0, pi), so level n has kappa d in
 (n pi, (n + 1) pi): that hard-wall bracket, clipped to the window, is
 refined by bisection.
+
+The solver works on one well only, the scale-free (V, 0, B, 1) with
+V = (v1 - v2) d^2 and B = b d^2: its levels are the well's, in units of
+1/d^2 and measured from the floor. ``solve_bound_states``,
+``count_levels`` and ``design_alignment`` map a well in, and ``_map_out``
+maps each level back: energy / d^2 + v2, wavenumbers over d, amplitudes
+over sqrt(d). So every tolerance is in units of the energy scale 1/d^2,
+and no number of the physical frame enters the solver.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import cmath
 from math import (
     atan2, ceil, cos, exp, expm1, factorial, floor, inf, isfinite, pi, sin, sqrt, ulp,
 )
+from sys import float_info
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
@@ -36,6 +45,7 @@ from .errors import (
 
 ENERGY_TOL = 1e-12
 DESIGN_TOL = 1e-9
+_TINY = float_info.min  # the smallest normal float
 
 
 class _WellParams(NamedTuple):
@@ -78,20 +88,21 @@ class WellParams(_WellParams):
                 "empty bound-state window: need v2 < v1 - b, got "
                 f"v2={v2}, v1-b={v1 - b}"
             )
-        # every number the solver forms stays below one of these: the scale-free
-        # depth, the hard-wall ground energy, or 4 (|v1| + |v2|), which bounds
-        # each level's hard-wall bracket and any sum of two energies
-        depth, edge = (v1 - v2) * (d * d), pi / d
-        if not all(map(isfinite, (depth, edge * edge, 4.0 * (abs(v1) + abs(v2))))):
+        well = super().__new__(cls, v1, v2, b, d, period)
+        # the solver sees only the scale-free well (V, 0, B, 1) and the spacing
+        # period / d; V and d^2 below the normal range would lose digits
+        depth, scaled = _scale_free(well)
+        if not (_TINY <= depth < inf and _TINY <= d * d and isfinite(scaled)
+                and (period is None or isfinite(period / d))):
             raise DomainError(
-                "well beyond float range: need finite (v1 - v2) d^2, pi^2 / d^2 "
-                f"and 4 (|v1| + |v2|), got v1={v1}, v2={v2}, d={d}"
+                "well beyond float range: need normal (v1 - v2) d^2 and d^2, finite "
+                f"b d^2 and period / d, got v1={v1}, v2={v2}, b={b}, d={d}, period={period}"
             )
         if period is not None and not (period > d):
             raise DomainError(
                 f"period must exceed the well width, got period={period}, d={d}"
             )
-        return super().__new__(cls, v1, v2, b, d, period)
+        return well
 
     @classmethod
     def _make(cls, iterable) -> "WellParams":
@@ -133,47 +144,20 @@ class DesignResult(NamedTuple):
     residual: float
 
 
-def _phase_of(params: WellParams) -> Callable[[float], float]:
-    """Total phase kappa d - arctan(nu/kappa) - arctan(delta/kappa) of energy.
+def _phase_of(depth: float, bias: float) -> Callable[[float], float]:
+    """Total phase kappa - arctan(nu/kappa) - arctan(delta/kappa) of the well (V, 0, B, 1).
 
     atan2 keeps it defined at the floor (kappa = 0), where it equals -pi.
     The well's numbers are bound once: a design search evaluates the phase
     about 4,000 times, and a record's fields read slower than locals.
     """
-    v1, v2, b, d, _ = params
-    top = v1 - b
+    top = depth - bias
 
     def phase(energy: float) -> float:
-        kappa = sqrt(energy - v2)
-        return (
-            kappa * d - atan2(sqrt(v1 - energy), kappa) - atan2(sqrt(top - energy), kappa)
-        )
+        kappa = sqrt(energy)
+        return kappa - atan2(sqrt(depth - energy), kappa) - atan2(sqrt(top - energy), kappa)
 
     return phase
-
-
-def transcendental_residual(params: WellParams, energy: float) -> tuple[float, int]:
-    """Residual of the phase condition at ``energy`` and the nearest branch.
-
-    Returns
-    -------
-    (residual, branch)
-        residual is g_n(E) for the branch n whose quantization phase n pi
-        lies nearest the total phase at E; branch indices clamp at 0.
-
-    Raises
-    ------
-    DomainError
-        If ``energy`` lies outside the open window (v2, v1 - b).
-    """
-    lo, hi = params.v2, params.v1 - params.b
-    if not (lo < energy < hi):
-        raise DomainError(
-            f"energy {energy} outside the bound-state window ({lo}, {hi})"
-        )
-    total = _phase_of(params)(energy)
-    branch = max(int(round(total / pi)), 0)
-    return total - branch * pi, branch
 
 
 def bisect_root(
@@ -216,21 +200,37 @@ def bisect_root(
     return 0.5 * (a + b)
 
 
-def _level_energy(params: WellParams, n: int) -> float:
-    """Energy of level n, bisected on n pi < kappa d < (n + 1) pi within the window."""
-    # products, not ** 2: libm's pow is not always correctly rounded, so it
-    # would break the exact scaling of the levels under a power-of-two width
-    edge, next_edge = n * pi / params.d, (n + 1) * pi / params.d
-    lo = params.v2 + edge * edge
-    hi = min(params.v2 + next_edge * next_edge, params.v1 - params.b)
-    phase = _phase_of(params)
-    return bisect_root(lambda e: phase(e) - n * pi, lo, hi, ENERGY_TOL / (params.d * params.d))
+def _level_energy(depth: float, bias: float, n: int) -> float:
+    """Energy of level n of (V, 0, B, 1), bisected on n pi < kappa < (n + 1) pi in the window."""
+    # products, not ** 2: libm's pow is not always correctly rounded
+    edge, next_edge = n * pi, (n + 1) * pi
+    hi = min(next_edge * next_edge, depth - bias)
+    phase = _phase_of(depth, bias)
+    return bisect_root(lambda e: phase(e) - n * pi, edge * edge, hi, ENERGY_TOL)
+
+
+def _scale_free(params: WellParams) -> tuple[float, float]:
+    """(V, B) = ((v1 - v2) d^2, b d^2): the well (V, 0, B, 1) has the levels of ``params``."""
+    scale = params.d * params.d
+    return (params.v1 - params.v2) * scale, params.b * scale
+
+
+def _map_out(state: BoundState, d: float, v2: float) -> BoundState:
+    """A level of the scale-free well as the level of the well of width d and floor v2."""
+    scale, root = d * d, sqrt(d)
+    w = state.wave
+    wave = PiecewiseWave(
+        w.nu / d, w.amp_left / root, w.kappa / d, w.amp_cos / root, w.amp_sin / root,
+        w.delta / d, w.amp_right / root, d,
+    )
+    return BoundState(state.index, state.energy / scale + v2, wave)
 
 
 def solve_bound_states(params: WellParams) -> list[BoundState]:
     """All bound levels of the well, ordered by branch index.
 
-    Each energy is bisected to ``ENERGY_TOL`` in units of the energy scale 1/d^2.
+    Each energy is bisected to ``ENERGY_TOL`` on the scale-free well, so in
+    units of the energy scale 1/d^2.
 
     Returns
     -------
@@ -240,41 +240,43 @@ def solve_bound_states(params: WellParams) -> list[BoundState]:
     Notes
     -----
     The bisection stops on the energy width alone, so the phase residual
-    at a returned level is at most the phase slope
-    (d + 1/nu + 1/delta) / (2 kappa) times ``ENERGY_TOL`` / d^2: the slope
-    of the scale-free well (V, 0, b d^2, 1) times ``ENERGY_TOL``, the same
-    at every scale. It grows like 1/delta toward the window top, so the
-    residual exceeds 1e-9 only within about 1e-8 / d^2 of v1 - b; the
+    of a scale-free level is at most the phase slope
+    (1 + 1/nu + 1/delta) / (2 kappa) of (V, 0, B, 1) times ``ENERGY_TOL``.
+    The phase is the same function of the scaled energy at every d, so
+    that bound holds for the returned level too, up to the rounding of
+    energy / d^2 + v2. It grows like 1/delta toward the window top, so
+    the residual exceeds 1e-9 only within about 1e-8 / d^2 of v1 - b; the
     largest seen over 102,821 levels of random wells (d from 0.05 to 3)
     was 1.6e-10.
     """
-    return _lowest_states(params, count_levels(params))
+    states = _lowest_states(*_scale_free(params), count_levels(params))
+    return [_map_out(state, params.d, params.v2) for state in states]
 
 
-def _lowest_states(params: WellParams, count: int) -> list[BoundState]:
-    """The ``count`` lowest bound levels; the caller checks that they exist."""
+def _lowest_states(depth: float, bias: float, count: int) -> list[BoundState]:
+    """The ``count`` lowest levels of (V, 0, B, 1); the caller checks that they exist."""
     states = []
     for n in range(count):
-        energy = _level_energy(params, n)
-        states.append(BoundState(index=n, energy=energy, wave=_match_wave(params, energy)))
+        energy = _level_energy(depth, bias, n)
+        states.append(BoundState(index=n, energy=energy, wave=_match_wave(depth, bias, energy)))
     return states
 
 
 def count_levels(params: WellParams) -> int:
-    """Number of bound levels: the multiples n pi (n >= 0) below the phase at v1 - b."""
-    return max(ceil(_phase_of(params)(params.v1 - params.b) / pi), 0)
+    """Number of bound levels: the multiples n pi (n >= 0) below the phase at the window top."""
+    depth, bias = _scale_free(params)
+    return max(ceil(_phase_of(depth, bias)(depth - bias) / pi), 0)
 
 
-def _match_wave(params: WellParams, energy: float) -> PiecewiseWave:
-    """Continuity-matched, unit-normalized piecewise coefficients."""
-    kappa = sqrt(energy - params.v2)
-    nu = sqrt(params.v1 - energy)
-    delta = sqrt(params.v1 - params.b - energy)
+def _match_wave(depth: float, bias: float, energy: float) -> PiecewiseWave:
+    """Continuity-matched, unit-normalized piecewise coefficients on (V, 0, B, 1)."""
+    kappa = sqrt(energy)
+    nu = sqrt(depth - energy)
+    delta = sqrt(depth - bias - energy)
     phi = atan2(kappa, nu)
-    d = params.d
     a_edge = sin(phi)
-    f_edge = sin(kappa * d + phi)
-    well_part = 0.5 * d - (sin(2 * (kappa * d + phi)) - sin(2 * phi)) / (4 * kappa)
+    f_edge = sin(kappa + phi)
+    well_part = 0.5 - (sin(2 * (kappa + phi)) - sin(2 * phi)) / (4 * kappa)
     total = a_edge * a_edge / (2 * nu) + well_part + f_edge * f_edge / (2 * delta)
     if not isfinite(total) or total <= 0:
         raise NumericError(
@@ -289,7 +291,7 @@ def _match_wave(params: WellParams, energy: float) -> PiecewiseWave:
         amp_sin=scale * cos(phi),
         delta=delta,
         amp_right=scale * f_edge,
-        width=d,
+        width=1.0,
     )
 
 
@@ -489,9 +491,10 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
 
     The well (v1, v2, b, d) has the levels of (V, 0, b d^2, 1), with the
     scale-free depth V = (v1 - v2) d^2, divided by d^2 and raised by v2. So
-    the search runs on (V, 0, b, 1) and divides its root by d^2, whether a
-    design exists depends on V alone (from 24.95 to 64.08 on a scan of V in
-    steps of 0.01), and every tolerance is in units of the energy scale 1/d^2.
+    the search runs on (V, 0, b, 1), solves the levels at its root there and
+    maps them out, whether a design exists depends on V alone (from 24.95 to
+    64.08 on a scan of V in steps of 0.01), and every tolerance is in units
+    of the energy scale 1/d^2. At d = 1 and v2 = 0 the map is the identity.
 
     By Hellmann-Feynman dE_n/db = -P_n, where P_n < 1 is the weight of
     level n in the right barrier, the only part of the potential b moves.
@@ -505,8 +508,7 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     never holds three levels); both move inward by one step, DESIGN_TOL /
     10 or 4 ulps of V if those are coarser. A root exists iff
     h(b2) <= 0 <= h(b3), and bisecting h on [b3, b2] to one step finds it.
-    The root over d^2 must leave exactly two levels with
-    |h| d^2 <= DESIGN_TOL.
+    The root must leave exactly two levels with |h| <= DESIGN_TOL.
 
     Returns
     -------
@@ -519,9 +521,8 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
         If no bias holds two levels, h(b2) > 0, h(b3) < 0 (the root holds
         three or more levels), or the root violates the two-level condition.
     """
-    WellParams(v1, v2, 0.0, d)  # raises DomainError outside the well's domain
+    depth, _ = _scale_free(WellParams(v1, v2, 0.0, d))  # DomainError outside the domain
     scale = d * d
-    depth = (v1 - v2) * scale
     lo_b, hi_b = 1e-6, depth - 1e-6
     well = f"v1={v1}, v2={v2}, d={d}"
     if hi_b <= lo_b:
@@ -533,9 +534,8 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
         return (kappa - atan2(sqrt(bias), kappa)) / pi
 
     def spacing_residual(bias: float) -> float:
-        params = WellParams(depth, 0.0, bias, 1.0)
-        e0 = _level_energy(params, 0)
-        return _level_energy(params, 1) - e0 - bias
+        e0 = _level_energy(depth, bias, 0)
+        return _level_energy(depth, bias, 1) - e0 - bias
 
     top = top_phase(lo_b)
     if top <= 1.0:
@@ -561,16 +561,19 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
             f"(E1 - E0) - b = {h3 / scale} at b3={b3 / scale}, where the third level "
             "leaves the window"
         )
-    b_star = bisect_root(spacing_residual, b3, b2, step, h3, h2) / scale
-    states = solve_bound_states(WellParams(v1, v2, b_star, d))
+    root = bisect_root(spacing_residual, b3, b2, step, h3, h2)
+    states = solve_bound_states(WellParams(depth, 0.0, root, 1.0))
     if len(states) != 2:
         raise InfeasibleDesignError(
-            f"two-level condition fails at the alignment root b={b_star}: "
+            f"two-level condition fails at the alignment root b={root / scale}: "
             f"{len(states)} levels"
         )
-    residual = (states[1].energy - states[0].energy) - b_star
-    if abs(residual) * scale > DESIGN_TOL:
+    residual = (states[1].energy - states[0].energy) - root
+    if abs(residual) > DESIGN_TOL:
         raise NumericError(
-            f"alignment residual {residual} exceeds tolerance {DESIGN_TOL} / d^2 at b={b_star}"
+            f"alignment residual {residual / scale} exceeds tolerance {DESIGN_TOL} / d^2 "
+            f"at b={root / scale}"
         )
-    return DesignResult(b_star, (states[0], states[1]), residual)
+    bias = root / scale
+    levels = (_map_out(states[0], d, v2), _map_out(states[1], d, v2))
+    return DesignResult(bias, levels, (levels[1].energy - levels[0].energy) - bias)

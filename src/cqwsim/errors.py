@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: validation problems exit 2, numeric or
-infeasibility problems exit 3, and a failed verification run exits 4.
+The CLI maps these onto exit codes: validation problems and sizes above an
+oracle's cap exit 2, numeric or infeasibility problems exit 3, and a failed
+verification run exits 4.
 """
 
 

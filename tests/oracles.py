@@ -21,6 +21,11 @@ each key; the package checks membership key by key instead.
 
 ``scan_design_reference`` is the alignment search the package used before
 the closed-form bracket: a 257-point bias scan, then bisection.
+``transcendental_residual`` evaluates the phase condition of a physical
+well at a physical energy by ``direct_residual``, a formula of its own, so
+the solver's levels are checked against an independent expression.
+``logical_qubit_projection`` collapses an m-parity sector of a table onto
+its (l-parity, n-parity) pairs, for the parity-logic criterion.
 
 ``iter_paths`` yields each branch string with its weight, one path at a
 time; ``enumerate_paths`` must equal its fold bit for bit.
@@ -66,7 +71,7 @@ from cqwsim import (
     evaluate_wave,
 )
 from cqwsim.coupling import ChainWaves
-from cqwsim.eigensolver import DESIGN_TOL, _level_energy, simpson
+from cqwsim.eigensolver import DESIGN_TOL, _level_energy, _scale_free, simpson
 from cqwsim.output import format_float
 
 
@@ -764,12 +769,17 @@ def sampled_dipole_integrals(
 
 
 def spacing_residual(v1, v2, d, bias):
-    """h(b) = (E1 - E0) - b, or None where the well holds fewer than two levels."""
+    """h(b) = (E1 - E0) - b, or None where the well holds fewer than two levels.
+
+    The two levels are those of the scale-free well, so h is the scale-free
+    one divided by d^2.
+    """
     params = WellParams(v1, v2, bias, d)
     if count_levels(params) < 2:
         return None
-    e0 = _level_energy(params, 0)
-    return _level_energy(params, 1) - e0 - bias
+    depth, scaled = _scale_free(params)
+    e0 = _level_energy(depth, scaled, 0)
+    return (_level_energy(depth, scaled, 1) - e0 - scaled) / (d * d)
 
 
 def scan_design_reference(v1, v2, d):
@@ -794,3 +804,64 @@ def scan_design_reference(v1, v2, d):
                 raise InfeasibleDesignError(f"alignment root {bias} does not hold two levels")
             return bias
     raise InfeasibleDesignError(f"no sign change of h on the scan for v1={v1}, v2={v2}, d={d}")
+
+
+def direct_residual(v1, b, d, energy, v2=0.0):
+    """Total phase kappa d - arctan(nu/kappa) - arctan(delta/kappa) at ``energy``."""
+    k = math.sqrt(energy - v2)
+    nu = math.sqrt(v1 - energy)
+    delta = math.sqrt(v1 - b - energy)
+    return k * d - math.atan(nu / k) - math.atan(delta / k)
+
+
+def transcendental_residual(params, energy):
+    """Residual of the phase condition at ``energy`` and the nearest branch.
+
+    Returns (residual, branch): the total phase minus n pi for the branch n
+    whose n pi lies nearest it, branch indices clamped at 0. Raises
+    DomainError outside the open window (v2, v1 - b).
+    """
+    lo, hi = params.v2, params.v1 - params.b
+    if not (lo < energy < hi):
+        raise DomainError(f"energy {energy} outside the bound-state window ({lo}, {hi})")
+    total = direct_residual(params.v1, params.b, params.d, energy, params.v2)
+    branch = max(int(round(total / math.pi)), 0)
+    return total - branch * math.pi, branch
+
+
+class LogicalProjection(NamedTuple):
+    """Mass of the (l-parity, n-parity) pairs within one m-parity sector."""
+
+    n_total: int
+    m_parity: int
+    support: dict[tuple[int, int], float]
+    allowed: frozenset[tuple[int, int]]
+    confined: bool
+
+
+def logical_qubit_projection(dist, m_parity):
+    """Collapse one m-parity sector onto (l-parity, n-parity) pairs.
+
+    The parity law confines each sector to one diagonal of the 2x2 parity
+    grid: equal side parities when parity(m) matches parity(n_total),
+    opposite ones otherwise.
+    """
+    if m_parity not in (0, 1):
+        raise DomainError(f"m parity must be 0 or 1, got {m_parity}")
+    support: dict[tuple[int, int], float] = {}
+    for (l, m, n), f in dist.table.items():
+        if (m & 1) != m_parity:
+            continue
+        pair = (l & 1, n & 1)
+        support[pair] = support.get(pair, 0.0) + f
+    if m_parity == dist.n_total % 2:
+        allowed = frozenset({(0, 0), (1, 1)})
+    else:
+        allowed = frozenset({(0, 1), (1, 0)})
+    return LogicalProjection(
+        n_total=dist.n_total,
+        m_parity=m_parity,
+        support=support,
+        allowed=allowed,
+        confined=set(support) <= allowed,
+    )

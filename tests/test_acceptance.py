@@ -27,7 +27,6 @@ from cqwsim import (
     count_levels,
     enumerate_paths,
     entanglement_entropy,
-    logical_qubit_projection,
     marginals,
     parity_xor,
     purity_check,
@@ -121,6 +120,8 @@ def test_criterion_04_conditional_structure():
 
 
 def test_criterion_05_parity_logic():
+    from oracles import logical_qubit_projection
+
     rng = np.random.default_rng(505)
     rows = 0
     for n in range(1, 26):

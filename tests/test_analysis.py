@@ -18,13 +18,17 @@ from cqwsim import (
     conditional_states,
     entanglement_entropy,
     joint_pm,
-    logical_qubit_projection,
     marginals,
     parity_xor,
     purity_check,
     run_cascade,
 )
-from oracles import reference_conditional_states, reference_joint_pm, support_set
+from oracles import (
+    logical_qubit_projection,
+    reference_conditional_states,
+    reference_joint_pm,
+    support_set,
+)
 
 SYM = BranchingModel.symmetric()
 H_START = InitialExcitation(1.0, 0.0)

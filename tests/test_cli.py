@@ -20,6 +20,7 @@ from cqwsim import JointDistribution, eigensolver
 from cqwsim.cascade import LIST_LIMIT
 from cqwsim.coupling import TUNNELING_DOMINANCE
 from cqwsim.eigensolver import DESIGN_TOL
+from cqwsim.oracle import AUDIT_LIMIT, ENUM_LIMIT
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -320,13 +321,15 @@ def test_design_of_a_well_far_wider_than_2_to_53(tmp_path):
 
 
 def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch):
-    # the well holds about 31,800 levels; coupling needs levels 0 and 1
+    # the well holds about 31,800 levels; coupling needs levels 0 and 1. The
+    # chain is solved on its scale-free well (1e10, 0, 0, 1), so the
+    # diagnostic gives its energies, in units of 1/d^2 = 0.01
     solved = []
     level_energy = eigensolver._level_energy
 
-    def counted(params, n):
+    def counted(depth, bias, n):
         solved.append(n)
-        return level_energy(params, n)
+        return level_energy(depth, bias, n)
 
     monkeypatch.setattr(eigensolver, "_level_energy", counted)
     code = cli.main([
@@ -336,11 +339,48 @@ def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch)
     assert code == 3
     assert json.loads(capsys.readouterr().err) == {
         "error": "numeric",
-        "message": "wells misaligned: left ground 0.09869209628756645 vs right "
-        "excited 0.3947683851502505 differ by 0.296076288862684, "
-        "tolerance 1e-06 / d^2",
+        "message": "wells misaligned: left ground 9.869209628756646 vs right "
+        "excited 39.47683851502503 differ by 29.607628886268383, "
+        "tolerance 1e-06",
     }
     assert solved == [0, 1]
+
+
+# (V, 0, 1, period / d) at the edge of float range: v1 near 1e122 with
+# d = 6.2e-61, and v1 near 1e-119 with d = 1e60. Both were refused once
+# ("omega^3 overflows" and "degenerate branching row"), though their rows
+# are those of the d = 1 well.
+_FLOAT_RANGE_WELLS = [
+    (1.5e122, 6.2e-61, 7.7e-61, 0.0030878170463000121),
+    (5.766e-119, 1e60, 1.24194e60, 0.0030874009926888935),
+]
+
+
+@pytest.mark.parametrize("v1, d, period, p_hh", _FLOAT_RANGE_WELLS)
+def test_levels_at_the_edge_of_float_range(tmp_path, v1, d, period, p_hh):
+    # V and period / d formed as solve_chain forms them
+    depth, span = (v1 - 0.0) * (d * d), period / d
+    for kind in ("physical", "dipole-only"):
+        edge, twin = tmp_path / f"edge-{kind}", tmp_path / f"twin-{kind}"
+        well = ["--v1", repr(v1), "--v2", "0", "--d", repr(d), "--period", repr(period)]
+        free = ["--v1", repr(depth), "--v2", "0", "--d", "1", "--period", repr(span)]
+        assert cli.main(["levels", *well, "--branching", kind, "--out", str(edge)]) == 0
+        assert cli.main(["levels", *free, "--branching", kind, "--out", str(twin)]) == 0
+        rows = [read_json(out, "branching.json") for out in (edge, twin)]
+        for key in ("p_hh", "p_hl", "p_lh", "p_ll"):
+            assert rows[0][key] == rows[1][key]
+        if kind == "physical":
+            assert rows[0]["p_hh"] == p_hh
+        # everything else is the twin's, scaled on output
+        for key in ("omega_minus", "omega_zero", "omega_plus", "delta_e"):
+            assert rows[0][key] == rows[1][key] / (d * d)
+        coupled = [read_json(out, "coupled.json") for out in (edge, twin)]
+        for key in ("bias", "spacing", "e_plus", "e_minus", "delta_e"):
+            assert coupled[0][key] == coupled[1][key] / (d * d)
+        for key in ("a_plus", "b_plus", "a_minus", "b_minus", "overlap"):
+            assert coupled[0][key] == coupled[1][key]
+        for key, dip in coupled[1]["dipoles"].items():
+            assert coupled[0]["dipoles"][key] == dip * d
 
 
 def test_levels_refuses_a_splitting_below_the_alignment_residual(tmp_path, capsys):
@@ -441,18 +481,34 @@ def test_verify_detects_divergence(tmp_path, capsys, monkeypatch):
     assert read_json(out, "oracle_report.json")["max_abs_diff"] > 1e-10
 
 
-def test_verify_rejects_oversized_n(tmp_path, capsys):
+def _assert_refused_above_cap(tmp_path, capsys, mode, cap, what):
+    # the oracle checks its own cap, before any cascade runs, and the CLI
+    # reports it as a validation problem: one line, no output directory
+    out = tmp_path / "o"
     code = cli.main([
-        "verify", "--n", "21", "--branching", "symmetric",
-        "--out", str(tmp_path / "o"),
+        mode, "--n", str(cap + 1), "--branching", "symmetric", "--out", str(out),
     ])
     assert code == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "validation",
+        "message": f"{what} capped at {cap} photons, got {cap + 1}",
+    }
+    assert not out.exists()
+
+
+def test_verify_rejects_oversized_n(tmp_path, capsys):
+    _assert_refused_above_cap(tmp_path, capsys, "verify", ENUM_LIMIT, "exhaustive enumeration")
+
+
+def test_audit_rejects_oversized_n(tmp_path, capsys):
+    _assert_refused_above_cap(tmp_path, capsys, "audit", AUDIT_LIMIT, "amplitude audit")
 
 
 def test_verify_at_the_enumeration_limit(tmp_path):
     cfg = write_config(tmp_path, {
-        "n_total": cli.ENUM_LIMIT,
+        "n_total": ENUM_LIMIT,
         "init": {"ch": 0.6, "cl": 0.8},
         "branching": {
             "kind": "manual", "p_hh": 0.3, "p_hl": 0.7, "p_lh": 0.45, "p_ll": 0.55,
@@ -860,10 +916,16 @@ def _cli_case(draw):
                [f"--n={sys.maxsize // 8 + 1}"]))
 @example(case=("levels", {"well": {"v1": 1e308, "v2": 0.0, "d": 1e200,
                                    "period": 2e200, "b": 1.0}}, []))
-# (60, 0, 1, 1.25) at 2^400 times its energy scale: the cubes of its emission
-# frequencies, about 4e121, overflow
+# (60, 0, 1, 1.25) at 2^400 times its energy scale: the chain is solved on its
+# scale-free well, so only the written energies and frequencies, about 4e121,
+# carry the scale
 @example(case=("levels", {"well": {"v1": 60 * 2.0**400, "v2": 0.0, "d": 2.0**-200,
                                    "period": 1.25 * 2.0**-200}}, []))
+# V = 60 d^2 underflows to 0, and period / d overflows
+@example(case=("levels", {"well": {"v1": 60.0, "v2": 0.0, "d": 1e-170,
+                                   "period": 2e-170}}, []))
+@example(case=("levels", {"well": {"v1": 6e301, "v2": 0.0, "d": 1e-150,
+                                   "period": 1e200}}, []))
 @example(case=("design", {"well": {"v1": 10**400, "v2": 0, "d": 1}}, []))
 @example(case=("simulate", {"n_total": 5, "init": {"ch": 10**400}}, []))
 def test_every_generated_run_exits_cleanly(case):

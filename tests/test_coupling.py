@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import quad_product, sampled_coupling_integrals, sampled_dipole_integrals
 from scipy.linalg import eigh
@@ -31,6 +31,7 @@ from cqwsim import (
     split_pair,
 )
 from cqwsim.coupling import sample_chain_waves
+from cqwsim.eigensolver import _map_out
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -279,10 +280,16 @@ def _assert_within_quad(value, oracle):
     barrier=st.floats(0.05, 1.5),
 )
 def test_closed_form_matches_quadrature_on_aligned_wells(depth, d, v2, barrier):
+    # the chain is solved on its scale-free well; its levels, mapped out to
+    # the well of width d and floor v2, are that well's, and the closed forms
+    # hold there at every scale
     v1 = v2 + depth / (d * d)
     period = d + barrier
     chain = solve_chain(v1, v2, d, period)
-    bias, (ground, excited), right = chain.bias, chain.left, chain.right
+    bias = chain.bias / (d * d)
+    ground, excited = (_map_out(state, d, v2) for state in chain.left)
+    right = [_map_out(state, d, v2) for state in chain.right]
+    assert right[1].energy == pytest.approx(ground.energy, abs=1e-6 / (d * d))
     params = WellParams(v1, v2, bias, d, period=period)
     ints = coupling_integrals(ground, right[1], params)
 
@@ -337,10 +344,14 @@ def test_closed_form_matches_quadrature_on_aligned_wells(depth, d, v2, barrier):
 )
 def test_designed_chain_equals_the_chain_at_its_bias(depth, d, barrier):
     # reusing the design's levels is the same as solving them again; repr
-    # round-trips every float, so equal reprs are equal bits
+    # round-trips every float, so equal reprs are equal bits. The chain is
+    # that of the scale-free well (V, 0, 1) spaced period / d apart, whose
+    # bias is the chain's own.
     v1, period = depth / (d * d), d + barrier
     designed = solve_chain(v1, 0.0, d, period)
-    assert repr(solve_chain(v1, 0.0, d, period, bias=designed.bias)) == repr(designed)
+    free = (v1 * (d * d), 0.0, 1.0, period / d)
+    assert repr(solve_chain(*free)) == repr(designed)
+    assert repr(solve_chain(*free, bias=designed.bias)) == repr(designed)
 
 
 @settings(max_examples=20, deadline=None)
@@ -355,15 +366,17 @@ def test_right_well_is_the_left_well_translated(depth, d, barrier):
     # the bias, whether the bias was designed or given
     v1, period = depth / (d * d), d + barrier
     designed = solve_chain(v1, 0.0, d, period)
-    bias = designed.bias
-    for chain in (designed, solve_chain(v1, 0.0, d, period, bias=bias)):
+    at_bias = solve_chain(v1, 0.0, d, period, bias=designed.bias / (d * d))
+    for chain in (designed, at_bias):
         assert chain.right == tuple(
-            s._replace(energy=s.energy - bias) for s in chain.left
+            s._replace(energy=s.energy - chain.bias) for s in chain.left
         )
-    # and solving the lowered well itself agrees to the solver's tolerance
-    lowered = solve_bound_states(WellParams(v1 - bias, -bias, bias, d))
+    # and solving the lowered well itself agrees to the solver's tolerance;
+    # the chain is in units of 1/d^2, on the scale-free well (V, 0, 1)
+    depth, bias = v1 * (d * d), designed.bias
+    lowered = solve_bound_states(WellParams(depth - bias, -bias, bias, 1.0))
     for solved, moved in zip(lowered, designed.right):
-        assert abs(solved.energy - moved.energy) * d * d < 1e-8
+        assert abs(solved.energy - moved.energy) < 1e-8
 
 
 @settings(max_examples=20, deadline=None)
@@ -371,28 +384,35 @@ def test_right_well_is_the_left_well_translated(depth, d, barrier):
     depth=st.floats(28.0, 58.0),
     d=st.floats(0.8, 1.25),
     barrier=st.floats(0.15, 0.5),
-    power=st.integers(-12, 12),
+    scale=st.one_of(st.integers(-12, 12).map(lambda p: 2.0**p), st.floats(1e-3, 1e3)),
 )
-def test_chain_is_scale_free(depth, d, barrier, power):
+@example(depth=57.66, d=1.0, barrier=0.24194, scale=6.2e-61)
+@example(depth=57.66, d=1.0, barrier=0.24194, scale=1e60)
+def test_chain_is_scale_free(depth, d, barrier, scale):
     # (v1 / s^2, 0, s d, s period) has the levels of (v1, 0, d, period)
-    # divided by s^2. For a power of two s every scaling is exact, and so is
-    # each step of the phase and of the bisections, whose tolerances are in
-    # units of 1/d^2: the bias and the energies match bit for bit.
-    s = 2.0**power
+    # divided by s^2. solve_chain solves either on its scale-free well, with
+    # V and period / d formed as below, so each chain is bit for bit that of
+    # its scale-free well, and two scales that round to the same V and
+    # period / d give the same chain and rows: always for a power of two
     v1, period = depth / (d * d), d + barrier
-    chain = solve_chain(v1, 0.0, d, period)
-    scaled = solve_chain(v1 / (s * s), 0.0, s * d, s * period)
-    assert scaled.bias == chain.bias / (s * s)
-    energies = [state.energy for state in chain.left + chain.right]
-    assert [state.energy for state in scaled.left + scaled.right] == [
-        e / (s * s) for e in energies
+    wells = [(v1, d, period), (v1 / (scale * scale), scale * d, scale * period)]
+    chains = [solve_chain(v, 0.0, w, p) for v, w, p in wells]
+    frames = [(v * (w * w), p / w) for v, w, p in wells]
+    for chain, (free_depth, span) in zip(chains, frames):
+        assert repr(chain) == repr(solve_chain(free_depth, 0.0, 1.0, span))
+    rows = [
+        [branching_model(chain.freqs, chain.dipoles, weighting) for chain in chains]
+        for weighting in ("physical", "dipole-only")
     ]
-    # the amplitudes scale by 1 / sqrt(s), exactly only when sqrt(s) is a
-    # power of two too
-    if power % 2 == 0:
-        assert scaled.split.delta_e == chain.split.delta_e / (s * s)
+    if math.frexp(scale)[0] == 0.5:
+        assert frames[0] == frames[1]
+    if frames[0] == frames[1]:
+        assert repr(chains[0]) == repr(chains[1])
+        assert all(a == b for a, b in rows)
     else:
-        assert scaled.split.delta_e == pytest.approx(chain.split.delta_e / (s * s), rel=1e-12)
+        for a, b in rows:
+            assert b.p_hh == pytest.approx(a.p_hh, rel=1e-9)
+            assert b.p_lh == pytest.approx(a.p_lh, rel=1e-9)
 
 
 def test_product_integral_exact_at_alignment(pair_case):

@@ -23,16 +23,17 @@ from cqwsim import (
     evaluate_wave,
     product_integral,
     solve_bound_states,
-    transcendental_residual,
     wave_nodes,
 )
 from cqwsim import eigensolver
 from cqwsim.eigensolver import DESIGN_TOL, ENERGY_TOL
 from oracles import (
     count_nodes,
+    direct_residual,
     sample_wavefunction,
     scan_design_reference,
     spacing_residual,
+    transcendental_residual,
 )
 
 FINITE = WellParams(50.0, 0.0, 5.0, 1.0)
@@ -43,14 +44,6 @@ DEEP = WellParams(1e4, 0.0, 0.0, 1.0)
 FINITE_ENERGIES = [5.868294994595, 22.629127696056, 44.743119329798]
 DEEP_E0 = 9.486296791402225
 DEEP_E1 = 37.944479882670585
-
-
-def direct_residual(v1, b, d, energy):
-    # independent scalar evaluation of the phase mismatch
-    k = math.sqrt(energy)
-    nu = math.sqrt(v1 - energy)
-    delta = math.sqrt(v1 - b - energy)
-    return k * d - math.atan(nu / k) - math.atan(delta / k)
 
 
 def test_well_params_validation():
@@ -64,18 +57,28 @@ def test_well_params_validation():
         WellParams(50.0, 10.0, 41.0, 1.0)  # floor above the lowered barrier
     with pytest.raises(DomainError):
         WellParams(50.0, 0.0, 5.0, 1.0, period=0.5)  # period must exceed width
-    # beyond float range: (v1 - v2) d^2 or pi^2 / d^2 overflows
+    # beyond float range: V = (v1 - v2) d^2 overflows, or underflows (here
+    # to 0, which would solve to no level at all)
     with pytest.raises(DomainError, match="float range"):
         WellParams(1e308, 0.0, 1.0, 1e200)
     with pytest.raises(DomainError, match="float range"):
         WellParams(1e308, -1e308, 0.0, 1.0)
     with pytest.raises(DomainError, match="float range"):
         WellParams(60.0, 0.0, 0.0, 1e-170)
-    # pi^2 / d^2 is finite, but level 1's hard-wall bracket 4 pi^2 / d^2 is not
-    with pytest.raises(DomainError, match="float range"):
-        WellParams(1.7e308, 0.0, 0.0, 3e-154)
     with pytest.raises(DomainError, match="float range"):
         design_alignment(1e308, 0.0, 1e200)
+    # V = 1e-300 is normal, but d^2 = 1e-320 is not: V would carry its rounding
+    with pytest.raises(DomainError, match="float range"):
+        WellParams(1e20, 0.0, 0.0, 1e-160)
+    # period / d overflows
+    with pytest.raises(DomainError, match="float range"):
+        WellParams(6e301, 0.0, 0.0, 1e-150, period=1e200)
+    # the solver forms no physical-frame number, so a well whose hard-wall
+    # brackets 4 pi^2 / d^2 overflow solves: V = 15.3, two levels below v1
+    edge = WellParams(1.7e308, 0.0, 0.0, 3e-154)
+    energies = [state.energy for state in solve_bound_states(edge)]
+    assert energies == pytest.approx([4.63617268186842e307, 1.5529852373739624e308], rel=1e-12)
+    assert energies[1] < edge.v1
 
 
 def test_residual_matches_direct_evaluation():
@@ -248,9 +251,10 @@ def test_levels_sit_in_hard_wall_brackets(v2, depth, d, bias_fraction):
         assert wave_nodes(state.wave) == n
         residual, branch = transcendental_residual(params, state.energy)
         assert branch == n
-        # the bisection fixes the energy to ENERGY_TOL / d^2; only a level
-        # within ~1e-8 / d^2 of the window top has a phase slope steep enough
-        # for that to exceed 1e-9 in phase
+        # the bisection fixes the scale-free energy to ENERGY_TOL, so the
+        # physical one to ENERGY_TOL / d^2; only a level within ~1e-8 / d^2 of
+        # the window top has a phase slope steep enough for that to exceed
+        # 1e-9 in phase
         tol = ENERGY_TOL / (d * d)
         assert abs(residual) <= max(1e-9, phase_slope(params, state.energy) * tol)
 
@@ -384,8 +388,8 @@ def test_design_phase_evaluation_budget(monkeypatch, tmp_path):
     calls = [0]
     phase_of = eigensolver._phase_of
 
-    def counted_phase_of(params):
-        phase = phase_of(params)
+    def counted_phase_of(depth, bias):
+        phase = phase_of(depth, bias)
 
         def counted(energy):
             calls[0] += 1

@@ -7,11 +7,17 @@ on no physics; the design, levels and physical-branching runs at the
 paper's test pair guard the eigensolver and the closed-form integrals.
 Stdout is not recorded: it names the temporary output directory.
 
-To record new digests after a declared byte change, run
+To record the digests of runs added to ``RUNS``, run
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-and state the change and its reason in CHANGES.md.
+which writes only the runs missing from the file. After a declared byte
+change, name the runs to record again,
+
+    PYTHONPATH=src python tests/test_golden_outputs.py levels-v60-p1.25
+
+and state the change and its reason in CHANGES.md. No other entry is
+rewritten.
 """
 
 from __future__ import annotations
@@ -39,11 +45,15 @@ def _manual(p_hh, p_hl, p_lh, p_ll, ch, cl):
 
 
 _PAIR = ["--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"]
+# the well (57.66, 0, 1, 7.7 / 6.2) with its width scaled to 6.2e-61: its
+# chain is solved on that scale-free well and scaled only on output
+_EDGE = ["--v1", "1.5e122", "--v2", "0", "--d", "6.2e-61", "--period", "7.7e-61"]
 
 # name -> (argv, config document or None)
 RUNS = {
     "design-v60-d1": (["design", "--v1", "60", "--v2", "0", "--d", "1"], None),
     "levels-v60-p1.25": (["levels", *_PAIR], None),
+    "levels-float-range-edge": (["levels", *_EDGE, "--branching", "physical"], None),
     "simulate-n22-physical": (
         ["simulate", "--n", "22", "--branching", "physical", *_PAIR], None),
     "simulate-n8-symmetric": (
@@ -114,10 +124,38 @@ def test_golden_file_covers_every_run():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(RUNS)
 
 
-if __name__ == "__main__":
-    digests = {}
-    for case in sorted(RUNS):
+def record_digests(names: list[str]) -> None:
+    """Record the named runs, or with no names the runs missing from the file.
+
+    Every other entry of the file is kept as it is.
+    """
+    unknown = sorted(set(names) - set(RUNS))
+    if unknown:
+        raise SystemExit(f"unknown golden runs: {', '.join(unknown)}")
+    digests = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for case in names or sorted(set(RUNS) - set(digests)):
         with tempfile.TemporaryDirectory() as tmp:
             digests[case] = record(case, Path(tmp))
+        print(f"recorded {case}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
+
+
+def test_recorder_writes_only_what_it_is_told(tmp_path, monkeypatch, capsys):
+    # with no names it adds the missing run and keeps every other entry,
+    # even a stale one, byte for byte; a named run is recorded again
+    golden = json.loads(GOLDEN.read_text())
+    stale = dict(golden, **{"design-v60-d1": {"exit": 9, "files": {}}})
+    del stale["simulate-n8-symmetric"]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(stale, indent=2, sort_keys=True) + "\n")
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", path)
+    record_digests([])
+    expected = dict(golden, **{"design-v60-d1": {"exit": 9, "files": {}}})
+    assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    record_digests(["simulate-n8-symmetric"])
+    assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    capsys.readouterr()
+
+
+if __name__ == "__main__":
+    record_digests(sys.argv[1:])
