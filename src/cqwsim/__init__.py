@@ -46,8 +46,8 @@ _EXPORTS = {
     ),
     "eigensolver": (
         "BoundState", "DesignResult", "PiecewiseWave", "WellParams",
-        "bisect_root", "composite_grid", "count_levels", "design_alignment",
-        "evaluate_wave", "product_integral", "solve_bound_states", "wave_nodes",
+        "bisect_root", "count_levels", "design_alignment", "evaluate_wave",
+        "product_integral", "solve_bound_states", "wave_nodes",
     ),
     "errors": (
         "CqwError", "DomainError", "InfeasibleDesignError", "NumericError",

@@ -27,15 +27,11 @@ from .eigensolver import (
     WellParams,
     _lowest_states,
     _scale_free,
-    composite_grid,
     count_levels,
     design_alignment,
     evaluate_wave,
     product_integral,
 )
-# Unused here: bench/tracing.py TARGETS wraps it, and bench/selftest.py::
-# test_missing_traced_name_records_zero deletes it. Drop it when bench/ changes.
-from .eigensolver import simpson  # noqa: F401
 from .errors import DomainError, InfeasibleDesignError, NumericError, ValidationError
 
 ALIGNMENT_TOL = 1e-6
@@ -269,10 +265,20 @@ def mode_frequencies(delta_e: float, splitting: float) -> ModeFrequencies:
     )
 
 
-# The tests' Simpson reference, which no command uses. It stays, out of the
-# package namespace, because bench/tracing.py TARGETS wraps sample_chain_waves
-# and bench/selftest.py::test_missing_traced_name_records_zero asserts that it
-# is not missing. Move both to tests/oracles.py when bench/ changes.
+# The tests' sampled-grid references: no command uses them, and the package
+# namespace leaves them out. They stay because bench/tracing.py TARGETS wraps
+# simpson and sample_chain_waves; move them to tests/oracles.py with it.
+def simpson(y, x) -> float:
+    """``scipy.integrate.simpson(y, x=x)``, imported on the first call.
+
+    No command calls it, and scipy comes only with the ``test`` extra. It
+    stays only because the benchmark tracer wraps it (ROADMAP item 9).
+    """
+    from scipy.integrate import simpson as scipy_simpson
+
+    return float(scipy_simpson(y, x=x))
+
+
 class ChainWaves(NamedTuple):
     """Wavefunction samples spanning three consecutive wells.
 
@@ -296,9 +302,13 @@ def sample_chain_waves(
     params: WellParams,
     n_points: int = 10_000,
 ) -> ChainWaves:
-    """Sample the translated well states on a three-well composite grid."""
-    x = composite_grid(params, [ground, excited], n_wells=3, n_points=n_points)
+    """Sample the translated states on three wells plus 8 decay lengths a side."""
+    import numpy as np
+
+    nu = min(ground.wave.nu, excited.wave.nu)
+    delta = min(ground.wave.delta, excited.wave.delta)
     period = params.period
+    x = np.linspace(-8.0 / nu, 2 * period + params.d + 8.0 / delta, n_points)
     return ChainWaves(
         x=x,
         ground_0=evaluate_wave(ground, x, 0.0),

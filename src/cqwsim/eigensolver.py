@@ -34,14 +34,9 @@ from math import (
     atan2, ceil, cos, exp, expm1, factorial, floor, inf, isfinite, pi, sin, sqrt, ulp,
 )
 from sys import float_info
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
-from .errors import (
-    DomainError,
-    InfeasibleDesignError,
-    NumericError,
-    ValidationError,
-)
+from .errors import DomainError, InfeasibleDesignError, NumericError
 
 ENERGY_TOL = 1e-12
 DESIGN_TOL = 1e-9
@@ -424,66 +419,6 @@ def evaluate_wave(state: BoundState, x, offset: float = 0.0) -> np.ndarray:
     )
     out[right] = w.amp_right * np.exp(-w.delta * (xs[right] - w.width))
     return out
-
-
-def composite_grid(
-    params: WellParams,
-    states: Sequence[BoundState],
-    n_wells: int = 1,
-    n_points: int = 10_000,
-    pad_lengths: float = 8.0,
-) -> np.ndarray:
-    """Uniform quadrature grid spanning ``n_wells`` periods plus decay tails.
-
-    Tails extend ``pad_lengths`` decay lengths of the slowest-decaying state
-    on each side.
-    """
-    import numpy as np
-
-    if not states:
-        raise ValidationError("composite_grid needs at least one bound state")
-    if n_wells > 1 and params.period is None:
-        raise ValidationError("well.period is required for multi-well grids")
-    nu = min(s.wave.nu for s in states)
-    delta = min(s.wave.delta for s in states)
-    span = 0.0 if n_wells == 1 else (n_wells - 1) * params.period
-    return np.linspace(-pad_lengths / nu, span + params.d + pad_lengths / delta, n_points)
-
-
-def simpson(y, x) -> float:
-    """Composite Simpson quadrature of samples ``y`` on the ascending grid ``x``.
-
-    The grid needs at least three points. Each pair of intervals is
-    integrated by the parabola through its three points, weighted for uneven
-    spacing. With an even point count the last interval gets Cartwright's
-    end correction from the last three points. The arithmetic follows
-    scipy's ``simpson(y, x=x)`` step by step, so the result is bit-identical
-    to it.
-    """
-    import numpy as np
-
-    y = np.asarray(y, dtype=float)
-    h = np.diff(np.asarray(x, dtype=float))
-    n = y.size if y.size % 2 else y.size - 1
-    h0, h1 = h[0 : n - 2 : 2], h[1 : n - 1 : 2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    total = np.sum(
-        hsum / 6.0 * (
-            y[0 : n - 2 : 2] * (2.0 - 1.0 / ratio)
-            + y[1 : n - 1 : 2] * (hsum * (hsum / (h0 * h1)))
-            + y[2:n:2] * (2.0 - ratio)
-        )
-    )
-    if n == y.size:
-        return float(total)
-    # 0-d arrays, so the powers below take numpy's array power loop as
-    # scipy's do; the scalar path rounds some cubes differently.
-    a, b = np.asarray(h[-2]), np.asarray(h[-1])
-    alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
-    beta = (b**2 + 3.0 * a * b) / (6 * a)
-    eta = b**3 / (6 * a * (a + b))
-    return float(total + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))
 
 
 def design_alignment(v1: float, v2: float, d: float) -> DesignResult:

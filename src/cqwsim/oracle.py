@@ -202,18 +202,9 @@ def _binomial(rng: Random, k: int, p: float) -> int:
     return successes
 
 
-def _table_of(dist) -> dict[CountKey, float]:
-    return dist.table if isinstance(dist, JointDistribution) else dist
-
-
-def tv_distance(p, q) -> float:
-    """Total variation distance between two count distributions.
-
-    Accepts JointDistribution values or plain (l, m, n) -> probability
-    maps.
-    """
-    p_table = _table_of(p)
-    q_table = _table_of(q)
+def tv_distance(p: JointDistribution, q: JointDistribution) -> float:
+    """Total variation distance between two count distributions."""
+    p_table, q_table = p.table, q.table
     keys = p_table.keys() | q_table.keys()
     return 0.5 * fsum(abs(p_table.get(k, 0.0) - q_table.get(k, 0.0)) for k in keys)
 

@@ -9,11 +9,13 @@ is the photon-count recursion written as a dict over (sublevel, l, n)
 states, the reference the array cascade must match bit for bit.
 
 The closed-form wave integrals have two sampled references: ``quad_product``,
-adaptive Gauss-Kronrod quadrature on every region, and the composite
-Simpson route on a uniform grid that the package used before
-(``sampled_coupling_integrals``, and ``sampled_dipole_integrals`` over
-``cqwsim.coupling.sample_chain_waves``). ``sample_wavefunction`` and
-``count_nodes`` check a single sampled state's norm and nodes.
+adaptive Gauss-Kronrod quadrature on every region, and the route the
+package used before, scipy's composite Simpson rule on the uniform grids
+of ``composite_grid`` (``sampled_coupling_integrals``, and
+``sampled_dipole_integrals`` over ``cqwsim.coupling.sample_chain_waves``,
+whose three-well grid is ``composite_grid``'s to the bit).
+``sample_wavefunction`` and ``count_nodes`` check a single sampled state's
+norm and nodes.
 
 ``support_set`` enumerates the (l, m, n) support of an N-photon table,
 and ``support_partition`` splits it by the starting sublevel that reaches
@@ -66,12 +68,11 @@ from cqwsim import (
     ValidationError,
     WellParams,
     bisect_root,
-    composite_grid,
     count_levels,
     evaluate_wave,
 )
 from cqwsim.coupling import ChainWaves
-from cqwsim.eigensolver import DESIGN_TOL, _level_energy, _scale_free, simpson
+from cqwsim.eigensolver import DESIGN_TOL, _level_energy, _scale_free
 from cqwsim.output import format_float
 
 
@@ -672,6 +673,22 @@ def quad_product(
     return value, error + CLOSED_FORM_ROUNDINGS * 2.0**-53 * scale
 
 
+def composite_grid(params, states, n_wells=1, n_points=10_000, pad_lengths=8.0):
+    """Uniform quadrature grid spanning ``n_wells`` periods plus decay tails.
+
+    Tails extend ``pad_lengths`` decay lengths of the slowest-decaying state
+    on each side.
+    """
+    if not states:
+        raise ValidationError("composite_grid needs at least one bound state")
+    if n_wells > 1 and params.period is None:
+        raise ValidationError("well.period is required for multi-well grids")
+    nu = min(s.wave.nu for s in states)
+    delta = min(s.wave.delta for s in states)
+    span = 0.0 if n_wells == 1 else (n_wells - 1) * params.period
+    return np.linspace(-pad_lengths / nu, span + params.d + pad_lengths / delta, n_points)
+
+
 def sample_wavefunction(state, grid):
     """Sample the wavefunction on ``grid`` and verify its normalization.
 
@@ -730,11 +747,11 @@ def sampled_coupling_integrals(ground, excited, params, n_points=10_000):
     v_a = single_well_potential(v1, v2, b, d, x)
     v_b = single_well_potential(v1 - b, v2 - b, b, d, x - period)
     return CouplingIntegrals(
-        overlap=simpson(fa * fb, x),
-        k_ba=simpson(fb * (v_pair - v_a) * fa, x),
-        k_ab=simpson(fa * (v_pair - v_b) * fb, x),
-        d_aa=simpson(fa * fa * (v_pair - v_a), x),
-        d_bb=simpson(fb * fb * (v_pair - v_b), x),
+        overlap=scipy_simpson(fa * fb, x=x),
+        k_ba=scipy_simpson(fb * (v_pair - v_a) * fa, x=x),
+        k_ab=scipy_simpson(fa * (v_pair - v_b) * fb, x=x),
+        d_aa=scipy_simpson(fa * fa * (v_pair - v_a), x=x),
+        d_bb=scipy_simpson(fb * fb * (v_pair - v_b), x=x),
     )
 
 
@@ -761,10 +778,10 @@ def sampled_dipole_integrals(
             f"got [{x[0]}, {x[-1]}]"
         )
     return DipoleIntegrals(
-        intra=simpson(waves.ground_1 * x * waves.excited_1, x),
-        adjacent_gg=simpson(waves.ground_1 * x * waves.ground_0, x),
-        far=simpson(waves.excited_2 * x * waves.ground_0, x),
-        adjacent_ee=simpson(waves.excited_2 * x * waves.excited_1, x),
+        intra=scipy_simpson(waves.ground_1 * x * waves.excited_1, x=x),
+        adjacent_gg=scipy_simpson(waves.ground_1 * x * waves.ground_0, x=x),
+        far=scipy_simpson(waves.excited_2 * x * waves.ground_0, x=x),
+        adjacent_ee=scipy_simpson(waves.excited_2 * x * waves.excited_1, x=x),
     )
 
 

@@ -116,8 +116,13 @@ def test_normalized_survives_overflow_and_underflow(c_h, c_l, expected):
     assert init.c_l == pytest.approx(expected[1], rel=1e-15)
 
 
+# Any amplitude above this squares to inf, so the bound keeps the property's
+# whole domain and leaves the assume few draws to reject.
+ROOT_MAX = math.sqrt(sys.float_info.max)
+
+
 @settings(max_examples=300, deadline=None)
-@given(c_h=st.floats(0.0, 1e300), c_l=st.floats(0.0, 1e300))
+@given(c_h=st.floats(0.0, ROOT_MAX), c_l=st.floats(0.0, ROOT_MAX))
 def test_normalized_matches_direct_formula_in_normal_range(c_h, c_l):
     # Wherever the direct sum of squares is a normal float, no bit moves.
     total = c_h * c_h + c_l * c_l

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: schemas, exit codes, determinism."""
 
+import ast
 import io
 import json
 import os
@@ -636,6 +637,35 @@ def test_output_loads_no_module_beyond_json():
     assert json.loads(result.stdout) == [
         "__future__", "cqwsim", "cqwsim.errors", "cqwsim.output",
     ]
+
+
+def _scipy_import_sites(node, scope=""):
+    """The enclosing def of each statement in ``node`` that imports scipy."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scipy_import_sites(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names = [child.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield scope
+        yield from _scipy_import_sites(child, scope)
+
+
+def test_scipy_is_imported_only_inside_coupling_simpson():
+    # scipy is a test dependency: no module may import it at load, and the
+    # one function that imports it is the benchmark tracer's quadrature target
+    package = Path(cqwsim.__file__).parent
+    sites = [
+        (path.relative_to(package).as_posix(), scope)
+        for path in sorted(package.rglob("*.py"))
+        for scope in _scipy_import_sites(ast.parse(path.read_text(), str(path)))
+    ]
+    assert sites == [("coupling.py", "simpson")]
 
 
 def test_namespace_resolves_lazily():

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import quad_product, sampled_coupling_integrals, sampled_dipole_integrals
+from oracles import (
+    composite_grid,
+    quad_product,
+    sampled_coupling_integrals,
+    sampled_dipole_integrals,
+)
 from scipy.linalg import eigh
 
 from cqwsim import (
@@ -265,6 +270,14 @@ def test_sampled_dipoles_reject_short_grid(pair_case):
     with pytest.raises(ValidationError, match="coverage"):
         sampled_dipole_integrals(trimmed, pair_case.params)
     assert sampled_dipole_integrals(clipped, pair_case.params).intra != 0.0
+
+
+@pytest.mark.parametrize("n_points", [10_000, 10_001])
+def test_chain_waves_grid_is_the_composite_grid(pair_case, n_points):
+    ground, excited = pair_case.left[0], pair_case.left[1]
+    waves = sample_chain_waves(ground, excited, pair_case.params, n_points)
+    grid = composite_grid(pair_case.params, [ground, excited], n_wells=3, n_points=n_points)
+    assert waves.x.tobytes() == grid.tobytes()
 
 
 def _assert_within_quad(value, oracle):

@@ -213,8 +213,6 @@ def test_tv_distance_hand_values():
     q = JointDistribution(n_total=1, table={(0, 0, 1): 0.5, (1, 0, 0): 0.5})
     assert tv_distance(p, q) == 0.5
     assert tv_distance(p, p) == 0.0
-    # plain dicts are accepted too
-    assert tv_distance({(0, 0, 1): 1.0}, {(1, 0, 0): 1.0}) == 1.0
 
 
 def test_audit_frozen_interference_case():
