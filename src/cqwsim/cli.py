@@ -12,7 +12,9 @@ infeasible physics, 4 failed verification.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import sys
 from math import inf, isfinite
 from pathlib import Path
@@ -249,20 +251,33 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
     )
 
 
+def _say(text: str) -> None:
+    """Print a line to stdout and flush it, so that a stdout that cannot be
+    written fails here, buffered or not. A closed pipe (the reader quit
+    early) drops the line, since the result files are the run's output;
+    any other failure is a diagnostic, as for the output directory."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        pass
+    except OSError as exc:
+        raise ValidationError(f"cannot write stdout: {exc}") from None
+
+
 def _emit(config: RunConfig, documents: list[tuple[str, str | Iterable[str]]]) -> None:
     """Write each document, given whole or as chunks written as they come."""
     out = Path(config.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in documents:
-            if config.fmt != "both" and not name.endswith(f".{config.fmt}"):
-                continue
-            path = out / name
+    for name, text in documents:
+        if config.fmt != "both" and not name.endswith(f".{config.fmt}"):
+            continue
+        path = out / name
+        try:
+            out.mkdir(parents=True, exist_ok=True)
             with path.open("w") as handle:
                 handle.writelines([text] if isinstance(text, str) else text)
-            print(f"wrote {path}")
-    except OSError as exc:
-        raise ValidationError(f"cannot write output.dir {config.out_dir}: {exc}")
+        except OSError as exc:
+            raise ValidationError(f"cannot write output.dir {config.out_dir}: {exc}")
+        _say(f"wrote {path}")
 
 
 def _solve_chain(config: RunConfig):
@@ -501,7 +516,7 @@ def _usage() -> str:
 def _parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
     """Read ``MODE --flag VALUE --flag=VALUE ...`` into (mode, config, flags)."""
     if "-h" in argv or "--help" in argv:
-        print(_usage())
+        _say(_usage())
         raise SystemExit(0)
     tokens = iter(argv)
     mode = _KEYS["mode"].check(next(tokens, None), "mode")
@@ -536,5 +551,38 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def entry() -> None:
+    """Run ``main`` as a whole process and exit with its code.
+
+    ``python -m cqwsim`` and the ``cqwsim`` script both start here. Once
+    ``main`` has returned, its files are closed and nothing the process
+    made is needed again, yet the interpreter's shutdown runs a full
+    collection that traverses and frees the about 12,000 objects still
+    tracked, most of them made by the interpreter's own start-up: 4-8 ms
+    of a 0.06-0.1 s command. ``gc.freeze()`` moves every tracked object
+    into the permanent generation, which that collection skips. Modules
+    are still torn down by refcount, atexit handlers still run and the
+    standard streams still flush, so no output changes; Python does not
+    promise ``__del__`` for objects alive at exit anyway. ``os._exit``
+    would skip the flush and atexit, and ``gc.disable()`` over the run
+    would let its cyclic garbage grow without bound. The freeze stays out
+    of ``main``, which tests and the benchmark's tracer call in-process.
+
+    A reader that closed stdout early costs no file and no exit code:
+    ``_say`` drops the lines it cannot print.
+    """
+    try:
+        raise SystemExit(main())
+    finally:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # what _say could not write, and dropped or reported; Python's
+            # recipe for SIGPIPE points fd 1 at os.devnull, so the shutdown
+            # flush neither fails nor prints "Exception ignored"
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

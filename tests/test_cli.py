@@ -1,10 +1,12 @@
 """End-to-end command-line runs: schemas, exit codes, determinism."""
 
 import ast
+import gc
 import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import cqwsim
 import cqwsim.cli as cli
-from cqwsim import JointDistribution, eigensolver
+from cqwsim import JointDistribution, eigensolver, run_cascade
 from cqwsim.cascade import LIST_LIMIT
 from cqwsim.coupling import TUNNELING_DOMINANCE
 from cqwsim.eigensolver import DESIGN_TOL
@@ -459,17 +461,17 @@ def test_verify_mode_passes(tmp_path):
     assert doc["tv_distance"] is None
 
 
+def _skewed_cascade(n, init, model):
+    """``run_cascade`` with one entry raised by 1e-6, which verify must catch."""
+    dist = run_cascade(n, init, model)
+    table = dict(dist.table)
+    key = sorted(table)[0]
+    table[key] = table[key] + 1e-6
+    return JointDistribution(n_total=dist.n_total, table=table)
+
+
 def test_verify_detects_divergence(tmp_path, capsys, monkeypatch):
-    true_run = cli.run_cascade
-
-    def skewed(n, init, model):
-        dist = true_run(n, init, model)
-        table = dict(dist.table)
-        key = sorted(table)[0]
-        table[key] = table[key] + 1e-6
-        return JointDistribution(n_total=dist.n_total, table=table)
-
-    monkeypatch.setattr(cli, "run_cascade", skewed)
+    monkeypatch.setattr(cli, "run_cascade", _skewed_cascade)
     out = tmp_path / "v"
     code = cli.main([
         "verify", "--n", "6", "--branching", "symmetric",
@@ -637,6 +639,94 @@ def test_output_loads_no_module_beyond_json():
     assert json.loads(result.stdout) == [
         "__future__", "cqwsim", "cqwsim.errors", "cqwsim.output",
     ]
+
+
+def _run_to_stdout(argv, stdout, cwd, unbuffered):
+    """``python -m cqwsim ARGV`` with its stdout on ``stdout``."""
+    src = Path(cqwsim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "cqwsim", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, env=env, cwd=cwd, text=True, timeout=120,
+    )
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "5", "--branching", "symmetric"],
+    ["analyze", "--n", "5", "--branching", "symmetric"],
+    ["--help"],
+], ids=["simulate", "analyze", "help"])
+def test_closed_stdout_writes_every_file_and_keeps_the_exit_code(
+    tmp_path, capsys, argv, unbuffered
+):
+    # a reader that quits early (`cqwsim ... | head -0`): every "wrote" line
+    # hits a closed pipe, and a buffered stdout still holds it at exit
+    out = [] if argv == ["--help"] else ["--out", "o"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _run_to_stdout([*argv, *out], write, tmp_path, unbuffered)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (0, "")
+    if out:
+        assert cli.main([*argv, "--out", str(tmp_path / "normal")]) == 0
+        capsys.readouterr()
+        assert _files(tmp_path / "o") == _files(tmp_path / "normal") != {}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_unwritable_stdout_is_a_diagnostic(tmp_path, unbuffered):
+    # a full disk behind stdout is an error, reported as the output
+    # directory's would be: one JSON line and exit 2, no traceback
+    with open("/dev/full", "w") as full:
+        result = _run_to_stdout(
+            ["simulate", "--n", "5", "--branching", "symmetric", "--out", "o"],
+            full, tmp_path, unbuffered,
+        )
+    assert result.returncode == 2
+    assert json.loads(result.stderr) == {
+        "error": "validation",
+        "message": "cannot write stdout: [Errno 28] No space left on device",
+    }
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch):
+    # only the process entry freezes: tests and the benchmark's tracer call
+    # main in-process, and conftest's ResourceWarning rule needs the collector
+    before = (gc.get_freeze_count(), gc.isenabled())
+    out = ["--out", str(tmp_path / "o")]
+    codes = [
+        cli.main(["simulate", "--n", "8", "--branching", "symmetric", *out]),
+        cli.main(["simulate", "--n", "0", "--branching", "symmetric", *out]),
+        cli.main(["design", "--v1", "100", "--v2", "0", "--d", "1.1", *out]),
+    ]
+    monkeypatch.setattr(cli, "run_cascade", _skewed_cascade)
+    codes.append(cli.main(["verify", "--n", "6", "--branching", "symmetric", *out]))
+    capsys.readouterr()
+    assert codes == [0, 2, 3, 4]
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_console_script_and_module_run_the_same_entry(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(cqwsim.__file__).resolve().parents[2]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["cqwsim"].partition(":")
+    assert getattr(sys.modules[module], name) is cli.entry
+    calls = []
+    monkeypatch.setattr(cli, "entry", lambda: calls.append("entry"))
+    runpy.run_module("cqwsim", run_name="__main__")
+    assert calls == ["entry"]
 
 
 def _scipy_import_sites(node, scope=""):

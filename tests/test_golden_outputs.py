@@ -1,7 +1,9 @@
 """Golden digests of the CLI result files: refactors must keep every byte.
 
 Each run goes through ``cli.main`` into a fresh directory; the record is
-the exit code, the names of the files written and the sha256 of each.
+the exit code, the names of the files written and the sha256 of each. One
+run per mode also goes through ``python -m cqwsim`` in a fresh process,
+the path the benchmark times.
 The chain runs use symmetric or manual branching, so their bytes depend
 on no physics; the design, levels and physical-branching runs at the
 paper's test pair guard the eigensolver and the closed-form integrals.
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -93,8 +97,9 @@ RUNS = {
 }
 
 
-def record(name: str, workdir: Path) -> dict:
-    """Run one golden case in ``workdir``; return its exit code and digests."""
+def record(name: str, workdir: Path, main=cli.main) -> dict:
+    """Run one golden case in ``workdir`` through ``main``; return its exit
+    code and digests."""
     argv, config = RUNS[name]
     argv = list(argv)
     if config is not None:
@@ -102,7 +107,7 @@ def record(name: str, workdir: Path) -> dict:
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
     out = workdir / "out"
-    code = cli.main(argv + ["--out", str(out)])
+    code = main(argv + ["--out", str(out)])
     files = sorted(p.name for p in out.iterdir()) if out.exists() else []
     return {
         "exit": code,
@@ -118,6 +123,25 @@ def test_golden_outputs(name, tmp_path, capsys):
     expected = json.loads(GOLDEN.read_text())[name]
     assert record(name, tmp_path) == expected
     capsys.readouterr()
+
+
+def _fresh_process(argv: list[str]) -> int:
+    """Run ``python -m cqwsim ARGV`` as the benchmark times it; its exit code."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "cqwsim", *argv], env=env, capture_output=True,
+        timeout=300,
+    ).returncode
+
+
+@pytest.mark.parametrize("name", [
+    "design-v60-d1", "levels-v60-p1.25", "simulate-n22-physical",
+    "analyze-n21-symmetric", "verify-n12-samples", "audit-n10-cmt-signs",
+])
+def test_golden_outputs_through_the_process_entry(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert record(name, tmp_path, _fresh_process) == expected
 
 
 def test_golden_file_covers_every_run():
