@@ -6,20 +6,24 @@ derive branching probabilities from dipoles and mode frequencies, run
 the photon-counting cascade, and analyze or cross-check the resulting
 distribution.
 
-Each public name is imported from its home module on first access, and
-numpy inside the functions that build arrays, so each command loads only
-the code it runs. The command line starts with ``cli``, ``cascade``,
-``errors``, ``oracle`` and ``output``; ``analyze`` adds ``analysis``,
-``design`` (or any command given a well) adds ``eigensolver``, and
-``levels`` and the ``physical`` and ``dipole-only`` branching add
-``eigensolver`` and ``coupling``. The physics
-integrates the piecewise waves in closed form and never loads numpy. The
-cascade walks each start as two lists split by the parity of the
-crossing count: Python lists up to N = 1024 photons
-(``cascade.LIST_LIMIT``) and numpy arrays of the same layout above it,
-so ``simulate`` and ``analyze`` load numpy only above that. The
-``verify`` oracles run on Python lists and ``random``, without numpy.
-The records are ``NamedTuple``s, so no command loads ``dataclasses``.
+The package needs only the standard library; numpy is an optional
+extra. Each public name is imported from its home module on first
+access, and numpy inside the functions that build arrays, so each
+command loads only the code it runs. The command line starts with
+``cli``, ``cascade``, ``errors``, ``oracle`` and ``output``; ``analyze``
+adds ``analysis``, ``design`` (or any command given a well) adds
+``eigensolver``, and ``levels`` and the ``physical`` and ``dipole-only``
+branching add ``eigensolver`` and ``coupling``. The physics integrates
+the piecewise waves in closed form and never loads numpy. The cascade
+walks each start as two lists split by the parity of the crossing
+count: Python lists up to N = 1400 photons (``cascade.LIST_LIMIT``), and
+above it numpy arrays of the same layout if numpy is installed, or the
+same lists if not, with the same bits either way. So ``simulate`` and
+``analyze`` load numpy only above the cutoff, and every command runs
+without it. The ``verify`` oracles run on Python lists and ``random``.
+Only ``evaluate_wave`` and ``sample_chain_waves``, which return arrays,
+need numpy. The records are ``NamedTuple``s, so no command loads
+``dataclasses``.
 """
 
 from importlib import import_module

@@ -16,19 +16,20 @@ parity of c: ``even[j]`` holds c = 2j and ``odd[j]`` c = 2j + 1. The
 central count m is implied by the step number.
 
 ``run_cascade`` picks one of three walks of that layout, and all three
-give the same bits. Up to ``LIST_LIMIT`` (1024) photons the two lists
+give the same bits, so no result depends on whether numpy, an optional
+extra, is installed. Up to ``LIST_LIMIT`` (1400) photons the two lists
 are plain Python lists and numpy is never imported: in a fresh process,
-numpy's import costs more than the O(N^2) Python loop up to N of about
-1300. No branching kind loads numpy before the cascade runs, so the
-cutoff by N alone holds for all of them. Below it, when all four rates
-are 1/2 (the symmetric kind, or manual rows that normalize to 1/2) and
-the start mass is at least 2^(steps - 1022), ``_walk_equal`` adds
-instead of multiplying: halving is exact in the normal range and
-rounding commutes with it, so it takes the factor 2^-steps out of the
-loop and applies it once at the end with no bit changed. Every other
-start below the cutoff runs ``_walk``. Above it the lists are
-zero-padded float64 arrays, advanced one hop at a time by
-``evolve_step``.
+numpy's import costs more than the O(N^2) Python loop up to about that
+N. No branching kind loads numpy before the cascade runs, so the cutoff
+by N alone holds for all of them. Below it, when all four rates are 1/2
+(the symmetric kind, or manual rows that normalize to 1/2) and the start
+mass is at least 2^(steps - 1022), ``_walk_equal`` adds instead of
+multiplying: halving is exact in the normal range and rounding commutes
+with it, so it takes the factor 2^-steps out of the loop and applies it
+once at the end with no bit changed. Every other start below the cutoff
+runs ``_walk``. Above it the lists are zero-padded float64 arrays,
+advanced one hop at a time by ``evolve_step``, when numpy is installed,
+and ``_walk``'s lists otherwise, only slower.
 
 The branching rows (``BranchingModel``) are defined here, not beside the
 physics in ``coupling`` that derives them, so the cascade and the oracles
@@ -47,18 +48,23 @@ from .errors import DomainError, NumericError, ValidationError
 HIGH = "H"
 LOW = "L"
 
-# run_cascade's largest N for the list kernel. Up to it a fresh process
-# saves numpy's import (0.14-0.18 s) at a small cost: the general list kernel
-# takes 0.1 / 18 / 74 / 90 ms at N = 22 / 492 / 800 / 1024 against 0.3 / 8 /
-# 15 / 15 ms for the arrays. The two meet near N = 1300 (160 ms against 24 ms
-# plus the import); at N = 1500 the lists take 195 ms and the arrays 36 ms.
-# With equal branching the add-only walk (_walk_equal), whose additions run
-# in C through map(add, ...), takes under a third: 0.03 / 5.6 / 20 ms for
-# both starts at N = 22 / 492 / 800 in a run where the general kernel took
-# 0.08 / 19.5 / 57 ms. Its mass bound fails for every start at N >= 1024,
-# so the cutoff is the same for all kinds. Measured on a 2-vCPU VM, Python
-# 3.11.7, numpy 2.4.6.
-LIST_LIMIT = 1024
+# run_cascade's largest N for the list kernel: where a fresh process breaks
+# even, numpy's import (about 0.15 s) included. In-process, one start of the
+# general list kernel takes 48-53 / 64-91 / 71-86 ms at N = 1024 / 1400 / 1500
+# against 8-10 / 11-14 / 8-15 ms on arrays (medians of 7 and 15 in two runs).
+# Fresh `python -m cqwsim simulate`, arrays (import included) against lists,
+# medians of 21 alternating runs: manual rows (0.7, 0.3, 0.45, 0.55) take
+# 258 / 263 ms at N = 1400 and 263 / 283 ms at N = 1500, symmetric rows
+# 256 / 257 and 262 / 284 ms; at N = 1300 the lists win by 35-38 ms in a
+# pair's median, at N = 1600 they lose by 27-40 ms. With equal branching the
+# add-only walk (_walk_equal), whose additions run in C through
+# map(add, ...), takes under a third: 0.03 / 5.6 / 20 ms for both starts at
+# N = 22 / 492 / 800 in a run where the general kernel took 0.08 / 19.5 /
+# 57 ms. Its mass bound fails for every start at N >= 1024, so at the cutoff
+# symmetric rows cost what manual ones do. Without numpy every N runs on the
+# lists: one start at N = 1e4 takes 4.7 s against 0.33 s on arrays. Measured
+# on a 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
+LIST_LIMIT = 1400
 
 CountKey = tuple[int, int, int]
 
@@ -386,6 +392,22 @@ def _walk_arrays(
     return even.tolist(), odd[:(steps + 1) // 2].tolist()
 
 
+def _array_kernel():
+    """``_walk_arrays`` when numpy is installed, ``_walk`` otherwise.
+
+    numpy is an optional extra and both walks give the same bits, so only
+    its absence falls back: a numpy that is installed but fails to import
+    still raises.
+    """
+    try:
+        import numpy
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        return _walk
+    return _walk_arrays
+
+
 def run_cascade(
     n_total: int, init: InitialExcitation, branching: BranchingModel
 ) -> JointDistribution:
@@ -394,7 +416,8 @@ def run_cascade(
     Up to ``LIST_LIMIT`` photons each start runs as Python lists: by
     additions alone (``_walk_equal``) when all four rates are 1/2, as for
     the symmetric kind, and by ``_walk`` otherwise. Above it each start
-    runs as numpy arrays (``_walk_arrays``). All three give the same bits.
+    runs as numpy arrays (``_walk_arrays``), or by ``_walk`` when numpy is
+    not installed. All three give the same bits.
     A start of zero weight is not walked: its masses would all be zero,
     which ``_decay`` drops.
     """
@@ -402,7 +425,7 @@ def run_cascade(
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     b, steps = branching, n_total - 1
     equal = n_total <= LIST_LIMIT and b[:4] == (0.5, 0.5, 0.5, 0.5)
-    kernel = _walk if n_total <= LIST_LIMIT else _walk_arrays
+    kernel = _walk if n_total <= LIST_LIMIT else _array_kernel()
 
     def walk(mass: float, *rates: float) -> Walk:
         if not mass:

@@ -82,9 +82,12 @@ def _as_count(value, key: str) -> int:
     return _as_int(value, key, minimum=1, maximum=MAX_SIZE)
 
 
-def _as_str(value, key: str) -> str:
+def _as_dir(value, key: str) -> str:
     if not isinstance(value, str):
         raise ValidationError(f"{key} must be a string, got {value!r}")
+    if not value:
+        # Path("") is ".": the files would land in the current directory
+        raise ValidationError(f"{key} must name a directory, got ''")
     return value
 
 
@@ -121,7 +124,7 @@ _KEYS = {
     "branching.p_hl": _Key(_as_number),
     "branching.p_lh": _Key(_as_number),
     "branching.p_ll": _Key(_as_number),
-    "output.dir": _Key(_as_str, "--out", "output directory", "out"),
+    "output.dir": _Key(_as_dir, "--out", "output directory", "out"),
     "output.format": _Key(_OneOf(FORMATS), "--format", "which file kinds to write", "both"),
     "seed": _Key(_as_int, "--seed", "sampling seed", 0),
     "sample_count": _Key(_as_samples, "--samples", "Monte Carlo sample count", 0),
@@ -181,7 +184,7 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
     Flags win over file values. Unknown keys anywhere in the file are
     rejected by name. The domain objects check their own domains.
     """
-    values = _read_config(config_path) if config_path else {}
+    values = {} if config_path is None else _read_config(config_path)
     for key, spec in _KEYS.items():
         if flags.get(key) is not None:
             values[key] = spec.check(flags[key], key)

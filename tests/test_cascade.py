@@ -1,5 +1,6 @@
 """Cascade recursion: hand-checked tables, conservation, support structure."""
 
+import builtins
 import math
 import re
 import sys
@@ -329,6 +330,34 @@ def test_list_kernel_runs_up_to_the_cutoff(monkeypatch):
     calls.clear()
     run_cascade(LIST_LIMIT + 1, H_START, SYM)
     assert calls == [LIST_LIMIT // 2 + 1] * LIST_LIMIT
+
+
+def test_lists_run_above_the_cutoff_without_numpy(monkeypatch):
+    model = BranchingModel.manual(0.7, 0.3, 0.45, 0.55)
+    init = InitialExcitation.balanced()
+    with_arrays = run_cascade(LIST_LIMIT + 1, init, model).table
+    monkeypatch.setitem(sys.modules, "numpy", None)  # as if not installed
+    assert cascade_module._array_kernel() is cascade_module._walk
+    assert_bitwise(run_cascade(LIST_LIMIT + 1, init, model).table, with_arrays)
+
+
+@pytest.mark.parametrize("error", [
+    ModuleNotFoundError("No module named 'numpy._core'", name="numpy._core"),
+    ImportError("numpy's C extensions failed to load", name="numpy"),
+], ids=["missing-submodule", "broken-install"])
+def test_array_kernel_raises_when_an_installed_numpy_fails(monkeypatch, error):
+    real_import = builtins.__import__
+
+    def failing_import(name, *args, **kwargs):
+        if name == "numpy":
+            raise error
+        return real_import(name, *args, **kwargs)
+
+    assert cascade_module._array_kernel() is cascade_module._walk_arrays
+    monkeypatch.setattr(builtins, "__import__", failing_import)
+    with pytest.raises(ImportError) as caught:
+        cascade_module._array_kernel()
+    assert caught.value is error
 
 
 def hex_walk(walk):

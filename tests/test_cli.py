@@ -130,6 +130,21 @@ def test_config_edge_cases_exit_2(tmp_path, capsys, config, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [["--config", ""], ["--config="]],
+                         ids=["separate", "joined"])
+def test_empty_config_path_exits_2(tmp_path, capsys, config):
+    out = tmp_path / "o"
+    code = cli.main(["simulate", *config, "--n", "3", "--branching", "symmetric",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "validation"
+    assert diagnostic["message"].startswith("cannot read config file ")
+    assert not out.exists()
+
+
 # numpy refuses arrays of more than sys.maxsize bytes: the largest N that
 # still builds float64 arrays is sys.maxsize // 8; the sample count is
 # capped where the walks would run for minutes
@@ -729,11 +744,22 @@ def test_console_script_and_module_run_the_same_entry(monkeypatch):
     assert calls == ["entry"]
 
 
-def _scipy_import_sites(node, scope=""):
-    """The enclosing def of each statement in ``node`` that imports scipy."""
+def test_numpy_is_an_optional_extra():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(cqwsim.__file__).resolve().parents[2]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    extras = project["optional-dependencies"]
+    for extra in ("arrays", "test"):
+        numpy = [req for req in extras[extra] if re.match(r"numpy\b", req)]
+        assert numpy == ["numpy>=1.24"]
+
+
+def _import_sites(node, top, scope=""):
+    """The enclosing def of each statement in ``node`` that imports ``top``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _scipy_import_sites(child, f"{scope}.{child.name}".lstrip("."))
+            yield from _import_sites(child, top, f"{scope}.{child.name}".lstrip("."))
             continue
         if isinstance(child, ast.Import):
             names = [alias.name for alias in child.names]
@@ -741,21 +767,35 @@ def _scipy_import_sites(node, scope=""):
             names = [child.module]
         else:
             names = []
-        if any(name.split(".")[0] == "scipy" for name in names):
+        if any(name.split(".")[0] == top for name in names):
             yield scope
-        yield from _scipy_import_sites(child, scope)
+        yield from _import_sites(child, top, scope)
+
+
+def _package_import_sites(top):
+    """(module file, enclosing def) of each import of ``top`` in the package;
+    the def is "" for an import at module level."""
+    package = Path(cqwsim.__file__).parent
+    return [
+        (path.relative_to(package).as_posix(), scope)
+        for path in sorted(package.rglob("*.py"))
+        for scope in _import_sites(ast.parse(path.read_text(), str(path)), top)
+    ]
 
 
 def test_scipy_is_imported_only_inside_coupling_simpson():
     # scipy is a test dependency: no module may import it at load, and the
     # one function that imports it is the benchmark tracer's quadrature target
-    package = Path(cqwsim.__file__).parent
-    sites = [
-        (path.relative_to(package).as_posix(), scope)
-        for path in sorted(package.rglob("*.py"))
-        for scope in _scipy_import_sites(ast.parse(path.read_text(), str(path)))
+    assert _package_import_sites("scipy") == [("coupling.py", "simpson")]
+
+
+def test_numpy_is_imported_only_where_arrays_are_built():
+    # numpy is an optional extra: no module imports it at load; the cascade
+    # probes for it above its list cutoff, and the other three build arrays
+    assert _package_import_sites("numpy") == [
+        ("cascade.py", "_walk_arrays"), ("cascade.py", "_array_kernel"),
+        ("coupling.py", "sample_chain_waves"), ("eigensolver.py", "evaluate_wave"),
     ]
-    assert sites == [("coupling.py", "simpson")]
 
 
 def test_namespace_resolves_lazily():
@@ -941,6 +981,26 @@ def test_unwritable_output_dir_exits_2(tmp_path, capsys, below):
     assert diagnostic["error"] == "validation"
     assert f"output.dir {out}" in diagnostic["message"]
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--out", ""], None),
+    (["--out="], None),
+    ([], {"output": {"dir": ""}}),
+], ids=["flag", "flag-joined", "file"])
+def test_empty_output_dir_exits_2(tmp_path, capsys, monkeypatch, argv, config):
+    # Path("") is the current directory
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, config)]
+    code = cli.main(["simulate", "--n", "3", "--branching", "symmetric", *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "validation", "message": "output.dir must name a directory, got ''",
+    }
+    assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if config else [])
 
 
 # Values for the generated CLI runs, drawn per check in the key table.

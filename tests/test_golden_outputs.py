@@ -3,7 +3,8 @@
 Each run goes through ``cli.main`` into a fresh directory; the record is
 the exit code, the names of the files written and the sha256 of each. One
 run per mode also goes through ``python -m cqwsim`` in a fresh process,
-the path the benchmark times.
+the path the benchmark times, and again with numpy blocked, since every
+mode runs without the optional extra.
 The chain runs use symmetric or manual branching, so their bytes depend
 on no physics; the design, levels and physical-branching runs at the
 paper's test pair guard the eigensolver and the closed-form integrals.
@@ -125,14 +126,30 @@ def test_golden_outputs(name, tmp_path, capsys):
     capsys.readouterr()
 
 
-def _fresh_process(argv: list[str]) -> int:
-    """Run ``python -m cqwsim ARGV`` as the benchmark times it; its exit code."""
+def _run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a fresh process with the package on its path."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run(
-        [sys.executable, "-m", "cqwsim", *argv], env=env, capture_output=True,
+        [sys.executable, *args], env=env, capture_output=True, text=True,
         timeout=300,
-    ).returncode
+    )
+
+
+def _fresh_process(argv: list[str]) -> int:
+    """Run ``python -m cqwsim ARGV`` as the benchmark times it; its exit code."""
+    return _run_python(["-m", "cqwsim", *argv]).returncode
+
+
+# numpy is an optional extra: a None entry in sys.modules makes every
+# ``import numpy`` raise ModuleNotFoundError, as if it were not installed
+_NO_NUMPY = 'import sys; sys.modules["numpy"] = None\n'
+
+
+def _without_numpy(argv: list[str]) -> int:
+    """``_fresh_process`` with numpy blocked before cqwsim loads."""
+    run = "import runpy; runpy.run_module('cqwsim', run_name='__main__', alter_sys=True)"
+    return _run_python(["-c", _NO_NUMPY + run, *argv]).returncode
 
 
 @pytest.mark.parametrize("name", [
@@ -142,6 +159,30 @@ def _fresh_process(argv: list[str]) -> int:
 def test_golden_outputs_through_the_process_entry(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert record(name, tmp_path, _fresh_process) == expected
+
+
+# simulate-n1500-manual runs above cascade.LIST_LIMIT, on the list kernel here
+@pytest.mark.parametrize("name", [
+    "simulate-n1500-manual", "design-v60-d1", "levels-v60-p1.25",
+    "analyze-n501-symmetric", "verify-n12-samples", "audit-n10-cmt-signs",
+])
+def test_golden_outputs_without_numpy(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert record(name, tmp_path, _without_numpy) == expected
+
+
+def test_evaluate_wave_needs_numpy():
+    # the one public function that returns an array needs the extra
+    probe = _NO_NUMPY + (
+        "from cqwsim import WellParams, evaluate_wave, solve_bound_states\n"
+        "state = solve_bound_states(WellParams(60.0, 0.0, 0.0, 1.0))[0]\n"
+        "try:\n"
+        "    evaluate_wave(state, [0.5])\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n"
+    )
+    result = _run_python(["-c", probe])
+    assert (result.returncode, result.stdout, result.stderr) == (0, "numpy\n", "")
 
 
 def test_golden_file_covers_every_run():
