@@ -15,12 +15,14 @@ adds ``analysis``, ``design`` (or any command given a well) adds
 ``eigensolver``, and ``levels`` and the ``physical`` and ``dipole-only``
 branching add ``eigensolver`` and ``coupling``. The physics integrates
 the piecewise waves in closed form and never loads numpy. The cascade
-walks each start as two lists split by the parity of the crossing
-count: Python lists up to N = 1400 photons (``cascade.LIST_LIMIT``), and
-above it numpy arrays of the same layout if numpy is installed, or the
-same lists if not, with the same bits either way. So ``simulate`` and
-``analyze`` load numpy only above the cutoff, and every command runs
-without it. The ``verify`` oracles run on Python lists and ``random``.
+writes equal-rate rows (the symmetric kind) in closed form, correctly
+rounded, at any N and with no array. Other rows walk each start as two
+lists split by the parity of the crossing count: Python lists up to
+N = 1400 photons (``cascade.LIST_LIMIT``), and above it numpy arrays of
+the same layout if numpy is installed, or the same lists if not, with
+the same bits either way. So ``simulate`` and ``analyze`` load numpy
+only for general rows above the cutoff, and every command runs without
+it. The ``verify`` oracles run on Python lists and ``random``.
 Only ``evaluate_wave`` and ``sample_chain_waves``, which return arrays,
 need numpy. The records are ``NamedTuple``s, so no command loads
 ``dataclasses``.

@@ -15,21 +15,19 @@ before the terminal decay, so each start walks on its own, split by the
 parity of c: ``even[j]`` holds c = 2j and ``odd[j]`` c = 2j + 1. The
 central count m is implied by the step number.
 
-``run_cascade`` picks one of three walks of that layout, and all three
-give the same bits, so no result depends on whether numpy, an optional
-extra, is installed. Up to ``LIST_LIMIT`` (1400) photons the two lists
-are plain Python lists and numpy is never imported: in a fresh process,
-numpy's import costs more than the O(N^2) Python loop up to about that
-N. No branching kind loads numpy before the cascade runs, so the cutoff
-by N alone holds for all of them. Below it, when all four rates are 1/2
-(the symmetric kind, or manual rows that normalize to 1/2) and the start
-mass is at least 2^(steps - 1022), ``_walk_equal`` adds instead of
-multiplying: halving is exact in the normal range and rounding commutes
-with it, so it takes the factor 2^-steps out of the loop and applies it
-once at the end with no bit changed. Every other start below the cutoff
-runs ``_walk``. Above it the lists are zero-padded float64 arrays,
-advanced one hop at a time by ``evolve_step``, when numpy is installed,
-and ``_walk``'s lists otherwise, only slower.
+When all four rates are 1/2 (the symmetric kind, or manual rows that
+normalize to 1/2), the crossing count is binomial and ``_equal_walks``
+writes every entry in closed form, correctly rounded, at any N, with no
+array. Other rows run one of two walks of that layout, which give the
+same bits, so no result depends on whether numpy, an optional extra, is
+installed. Up to ``LIST_LIMIT`` (1400) photons ``_walk`` keeps the two
+lists as plain Python lists and numpy is never imported: in a fresh
+process, numpy's import costs more than the O(N^2) Python loop up to
+about that N. No branching kind loads numpy before the cascade runs, so
+the cutoff by N alone holds for all of them. Above it the lists are
+zero-padded float64 arrays, advanced one hop at a time by
+``evolve_step``, when numpy is installed, and ``_walk``'s lists
+otherwise, only slower.
 
 The branching rows (``BranchingModel``) are defined here, not beside the
 physics in ``coupling`` that derives them, so the cascade and the oracles
@@ -39,7 +37,6 @@ load without the eigensolver.
 from __future__ import annotations
 
 from math import copysign, frexp, fsum, isfinite, ldexp, sqrt
-from operator import add
 from sys import float_info
 from typing import NamedTuple
 
@@ -48,22 +45,17 @@ from .errors import DomainError, NumericError, ValidationError
 HIGH = "H"
 LOW = "L"
 
-# run_cascade's largest N for the list kernel: where a fresh process breaks
-# even, numpy's import (about 0.15 s) included. In-process, one start of the
-# general list kernel takes 48-53 / 64-91 / 71-86 ms at N = 1024 / 1400 / 1500
-# against 8-10 / 11-14 / 8-15 ms on arrays (medians of 7 and 15 in two runs).
-# Fresh `python -m cqwsim simulate`, arrays (import included) against lists,
-# medians of 21 alternating runs: manual rows (0.7, 0.3, 0.45, 0.55) take
-# 258 / 263 ms at N = 1400 and 263 / 283 ms at N = 1500, symmetric rows
-# 256 / 257 and 262 / 284 ms; at N = 1300 the lists win by 35-38 ms in a
-# pair's median, at N = 1600 they lose by 27-40 ms. With equal branching the
-# add-only walk (_walk_equal), whose additions run in C through
-# map(add, ...), takes under a third: 0.03 / 5.6 / 20 ms for both starts at
-# N = 22 / 492 / 800 in a run where the general kernel took 0.08 / 19.5 /
-# 57 ms. Its mass bound fails for every start at N >= 1024, so at the cutoff
-# symmetric rows cost what manual ones do. Without numpy every N runs on the
-# lists: one start at N = 1e4 takes 4.7 s against 0.33 s on arrays. Measured
-# on a 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
+# run_cascade's largest N for the list kernel on general rows (equal rates
+# use neither kernel): where a fresh process breaks even, numpy's import
+# (about 0.15 s) included. In-process, one start of the list kernel takes
+# 48-53 / 64-91 / 71-86 ms at N = 1024 / 1400 / 1500 against 8-10 / 11-14 /
+# 8-15 ms on arrays (medians of 7 and 15 in two runs). Fresh `python -m
+# cqwsim simulate` with manual rows (0.7, 0.3, 0.45, 0.55), arrays (import
+# included) against lists, medians of 21 alternating runs: 258 / 263 ms at
+# N = 1400 and 263 / 283 ms at N = 1500; at N = 1300 the lists win by
+# 35-38 ms in a pair's median, at N = 1600 they lose by 27-40 ms. Without
+# numpy every N runs on the lists: one start at N = 1e4 takes 4.7 s against
+# 0.33 s on arrays. Measured on a 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
 LIST_LIMIT = 1400
 
 CountKey = tuple[int, int, int]
@@ -324,40 +316,33 @@ def _walk(
     return even, odd
 
 
-def _walk_equal(steps: int, mass: float) -> Walk:
-    """``_walk`` with every rate 1/2, bit for bit, by additions alone.
+def _equal_walks(steps: int, w_h: float, w_l: float) -> tuple[Walk, Walk]:
+    """The H and L starts' walks when all four rates are 1/2, in closed
+    form, each entry of the table they decay to correctly rounded.
 
-    With all rates equal the sublevel no longer matters, so the masses
-    by crossing count c form one row v[c] = even[c // 2] or odd[c // 2],
-    and a hop adds v[c - 1] to v[c]: Pascal's triangle on mass. Float
-    addition commutes, so each row is symmetric bit for bit, v[c] =
-    v[k - c] after k hops, and only its first half is kept, so a hop adds
-    about k / 2 pairs where ``_walk`` multiplies and adds k. The row is
-    mirrored, scaled by 2^-steps once and split by parity at the end.
-
-    Why the bits match ``_walk``: while every value stays normal, halving
-    is exact and rounding commutes with it, so fl(a/2 + b/2) =
-    fl(a + b) / 2, and ``_walk``'s masses after k hops are this row times
-    2^-k. Its smallest value is mass 2^-k (c = 0, and v >= mass for every
-    c), so a mass of at least 2^(steps - 1022) keeps all of them at or
-    above 2^-1022; that also bounds steps by 1022, so no sum exceeds
-    2^1023 and none overflows. A smaller mass runs ``_walk`` itself:
-    below the bound, a halving in ``_walk`` rounds a subnormal and the
-    two walks can differ in the last bit.
+    Every hop then crosses with probability 1/2 whatever the sublevel, so
+    a start of mass w ends at crossing count c with w * C(steps, c) /
+    2^steps. ``as_integer_ratio`` writes both masses exactly over one
+    power of two, and C(steps, c) is an exact int, built for the first half
+    of the row and mirrored. So each entry is one int true division, which
+    CPython rounds correctly: it is the float nearest its exact value,
+    subnormals included, and one that rounds to 0.0 is dropped by
+    ``_decay``. Odd c of both starts decay onto the same keys, so their
+    exact sum is divided once, into the H walk's odd list, and the L
+    walk's odd list is left empty.
     """
-    if steps > 1022 or mass < ldexp(1.0, steps - 1022):
-        return _walk(steps, mass, 0.5, 0.5, 0.5, 0.5)
-    half = [mass]  # v[0 .. k // 2] after k hops
-    for k in range(steps):
-        new_half = [mass]
-        new_half += map(add, half, half[1:])
-        if k & 1:  # the new middle entry: v[k // 2] on both sides
-            new_half.append(half[-1] + half[-1])
-        half = new_half
-    scale = ldexp(1.0, -steps)
-    half = [v * scale for v in half]
-    row = half + half[-1 - (steps + 1) % 2::-1]
-    return row[0::2], row[1::2]
+    (h, d_h), (l, d_l) = w_h.as_integer_ratio(), w_l.as_integer_ratio()
+    den = max(d_h, d_l)  # both are powers of two
+    h, l, den = h * (den // d_h), l * (den // d_l), den << steps
+    binom = [1]
+    for c in range(steps // 2):
+        binom.append(binom[-1] * (steps - c) // (c + 1))
+    binom += binom[-1 - (steps + 1) % 2::-1]
+
+    def row(num: int, parity: int) -> list[float]:
+        return [num * b / den for b in binom[parity::2]] if num else []
+
+    return (row(h, 0), row(h + l, 1)), (row(l, 0), [])
 
 
 def evolve_step(
@@ -413,27 +398,29 @@ def run_cascade(
 ) -> JointDistribution:
     """Full evolution: n_total - 1 ladder steps then the terminal decay.
 
-    Up to ``LIST_LIMIT`` photons each start runs as Python lists: by
-    additions alone (``_walk_equal``) when all four rates are 1/2, as for
-    the symmetric kind, and by ``_walk`` otherwise. Above it each start
-    runs as numpy arrays (``_walk_arrays``), or by ``_walk`` when numpy is
-    not installed. All three give the same bits.
-    A start of zero weight is not walked: its masses would all be zero,
-    which ``_decay`` drops.
+    When all four rates are 1/2, as for the symmetric kind, both starts
+    are written in closed form by ``_equal_walks`` at any N, each table
+    entry the float nearest its exact value. Other rows walk each start:
+    up to ``LIST_LIMIT`` photons as Python lists (``_walk``), above it as
+    numpy arrays (``_walk_arrays``), or by ``_walk`` when numpy is not
+    installed, with the same bits either way. A start of zero weight is
+    not walked: its masses would all be zero, which ``_decay`` drops.
     """
     if n_total < 1:
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     b, steps = branching, n_total - 1
-    equal = n_total <= LIST_LIMIT and b[:4] == (0.5, 0.5, 0.5, 0.5)
+    w_h, w_l = init.c_h * init.c_h, init.c_l * init.c_l
+    if b[:4] == (0.5, 0.5, 0.5, 0.5):
+        return _decay(n_total, *_equal_walks(steps, w_h, w_l))
     kernel = _walk if n_total <= LIST_LIMIT else _array_kernel()
 
     def walk(mass: float, *rates: float) -> Walk:
         if not mass:
             return [], []
-        return _walk_equal(steps, mass) if equal else kernel(steps, mass, *rates)
+        return kernel(steps, mass, *rates)
 
     return _decay(
         n_total,
-        walk(init.c_h * init.c_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh),
-        walk(init.c_l * init.c_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl),
+        walk(w_h, b.p_hh, b.p_hl, b.p_ll, b.p_lh),
+        walk(w_l, b.p_ll, b.p_lh, b.p_hh, b.p_hl),
     )

@@ -7,6 +7,9 @@ diagonalization for the two-well splitting. A closed-form deep-well
 asymptote gives the reference for the hard-wall limit. ``dict_cascade``
 is the photon-count recursion written as a dict over (sublevel, l, n)
 states, the reference the array cascade must match bit for bit.
+``pascal_cascade`` walks the same states on ints when all four rates are
+1/2 and divides once per entry: the exact table, correctly rounded, that
+the closed-form equal-rate cascade must match bit for bit.
 
 The closed-form wave integrals have two sampled references: ``quad_product``,
 adaptive Gauss-Kronrod quadrature on every region, and the route the
@@ -50,6 +53,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -114,6 +118,41 @@ def dict_cascade(n_total, init, branching):
         target = (l, m - l - n, n + 1) if branch == "H" else (l + 1, m - l - n, n)
         table[target] = table.get(target, 0.0) + w
     return table
+
+
+def pascal_cascade(n_total, init):
+    """The all-1/2 photon-count table, each entry correctly rounded.
+
+    With every rate 1/2, each path of the n_total - 1 hops carries its
+    start's mass times 2^-(n_total - 1). So the ladder walks the
+    (sublevel, l, n) states of ``dict_cascade`` on ints: both start masses
+    written exactly over one power of two, den, and each hop adds a state's
+    int to both its targets. The decay sums the ints that land on one key,
+    and one int true division by den * 2^(n_total - 1), correctly rounded,
+    gives each entry. Entries that round to 0.0 are dropped.
+    """
+    masses = {"H": Fraction(init.c_h * init.c_h), "L": Fraction(init.c_l * init.c_l)}
+    den = max(mass.denominator for mass in masses.values())  # powers of two
+    counts = {(branch, 0, 0): int(mass * den)
+              for branch, mass in masses.items() if mass}
+    for _ in range(n_total - 1):
+        new = {}
+        for (branch, l, n), w in counts.items():
+            if branch == "H":
+                targets = (("H", l, n), ("L", l, n + 1))
+            else:
+                targets = (("H", l + 1, n), ("L", l, n))
+            for target in targets:
+                new[target] = new.get(target, 0) + w
+        counts = new
+    m = n_total - 1
+    exact = {}
+    for (branch, l, n), w in counts.items():
+        target = (l, m - l - n, n + 1) if branch == "H" else (l + 1, m - l - n, n)
+        exact[target] = exact.get(target, 0) + w
+    den <<= n_total - 1
+    table = {key: w / den for key, w in sorted(exact.items())}
+    return {key: f for key, f in table.items() if f}
 
 
 def support_set(n_total):

@@ -27,7 +27,7 @@ from cqwsim import (
 )
 from cqwsim import cascade as cascade_module
 from cqwsim.cascade import LIST_LIMIT
-from oracles import dict_cascade, support_partition, support_set
+from oracles import dict_cascade, pascal_cascade, support_partition, support_set
 
 SYM = BranchingModel.symmetric()
 H_START = InitialExcitation(1.0, 0.0)
@@ -283,16 +283,26 @@ def assert_bitwise(table, reference):
     assert list(table) == sorted(table)
 
 
+def cascade_reference(n_total, init, model):
+    """What ``run_cascade`` must give bit for bit: the exact table correctly
+    rounded when all four rates are 1/2, the dict DP otherwise."""
+    if model[:4] == (0.5, 0.5, 0.5, 0.5):
+        return pascal_cascade(n_total, init)
+    return dict_cascade(n_total, init, model)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 400), stay_h=STAY, stay_l=STAY, init=STARTS)
 @example(n=400, stay_h=0.995, stay_l=0.6, init=L_START)  # the H start is skipped
+@example(n=37, stay_h=0.5, stay_l=0.5, init=InitialExcitation.normalized(0.6, 0.8))
 def test_array_cascade_matches_dict_dp_bitwise(n, stay_h, stay_l, init):
-    # run_cascade takes the list kernel at these sizes; both kernels must
-    # match the dict DP
+    # run_cascade takes the list kernel at these sizes, or the closed form
+    # for equal rates; the array kernel walks every row and must match the
+    # dict DP
     model = BranchingModel.manual(stay_h, 1.0 - stay_h, 1.0 - stay_l, stay_l)
-    reference = dict_cascade(n, init, model)
-    assert_bitwise(run_cascade(n, init, model).table, reference)
-    assert_bitwise(array_cascade(n, init, model), reference)
+    assert_bitwise(run_cascade(n, init, model).table,
+                   cascade_reference(n, init, model))
+    assert_bitwise(array_cascade(n, init, model), dict_cascade(n, init, model))
 
 
 # p_hh = 0.999 from a balanced start leaves subnormal masses in the table
@@ -304,10 +314,11 @@ def test_array_cascade_matches_dict_dp_bitwise(n, stay_h, stay_l, init):
 @example(n=LIST_LIMIT, stay_h=0.999, stay_l=0.5, init=InitialExcitation.balanced())
 @example(n=LIST_LIMIT + 1, stay_h=0.999, stay_l=0.5, init=InitialExcitation.balanced())
 @example(n=LIST_LIMIT + 1, stay_h=0.995, stay_l=0.6, init=H_START)  # L start skipped
+@example(n=LIST_LIMIT + 1, stay_h=0.5, stay_l=0.5, init=L_START)  # equal rates
 def test_cascade_matches_dict_dp_across_the_kernel_cutoff(n, stay_h, stay_l, init):
     model = BranchingModel.manual(stay_h, 1.0 - stay_h, 1.0 - stay_l, stay_l)
     table = run_cascade(n, init, model).table
-    assert_bitwise(table, dict_cascade(n, init, model))
+    assert_bitwise(table, cascade_reference(n, init, model))
     if stay_h == 0.999:
         assert 0.0 < min(table.values()) < sys.float_info.min
 
@@ -321,15 +332,20 @@ def test_list_kernel_runs_up_to_the_cutoff(monkeypatch):
         return evolve_step(even, odd, *rates)
 
     monkeypatch.setattr(cascade_module, "evolve_step", counted)
-    run_cascade(LIST_LIMIT, H_START, SYM)
+    model = BranchingModel.manual(0.7, 0.3, 0.45, 0.55)
+    run_cascade(LIST_LIMIT, H_START, model)
     assert calls == []
     # one hop per start and ladder step, on arrays of length (N - 1) // 2 + 1
-    run_cascade(LIST_LIMIT + 1, InitialExcitation.balanced(), SYM)
+    run_cascade(LIST_LIMIT + 1, InitialExcitation.balanced(), model)
     assert calls == [LIST_LIMIT // 2 + 1] * (2 * LIST_LIMIT)
     # a start of zero weight is not walked
     calls.clear()
-    run_cascade(LIST_LIMIT + 1, H_START, SYM)
+    run_cascade(LIST_LIMIT + 1, H_START, model)
     assert calls == [LIST_LIMIT // 2 + 1] * LIST_LIMIT
+    # equal rates take the closed form at any N, and no array
+    calls.clear()
+    run_cascade(LIST_LIMIT + 1, InitialExcitation.balanced(), SYM)
+    assert calls == []
 
 
 def test_lists_run_above_the_cutoff_without_numpy(monkeypatch):
@@ -360,82 +376,32 @@ def test_array_kernel_raises_when_an_installed_numpy_fails(monkeypatch, error):
     assert caught.value is error
 
 
-def hex_walk(walk):
-    return [[value.hex() for value in side] for side in walk]
-
-
-def equal_walk_bound(steps):
-    return math.ldexp(1.0, steps - 1022)
-
-
-# the bound 2^(steps - 1022), one ulp either side of it, subnormal masses and 1
-@st.composite
-def steps_and_mass(draw):
-    steps = draw(st.integers(0, LIST_LIMIT - 1))
-    bound = equal_walk_bound(steps)
-    mass = draw(st.one_of(
-        st.sampled_from([bound, math.nextafter(bound, 0.0),
-                         math.nextafter(bound, math.inf), 1.0, 5e-324]),
-        st.floats(5e-324, sys.float_info.min, exclude_max=True),
-        st.floats(min(bound, 1.0), 1.0),
-    ))
-    return steps, mass
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=steps_and_mass())
-@example(case=(0, 1.0))
-@example(case=(1022, 1.0))
-@example(case=(1023, 1.0))
-@example(case=(275, float.fromhex("0x1.91b7585b1e2d6p-774")))  # below the bound
-@example(case=(799, equal_walk_bound(799)))
-def test_equal_walk_matches_the_general_walk_bitwise(case):
-    steps, mass = case
-    expected = cascade_module._walk(steps, mass, 0.5, 0.5, 0.5, 0.5)
-    assert hex_walk(cascade_module._walk_equal(steps, mass)) == hex_walk(expected)
-
-
-def test_equal_walk_runs_only_above_its_bound(monkeypatch):
-    calls = []
-    walk = cascade_module._walk
-
-    def counted(steps, mass, *rates):
-        calls.append((steps, mass, rates))
-        return walk(steps, mass, *rates)
-
-    monkeypatch.setattr(cascade_module, "_walk", counted)
-    for steps in (0, 1, 500, 1022):
-        bound = equal_walk_bound(steps)
-        cascade_module._walk_equal(steps, bound)
-        assert calls == []
-        cascade_module._walk_equal(steps, math.nextafter(bound, 0.0))
-        assert calls == [(steps, math.nextafter(bound, 0.0), (0.5,) * 4)]
-        calls.clear()
-    cascade_module._walk_equal(1023, 1.0)
-    assert len(calls) == 1
-    # run_cascade: equal rates take the add-only walk while the bound holds
-    calls.clear()
-    run_cascade(800, InitialExcitation.balanced(), SYM)
-    assert calls == []
-    run_cascade(LIST_LIMIT - 1, InitialExcitation.balanced(), SYM)
-    assert [steps for steps, _, _ in calls] == [LIST_LIMIT - 2] * 2
+# equal rates: the correctly rounded exact table, subnormal entries included
+# (N = 1100 from a balanced start; a faint L start at N = 1000), and exact
+# zeros dropped where the smallest entries round to 0.0 (N = 1100)
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 400), init=STARTS)
+@example(n=1, init=L_START)
+@example(n=400, init=H_START)
+@example(n=1100, init=InitialExcitation.balanced())
+@example(n=1000, init=InitialExcitation.normalized(1.0, 1e-4))
+def test_equal_rates_give_the_correctly_rounded_table(n, init):
+    table = run_cascade(n, init, SYM).table
+    assert_bitwise(table, pascal_cascade(n, init))
+    if n >= 1000:
+        assert 0.0 < min(table.values()) < sys.float_info.min
 
 
 @settings(max_examples=8, deadline=None)
 @given(n=st.integers(1, 900), init=STARTS)
 @example(n=800, init=InitialExcitation.balanced())
-@example(n=LIST_LIMIT - 1, init=H_START)  # the equal walk's largest N
-@example(n=LIST_LIMIT, init=L_START)  # past its bound: the general walk
-@example(n=1000, init=InitialExcitation.normalized(1.0, 1e-4))  # L start below it
+@example(n=LIST_LIMIT + 1, init=L_START)  # above the list cutoff
 def test_symmetric_cascade_matches_manual_halves_and_arrays(n, init):
+    # manual rows that normalize to 1/2 take the symmetric kind's closed form
     table = run_cascade(n, init, SYM).table
     manual = BranchingModel.manual(0.5, 0.5, 0.5, 0.5)
     assert manual[:4] == SYM[:4]
     assert_bitwise(run_cascade(n, init, manual).table, table)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cascade_module, "LIST_LIMIT", n - 1)
-        assert_bitwise(run_cascade(n, init, SYM).table, table)
-    assert_bitwise(array_cascade(n, init, SYM), table)
 
 
 @settings(max_examples=40, deadline=None)

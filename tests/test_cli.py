@@ -608,7 +608,8 @@ _PHYSICS = ["eigensolver", "coupling"]
     (["simulate", "--n", str(LIST_LIMIT), "--branching", "symmetric"], 0, False, []),
     (["analyze", "--n", str(LIST_LIMIT), "--branching", "symmetric"], 0, False,
      ["analysis"]),
-    (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, True, []),
+    (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, False, []),
+    (["simulate", "--n", str(LIST_LIMIT + 1), "--config", "manual.json"], 0, True, []),
     (["verify", "--n", "8", "--branching", "symmetric"], 0, False, []),
     (["verify", "--n", "8", "--branching", "symmetric", "--samples", "1000"],
      0, False, []),
@@ -617,8 +618,13 @@ _PHYSICS = ["eigensolver", "coupling"]
         "analyze", "design-feasible", "levels-feasible", "simulate-physical",
         "simulate-dipole-only", "simulate-symmetric-with-well",
         "simulate-equal-walk", "simulate-at-cutoff", "analyze-at-cutoff",
-        "simulate-array-cascade", "verify", "verify-samples"])
+        "simulate-symmetric-above-cutoff", "simulate-array-cascade", "verify",
+        "verify-samples"])
 def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy, extra):
+    # equal rates run in closed form at any N; only other rows build arrays
+    write_config(tmp_path, {"init": {"ch": 0.6, "cl": 0.8}, "branching": {
+        "kind": "manual", "p_hh": 0.7, "p_hl": 0.3, "p_lh": 0.45, "p_ll": 0.55}},
+        "manual.json")
     src = Path(cqwsim.__file__).resolve().parents[1]
     out = [] if argv[0] in ("import", "--help") else ["--out", str(tmp_path / "o")]
     result = subprocess.run(
@@ -637,6 +643,26 @@ def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy, extra
     )
     # numpy imports inspect itself; cqwsim imports none of the four
     assert stdlib == (["inspect"] if numpy else [])
+
+
+def test_symmetric_simulate_at_n_1e4_writes_the_same_bytes_without_numpy(tmp_path):
+    # far above the list cutoff, equal rates load no numpy, and blocking it
+    # (a None entry in sys.modules, as if not installed) changes no byte
+    src = Path(cqwsim.__file__).resolve().parents[1]
+    argv = ["simulate", "--n", "10000", "--branching", "symmetric"]
+    outputs = []
+    for name, prefix in (("numpy", ""), ("blocked", 'sys.modules["numpy"] = None\n')):
+        probe = _LOAD_PROBE.replace("code = None\n", "code = None\n" + prefix, 1)
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv, "--out", str(tmp_path / name)],
+            env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+            capture_output=True, text=True, check=True,
+        )
+        exit_code, loaded, _, _ = json.loads(result.stdout.splitlines()[-1])
+        assert exit_code == 0
+        assert loaded == ([] if name == "numpy" else ["numpy"])  # the None entry
+        outputs.append(_files(tmp_path / name))
+    assert outputs[0] == outputs[1] != {}
 
 
 def test_output_loads_no_module_beyond_json():
