@@ -24,8 +24,9 @@ the same bits either way. So ``simulate`` and ``analyze`` load numpy
 only for general rows above the cutoff, and every command runs without
 it. The ``verify`` oracles run on Python lists and ``random``.
 Only ``evaluate_wave`` and ``sample_chain_waves``, which return arrays,
-need numpy. The records are ``NamedTuple``s, so no command loads
-``dataclasses``.
+need numpy. The records are ``collections.namedtuple`` classes, their
+field types in their docstrings, so no command loads ``dataclasses`` or
+``typing``.
 """
 
 from importlib import import_module

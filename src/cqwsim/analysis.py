@@ -13,46 +13,47 @@ most two keys, and a missing key means the count did not occur.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import log2, sqrt
-from typing import NamedTuple
 
 from .cascade import JointDistribution
 from .errors import DomainError
 
 
-class ConditionalState(NamedTuple):
+class ConditionalState(namedtuple(
+    "ConditionalState", "measured_m s k kind alpha beta weight"
+)):
     """State of the (l, n) pair after conditioning on the central count.
 
     For s = n_total - measured_m remaining photons and k = s // 2, an even
     s gives the product state |k, k> and an odd s the superposition
     alpha |k, k+1> + beta |k+1, k>. ``weight`` is the probability of the
     slice; an empty slice carries kind "empty" and no coefficients.
+
+    Fields: measured_m, s, k (int); kind (str); alpha, beta (float or
+    None); weight (float).
     """
 
-    measured_m: int
-    s: int
-    k: int
-    kind: str
-    alpha: float | None
-    beta: float | None
-    weight: float
+    __slots__ = ()
 
 
-class ParityReport(NamedTuple):
-    """Per-triple check of the parity gate between m and (l, n)."""
+class ParityReport(namedtuple("ParityReport", "n_total gate rows all_hold")):
+    """Per-triple check of the parity gate between m and (l, n).
 
-    n_total: int
-    gate: str
-    rows: list[tuple[int, int, int, int, int, int, bool]]
-    all_hold: bool
+    Fields: n_total (int); gate (str); rows (list of (int, int, int, int,
+    int, int, bool)); all_hold (bool).
+    """
+
+    __slots__ = ()
 
 
-class PurityReport(NamedTuple):
-    """Diagnostics of the rank-one density operator built from the table."""
+class PurityReport(namedtuple("PurityReport", "trace rank_one idempotency_residual")):
+    """Diagnostics of the rank-one density operator built from the table.
 
-    trace: float
-    rank_one: bool
-    idempotency_residual: float
+    Fields: trace (float); rank_one (bool); idempotency_residual (float).
+    """
+
+    __slots__ = ()
 
 
 def marginals(dist: JointDistribution) -> tuple[list[float], list[float], list[float]]:

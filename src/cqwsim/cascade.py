@@ -36,9 +36,9 @@ load without the eigensolver.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import copysign, frexp, fsum, isfinite, ldexp, sqrt
 from sys import float_info
-from typing import NamedTuple
 
 from .errors import DomainError, NumericError, ValidationError
 
@@ -61,17 +61,14 @@ LIST_LIMIT = 1400
 CountKey = tuple[int, int, int]
 
 
-class _InitialExcitation(NamedTuple):
-    c_h: float
-    c_l: float
-
-
-class InitialExcitation(_InitialExcitation):
+class InitialExcitation(namedtuple("InitialExcitation", "c_h c_l")):
     """Amplitudes (c_h, c_l) of the starting sublevel superposition.
 
     Both are nonnegative, with the sign bit clear (-0.0 is refused), and
     c_h^2 + c_l^2 = 1 within 1e-12. Only the squared magnitudes enter the
     evolution; the amplitudes themselves matter to the sign audit.
+
+    Fields: c_h, c_l (float).
     """
 
     __slots__ = ()
@@ -124,21 +121,16 @@ class InitialExcitation(_InitialExcitation):
         return cls.normalized(1.0, 1.0)
 
 
-class _BranchingModel(NamedTuple):
-    p_hh: float
-    p_hl: float
-    p_lh: float
-    p_ll: float
-    weighting: str
-
-
-class BranchingModel(_BranchingModel):
+class BranchingModel(namedtuple("BranchingModel", "p_hh p_hl p_lh p_ll weighting")):
     """Row-stochastic transition probabilities of the two-sublevel ladder.
 
     Rows are (p_hh, p_hl) for an H sublevel and (p_lh, p_ll) for an L
     sublevel. Terminal transitions are fixed: an H sublevel decays to the
     final ground emitting into the high-frequency accumulator, an L
     sublevel into the low-frequency one, each with probability 1.
+    ``weighting`` names the kind that made the rows.
+
+    Fields: p_hh, p_hl, p_lh, p_ll (float); weighting (str).
     """
 
     __slots__ = ()
@@ -297,10 +289,13 @@ def _walk(
     The start sits on sublevel a with rates (stay_a, cross_a); the other
     sublevel b has (stay_b, cross_b). Even crossing counts sit on a, odd
     ones on b, so ``even[j]`` holds c = 2j and ``odd[j]`` holds c = 2j + 1,
-    with steps // 2 + 1 and (steps + 1) // 2 entries. The lists grow by one
-    entry per hop, so their growing edge holds a lone product where
-    ``evolve_step`` adds it to a padded 0.0, which leaves it unchanged:
-    every bit matches ``_walk_arrays``.
+    with at most steps // 2 + 1 and (steps + 1) // 2 entries. An entry past
+    a list's end is 0.0. Each hop offers one list one more entry, a lone
+    product where ``evolve_step`` adds it to a padded 0.0, which leaves it
+    unchanged; a product that is exactly 0.0 is not appended, and the next
+    hop offers that place again. So the lists are ``_walk_arrays``' with
+    trailing zeros cut, and every other bit matches: skewed rows push the
+    crossing tail below float range, and the walk does not multiply it.
     """
     even = [mass]
     odd: list[float] = []
@@ -309,9 +304,13 @@ def _walk(
         new_even += [e * stay_a + o * cross_b for e, o in zip(even[1:], odd)]
         new_odd = [o * stay_b + e * cross_a for o, e in zip(odd, even)]
         if len(odd) == len(even):
-            new_even.append(odd[-1] * cross_b)
+            edge = odd[-1] * cross_b
+            if edge:
+                new_even.append(edge)
         else:
-            new_odd.append(even[-1] * cross_a)
+            edge = even[-1] * cross_a
+            if edge:
+                new_odd.append(edge)
         even, odd = new_even, new_odd
     return even, odd
 

@@ -12,13 +12,14 @@ infeasible physics, 4 failed verification.
 
 from __future__ import annotations
 
-import gc
+import atexit
 import json
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Iterable
 from math import inf, isfinite
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
 
 from .cascade import BranchingModel, InitialExcitation, run_cascade
 from .errors import (
@@ -100,11 +101,14 @@ class _OneOf(tuple):
         return value
 
 
-class _Key(NamedTuple):
-    check: Callable
-    flag: str | None = None
-    help: str | None = None
-    default: object = None
+class _Key(namedtuple("_Key", "check flag help default", defaults=(None, None, None))):
+    """One configuration key.
+
+    Fields: check (callable of value and key); flag, help (str or None);
+    default (any value, None if the key has none).
+    """
+
+    __slots__ = ()
 
 
 # Every configuration key: its check, flag, help text and default. The file
@@ -134,21 +138,19 @@ _BLOCKS = {key.partition(".")[0] for key in _KEYS if "." in key}
 _FLAG_TYPES = {_as_number: float, _as_int: int, _as_samples: int, _as_count: int}
 
 
-class RunConfig(NamedTuple):
-    """Fully validated inputs for one subcommand run."""
+class RunConfig(namedtuple("RunConfig", (
+    "mode well bias n init kind model out_dir fmt seed samples sign_mode"
+))):
+    """Fully validated inputs for one subcommand run.
 
-    mode: str
-    well: WellParams | None  # its b is the given bias, or 0 until designed
-    bias: float | None
-    n: int | None
-    init: InitialExcitation
-    kind: str | None
-    model: BranchingModel | None  # ready for the symmetric and manual kinds
-    out_dir: str
-    fmt: str
-    seed: int
-    samples: int
-    sign_mode: str
+    Fields: mode (str); well (WellParams or None), its b the given bias,
+    or 0 until designed; bias (float or None); n (int or None); init
+    (InitialExcitation); kind (str or None); model (BranchingModel or
+    None), ready for the symmetric and manual kinds; out_dir, fmt (str);
+    seed, samples (int); sign_mode (str).
+    """
+
+    __slots__ = ()
 
 
 def _read_config(path: str) -> dict:
@@ -558,33 +560,37 @@ def entry() -> None:
     """Run ``main`` as a whole process and exit with its code.
 
     ``python -m cqwsim`` and the ``cqwsim`` script both start here. Once
-    ``main`` has returned, its files are closed and nothing the process
-    made is needed again, yet the interpreter's shutdown runs a full
-    collection that traverses and frees the about 12,000 objects still
-    tracked, most of them made by the interpreter's own start-up: 4-8 ms
-    of a 0.06-0.1 s command. ``gc.freeze()`` moves every tracked object
-    into the permanent generation, which that collection skips. Modules
-    are still torn down by refcount, atexit handlers still run and the
-    standard streams still flush, so no output changes; Python does not
-    promise ``__del__`` for objects alive at exit anyway. ``os._exit``
-    would skip the flush and atexit, and ``gc.disable()`` over the run
-    would let its cyclic garbage grow without bound. The freeze stays out
-    of ``main``, which tests and the benchmark's tracer call in-process.
+    ``main`` has returned (or ``--help`` raised ``SystemExit(0)``), its
+    files are closed and nothing the process made is needed again, yet
+    the interpreter's shutdown would tear down every module and collect
+    what is left: 1-5 ms of a 0.05-0.07 s command (README, Start-up). So
+    the process ends here as ``Py_FinalizeEx`` would, less that teardown:
+    the registered atexit callbacks run, stdout and stderr flush, and
+    ``os._exit`` ends it with ``main``'s code. Python does not promise
+    ``__del__`` for objects alive at exit anyway. Any other exception
+    takes Python's normal path, traceback and exit 1. ``os._exit`` stays
+    out of ``main``, which tests and the benchmark's tracer call
+    in-process.
 
     A reader that closed stdout early costs no file and no exit code:
-    ``_say`` drops the lines it cannot print.
+    ``_say`` drops the lines it cannot print, and the flush here drops
+    what is still buffered.
     """
     try:
-        raise SystemExit(main())
-    finally:
+        code = main()
+    except SystemExit as exc:
+        if exc.code != 0:
+            raise
+        code = 0
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # the process began with that fd closed
+            continue
         try:
-            sys.stdout.flush()
+            stream.flush()
         except OSError:
-            # what _say could not write, and dropped or reported; Python's
-            # recipe for SIGPIPE points fd 1 at os.devnull, so the shutdown
-            # flush neither fails nor prints "Exception ignored"
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        gc.freeze()
+            pass  # what _say could not write, and dropped or reported
+    os._exit(code)
 
 
 if __name__ == "__main__":

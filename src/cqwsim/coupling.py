@@ -18,8 +18,8 @@ moment-1 products of the translated states on a three-well chain.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import hypot, inf, sqrt
-from typing import NamedTuple
 
 from .cascade import BranchingModel, _stochastic_row
 from .eigensolver import (
@@ -39,87 +39,80 @@ OVERLAP_LIMIT = 0.99
 TUNNELING_DOMINANCE = 100.0
 
 
-class CoupledLevels(NamedTuple):
+class CoupledLevels(namedtuple(
+    "CoupledLevels", "e_plus e_minus delta_e a_plus b_plus a_minus b_minus overlap"
+)):
     """Sublevel energies and mixing coefficients of an aligned pair.
 
     The sublevel states are a_pm * (left-well ground) + b_pm * (right-well
     excited); overall signs are fixed by a_pm > 0. ``overlap`` is the basis
     overlap S, and the coefficients satisfy a^2 + b^2 + 2 a b S = 1.
+
+    Fields: e_plus, e_minus, delta_e, a_plus, b_plus, a_minus, b_minus,
+    overlap (float).
     """
 
-    e_plus: float
-    e_minus: float
-    delta_e: float
-    a_plus: float
-    b_plus: float
-    a_minus: float
-    b_minus: float
-    overlap: float
+    __slots__ = ()
 
 
-class CouplingIntegrals(NamedTuple):
+class CouplingIntegrals(namedtuple("CouplingIntegrals", "overlap k_ba k_ab d_aa d_bb")):
     """Overlap and potential matrix elements of the aligned pair.
 
     With a the left ground state and b the right excited state:
     overlap = <a|b>, k_ba = <b|V_pair - V_a|a>, k_ab = <a|V_pair - V_b|b>,
     d_aa = <a|V_pair - V_a|a> and d_bb = <b|V_pair - V_b|b>.
+
+    Fields: overlap, k_ba, k_ab, d_aa, d_bb (float).
     """
 
-    overlap: float
-    k_ba: float
-    k_ab: float
-    d_aa: float
-    d_bb: float
+    __slots__ = ()
 
 
-class ModeFrequencies(NamedTuple):
-    """Emission frequencies of the three cavity modes."""
+class ModeFrequencies(namedtuple("ModeFrequencies", "omega_minus omega_zero omega_plus")):
+    """Emission frequencies of the three cavity modes.
 
-    omega_minus: float
-    omega_zero: float
-    omega_plus: float
+    Fields: omega_minus, omega_zero, omega_plus (float).
+    """
+
+    __slots__ = ()
 
 
-class DipoleIntegrals(NamedTuple):
+class DipoleIntegrals(namedtuple("DipoleIntegrals", "intra adjacent_gg far adjacent_ee")):
     """Position matrix elements between the underlying well states.
 
     intra couples ground and excited of the shared middle well; the other
     three are cross-well elements suppressed by barrier decay.
+
+    Fields: intra, adjacent_gg, far, adjacent_ee (float).
     """
 
-    intra: float
-    adjacent_gg: float
-    far: float
-    adjacent_ee: float
+    __slots__ = ()
 
 
-class DipoleMatrix(NamedTuple):
+class DipoleMatrix(namedtuple("DipoleMatrix", "d_hh d_hl d_lh d_ll d_hg d_lg")):
     """Dipole elements for the four sublevel transitions plus terminal ones.
 
     First letter is the source sublevel, second the target; ``d_hg`` and
     ``d_lg`` couple the last pair to the unsplit final ground level.
+
+    Fields: d_hh, d_hl, d_lh, d_ll, d_hg, d_lg (float).
     """
 
-    d_hh: float
-    d_hl: float
-    d_lh: float
-    d_ll: float
-    d_hg: float
-    d_lg: float
+    __slots__ = ()
 
 
-class SolvedChain(NamedTuple):
+class SolvedChain(namedtuple(
+    "SolvedChain", "bias spacing left right split freqs dipoles"
+)):
     """The aligned chain of the scale-free well (V, 0, B, 1): one well's two lowest
     levels, its right neighbor's (the same waves, each energy lowered by the bias),
-    and the doublet of their (ground, excited) pair."""
+    and the doublet of their (ground, excited) pair.
 
-    bias: float
-    spacing: float
-    left: tuple[BoundState, BoundState]
-    right: tuple[BoundState, BoundState]
-    split: CoupledLevels
-    freqs: ModeFrequencies
-    dipoles: DipoleMatrix
+    Fields: bias, spacing (float); left, right (two BoundStates each);
+    split (CoupledLevels); freqs (ModeFrequencies); dipoles (DipoleMatrix).
+    """
+
+    __slots__ = ()
 
 
 def split_pair(
@@ -279,21 +272,20 @@ def simpson(y, x) -> float:
     return float(scipy_simpson(y, x=x))
 
 
-class ChainWaves(NamedTuple):
+class ChainWaves(namedtuple(
+    "ChainWaves", "x ground_0 excited_1 ground_1 excited_2 ground excited"
+)):
     """Wavefunction samples spanning three consecutive wells.
 
     ground_0 is the first well's ground state, excited_1 and ground_1 the
     middle well's states, excited_2 the third well's excited state, all on
     the shared grid ``x``.
+
+    Fields: x, ground_0, excited_1, ground_1, excited_2 (numpy arrays);
+    ground, excited (BoundState).
     """
 
-    x: np.ndarray
-    ground_0: np.ndarray
-    excited_1: np.ndarray
-    ground_1: np.ndarray
-    excited_2: np.ndarray
-    ground: BoundState
-    excited: BoundState
+    __slots__ = ()
 
 
 def sample_chain_waves(

@@ -33,8 +33,9 @@ import cmath
 from math import (
     atan2, ceil, cos, exp, expm1, factorial, floor, inf, isfinite, pi, sin, sqrt, ulp,
 )
+from collections import namedtuple
+from collections.abc import Callable
 from sys import float_info
-from typing import Callable, NamedTuple
 
 from .errors import DomainError, InfeasibleDesignError, NumericError
 
@@ -43,15 +44,7 @@ DESIGN_TOL = 1e-9
 _TINY = float_info.min  # the smallest normal float
 
 
-class _WellParams(NamedTuple):
-    v1: float
-    v2: float
-    b: float
-    d: float
-    period: float | None
-
-
-class WellParams(_WellParams):
+class WellParams(namedtuple("WellParams", "v1 v2 b d period")):
     """Geometry and potentials of one well period.
 
     Attributes
@@ -105,38 +98,38 @@ class WellParams(_WellParams):
         return cls(*iterable)
 
 
-class PiecewiseWave(NamedTuple):
+class PiecewiseWave(namedtuple(
+    "PiecewiseWave", "nu amp_left kappa amp_cos amp_sin delta amp_right width"
+)):
     """Matched piecewise wavefunction coefficients for one bound state.
 
     Left barrier: amp_left * exp(nu * x) for x < 0.
     Well: amp_cos * cos(kappa x) + amp_sin * sin(kappa x) on [0, width].
     Right barrier: amp_right * exp(-delta * (x - width)) for x > width.
+
+    Fields: nu, amp_left, kappa, amp_cos, amp_sin, delta, amp_right, width
+    (float).
     """
 
-    nu: float
-    amp_left: float
-    kappa: float
-    amp_cos: float
-    amp_sin: float
-    delta: float
-    amp_right: float
-    width: float
+    __slots__ = ()
 
 
-class BoundState(NamedTuple):
-    """One bound level: branch index, energy, and unit-normalized wave."""
+class BoundState(namedtuple("BoundState", "index energy wave")):
+    """One bound level: branch index, energy, and unit-normalized wave.
 
-    index: int
-    energy: float
-    wave: PiecewiseWave
+    Fields: index (int); energy (float); wave (PiecewiseWave).
+    """
+
+    __slots__ = ()
 
 
-class DesignResult(NamedTuple):
-    """Outcome of the alignment search: bias, the two levels, residual E1 - E0 - bias."""
+class DesignResult(namedtuple("DesignResult", "bias levels residual")):
+    """Outcome of the alignment search: bias, the two levels, residual E1 - E0 - bias.
 
-    bias: float
-    levels: tuple[BoundState, BoundState]
-    residual: float
+    Fields: bias (float); levels (two BoundStates); residual (float).
+    """
+
+    __slots__ = ()
 
 
 def _phase_of(depth: float, bias: float) -> Callable[[float], float]:

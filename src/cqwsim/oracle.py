@@ -8,11 +8,12 @@ incoherent bookkeeping could deviate from a coherent sum over paths.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import reduce
 from math import fsum, sqrt
 from operator import add
 from random import Random
-from typing import Iterator, NamedTuple
 
 from .cascade import (
     HIGH,
@@ -30,18 +31,19 @@ CHUNK_BITS = 1 << 20  # random bits drawn at once by ``_binomial``
 SIGN_MODES = ("all-positive", "cmt-signs")
 
 
-class AuditReport(NamedTuple):
+class AuditReport(namedtuple("AuditReport", "sign_mode final_norm colliding_states")):
     """Outcome of the signed-amplitude replay.
 
     ``final_norm`` is the squared norm of the coherent final state;
     ``colliding_states`` lists the (l, m, n) triples reached by two or
     more distinct positive-probability paths, the only places where signs
     can interfere.
+
+    Fields: sign_mode (str); final_norm (float); colliding_states (list of
+    (int, int, int)).
     """
 
-    sign_mode: str
-    final_norm: float
-    colliding_states: list[CountKey]
+    __slots__ = ()
 
 
 def enumerate_paths(

@@ -9,14 +9,14 @@ call; JSON keys and strings are escaped by the C function that
 ``json.dumps`` itself uses for a string; each container is joined once.
 Any other value takes the full type checks, which keep the rules for
 subclasses and refuse what has no rule: a non-finite float raises
-NumericError, a record (a NamedTuple) or an unknown type TypeError.
+NumericError, a record (a namedtuple) or an unknown type TypeError.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from typing import Iterator
 
 from .errors import NumericError
 

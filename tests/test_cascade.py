@@ -323,6 +323,27 @@ def test_cascade_matches_dict_dp_across_the_kernel_cutoff(n, stay_h, stay_l, ini
         assert 0.0 < min(table.values()) < sys.float_info.min
 
 
+@pytest.mark.parametrize("rates", [
+    (0.995, 0.005, 0.5, 0.5), (0.5, 0.5, 0.995, 0.005),
+], ids=["skewed-start", "skewed-partner"])
+def test_list_walk_stops_at_a_zero_growing_edge(rates):
+    # skewed rows push the crossing tail below float range, as in the
+    # benchmark's N = 640 analyze job: the lists stop short of their full
+    # length, and the array walk holds only 0.0 past their ends
+    steps = 639
+    even, odd = cascade_module._walk(steps, 0.36, *rates)
+    assert len(even) < steps // 2 + 1 and len(odd) < (steps + 1) // 2
+    assert 0.0 not in even[-1:] + odd[-1:]
+    full_even, full_odd = cascade_module._walk_arrays(steps, 0.36, *rates)
+    for short, full in ((even, full_even), (odd, full_odd)):
+        assert full[:len(short)] == short and not any(full[len(short):])
+    init = InitialExcitation.normalized(0.6, 0.8)
+    model = BranchingModel.manual(*rates)
+    table = run_cascade(steps + 1, init, model).table
+    assert_bitwise(table, dict_cascade(steps + 1, init, model))
+    assert_bitwise(array_cascade(steps + 1, init, model), table)
+
+
 def test_list_kernel_runs_up_to_the_cutoff(monkeypatch):
     calls = []
     evolve_step = cascade_module.evolve_step

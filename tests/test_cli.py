@@ -563,9 +563,13 @@ def test_missing_branching_source_exits_2(tmp_path, capsys):
 # Runs ``python -m cqwsim ARGS`` (or only imports the CLI) in a fresh
 # interpreter, then prints the exit code, the numpy and scipy modules loaded,
 # the cqwsim modules loaded, and which of dataclasses, inspect, argparse and
-# gettext are loaded.
+# gettext are loaded. The process entry ends at os._exit, so the probe makes
+# that raise SystemExit and prints after it.
 _LOAD_PROBE = """\
-import json, runpy, sys
+import json, os, runpy, sys
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 code = None
 if sys.argv[1:] != ["import"]:
     try:
@@ -742,7 +746,7 @@ def test_unwritable_stdout_is_a_diagnostic(tmp_path, unbuffered):
 
 
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch):
-    # only the process entry freezes: tests and the benchmark's tracer call
+    # main touches no collector state: tests and the benchmark's tracer call
     # main in-process, and conftest's ResourceWarning rule needs the collector
     before = (gc.get_freeze_count(), gc.isenabled())
     out = ["--out", str(tmp_path / "o")]
@@ -768,6 +772,108 @@ def test_console_script_and_module_run_the_same_entry(monkeypatch):
     monkeypatch.setattr(cli, "entry", lambda: calls.append("entry"))
     runpy.run_module("cqwsim", run_name="__main__")
     assert calls == ["entry"]
+
+
+def _entry_process(argv, cwd, prelude=""):
+    """``python -m cqwsim ARGV`` as a fresh process, or with ``prelude`` that
+    code and then ``cli.entry()``; stdout goes to the file ``cwd/stdout``,
+    block-buffered, and the result holds the exit code and stderr."""
+    src = Path(cqwsim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    start = ["-m", "cqwsim"]
+    if prelude:
+        start = ["-c", prelude + "from cqwsim.cli import entry\nentry()\n"]
+    with open(cwd / "stdout", "w") as stdout:
+        return subprocess.run(
+            [sys.executable, *start, *argv], stdout=stdout, stderr=subprocess.PIPE,
+            env=env, cwd=cwd, text=True, timeout=120,
+        )
+
+
+@pytest.mark.parametrize("argv, prelude, code, error", [
+    (["simulate", "--n", "5", "--branching", "symmetric"], "", 0, None),
+    (["analyze", "--n", "5", "--branching", "symmetric"], "", 0, None),
+    (["--help"], "", 0, None),
+    (["simulate", "--n", "0", "--branching", "symmetric"], "", 2, "validation"),
+    (["design", "--v1", "100", "--v2", "0", "--d", "1.1"], "", 3, "numeric"),
+    # a tolerance no result meets: the report is written, then verify fails
+    (["verify", "--n", "6", "--branching", "symmetric"],
+     "import cqwsim.cli\ncqwsim.cli.VERIFY_TOL = -1.0\n", 4, "verification"),
+], ids=["simulate", "analyze", "help", "exit-2", "exit-3", "exit-4"])
+def test_process_exits_with_mains_code_and_flushed_streams(tmp_path, argv, prelude,
+                                                            code, error):
+    # the process ends at os._exit: its code is main's, the stdout file holds
+    # a "wrote" line for every file written, and a failure its one stderr line
+    out = [] if argv == ["--help"] else ["--out", "o"]
+    result = _entry_process([*argv, *out], tmp_path, prelude)
+    assert result.returncode == code
+    lines = (tmp_path / "stdout").read_text().splitlines()
+    if not out:
+        assert lines[0].startswith("usage: cqwsim ") and result.stderr == ""
+        return
+    written = sorted(path.name for path in (tmp_path / "o").glob("*"))
+    assert sorted(lines) == [f"wrote {Path('o', name)}" for name in written]
+    assert (written != []) == (code in (0, 4))
+    if error is None:
+        assert result.stderr == ""
+    else:
+        assert result.stderr.count("\n") == 1
+        assert json.loads(result.stderr)["error"] == error
+
+
+def test_process_runs_each_atexit_callback_once(tmp_path):
+    prelude = "import atexit\natexit.register(print, 'atexit callback')\n"
+    argv = ["simulate", "--n", "5", "--branching", "symmetric", "--out", "o"]
+    result = _entry_process(argv, tmp_path, prelude)
+    assert (result.returncode, result.stderr) == (0, "")
+    # the callback runs before the last flush, so its line reaches the file
+    lines = (tmp_path / "stdout").read_text().splitlines()
+    assert lines.count("atexit callback") == 1 and lines[-1] == "atexit callback"
+    assert len(lines) == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+def test_process_started_without_stdout_writes_every_file(tmp_path):
+    # `cqwsim ... >&-`: Python sets sys.stdout to None, so no line is printed
+    src = Path(cqwsim.__file__).resolve().parents[1]
+    argv = ["simulate", "--n", "5", "--branching", "symmetric"]
+    result = subprocess.run(
+        ["/bin/sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "cqwsim",
+         *argv, "--out", "o"],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+        stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert cli.main([*argv, "--out", str(tmp_path / "normal")]) == 0
+    assert _files(tmp_path / "o") == _files(tmp_path / "normal") != {}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["import"], None),
+    (["--help"], 0),
+    (["design", "--v1", "60", "--v2", "0", "--d", "1"], 0),
+    (["levels", *_PAIR], 0),
+    (["simulate", "--n", "22", "--branching", "physical", *_PAIR], 0),
+    (["simulate", "--n", "0", "--branching", "symmetric"], 2),
+    (["analyze", "--n", "8", "--branching", "symmetric"], 0),
+    (["verify", "--n", "8", "--branching", "symmetric", "--samples", "1000"], 0),
+    (["audit", "--n", "8", "--branching", "symmetric"], 0),
+], ids=["import", "help", "design", "levels", "simulate-physical", "simulate-n0",
+        "analyze", "verify", "audit"])
+def test_no_mode_loads_typing(tmp_path, argv, code):
+    # without site, which may load typing before any cqwsim code runs
+    src = Path(cqwsim.__file__).resolve().parents[1]
+    out = [] if argv[0] in ("import", "--help") else ["--out", str(tmp_path / "o")]
+    probe = _LOAD_PROBE + 'print(json.dumps("typing" in sys.modules))\n'
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv, *out],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    )
+    *_, report, typing_loaded = result.stdout.splitlines()
+    assert json.loads(report)[0] == code
+    assert json.loads(typing_loaded) is False
 
 
 def test_numpy_is_an_optional_extra():
@@ -813,6 +919,12 @@ def test_scipy_is_imported_only_inside_coupling_simpson():
     # scipy is a test dependency: no module may import it at load, and the
     # one function that imports it is the benchmark tracer's quadrature target
     assert _package_import_sites("scipy") == [("coupling.py", "simpson")]
+
+
+def test_no_module_imports_typing():
+    # the records are collections.namedtuple classes and the annotation-only
+    # names come from collections.abc
+    assert _package_import_sites("typing") == []
 
 
 def test_numpy_is_imported_only_where_arrays_are_built():
