@@ -8,6 +8,14 @@ exact long flags as ``--flag value`` or ``--flag=value``; the key table
 argparse. Exit codes: 0 success, 2 configuration problem (a bad command
 line and an N above an oracle's cap included), 3 numeric failure or
 infeasible physics, 4 failed verification.
+
+This module reads the command line and the config, writes the files and
+holds the shared helpers. ``run`` dispatches ``design``, ``levels``,
+``simulate`` and ``analyze`` to one module each (``_run_design`` and so
+on), imported on dispatch, so a process compiles only its own runner.
+``verify`` and ``audit`` run here, on the oracle functions bound when
+this module loads; the benchmark's tracing selftest relies on that
+binding (ROADMAP item 8).
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .oracle import (
     sample_walks,
     tv_distance,
 )
-from .output import csv_table, heatmap_csv, stable_json
+from .output import stable_json
 
 MODES = ("design", "levels", "simulate", "analyze", "verify", "audit")
 CHAIN_MODES = ("simulate", "analyze", "verify", "audit")
@@ -303,136 +311,6 @@ def _resolve_model(config: RunConfig, chain=None) -> BranchingModel:
     return branching_model(chain.freqs, chain.dipoles, config.kind or "physical")
 
 
-def _run_design(config: RunConfig) -> int:
-    from .eigensolver import design_alignment, product_integral, wave_nodes
-
-    well = config.well
-    result = design_alignment(well.v1, well.v2, well.d)
-    rows = []
-    for state in result.levels:
-        norm_residual = abs(product_integral(state.wave, 0.0, state.wave, 0.0) - 1.0)
-        rows.append([state.index, state.energy, wave_nodes(state.wave), norm_residual])
-    document = {
-        "well": {
-            "v1": well.v1,
-            "v2": well.v2,
-            "d": well.d,
-            "period": well.period,
-        },
-        "bias": result.bias,
-        "residual": result.residual,
-        "energies": [state.energy for state in result.levels],
-    }
-    _emit(config, [
-        ("design.json", stable_json(document)),
-        ("levels.csv", csv_table(
-            ["index", "energy", "node_count", "norm_residual"], rows
-        )),
-    ])
-    return 0
-
-
-def _run_levels(config: RunConfig) -> int:
-    chain = _solve_chain(config)
-    model = _resolve_model(config, chain)
-    # the chain is scale-free: energies scale by 1/d^2 and sit above the
-    # floor v2, dipoles scale by d, and the rest does not scale
-    d, v2 = config.well.d, config.well.v2
-    scale = d * d
-    split = chain.split
-    delta_e = split.delta_e / scale
-    coupled = {
-        "bias": chain.bias / scale,
-        "spacing": chain.spacing / scale,
-        **split._replace(
-            e_plus=split.e_plus / scale + v2, e_minus=split.e_minus / scale + v2,
-            delta_e=delta_e,
-        )._asdict(),
-        "dipoles": {name: dip * d for name, dip in chain.dipoles._asdict().items()},
-    }
-    branching_doc = {
-        "p_hh": model.p_hh,
-        "p_hl": model.p_hl,
-        "p_lh": model.p_lh,
-        "p_ll": model.p_ll,
-        **{name: omega / scale for name, omega in chain.freqs._asdict().items()},
-        "delta_e": delta_e,
-        "weighting": model.weighting,
-    }
-    _emit(config, [
-        ("coupled.json", stable_json(coupled)),
-        ("branching.json", stable_json(branching_doc)),
-    ])
-    return 0
-
-
-def _run_simulate(config: RunConfig) -> int:
-    model = _resolve_model(config)
-    dist = run_cascade(config.n, config.init, model)
-    table_rows = []
-    csv_rows = []
-    for ((l, m, n), f), amp in zip(dist.table.items(), dist.amplitudes().values()):
-        table_rows.append({"l": l, "m": m, "n": n, "f": f, "amp": amp})
-        csv_rows.append([l, m, n, f, amp])
-    document = {
-        "n": config.n,
-        "init": {"ch": config.init.c_h, "cl": config.init.c_l},
-        "branching": model._asdict(),
-        "table": table_rows,
-    }
-    _emit(config, [
-        ("distribution.json", stable_json(document)),
-        ("distribution.csv", csv_table(["l", "m", "n", "f", "amp"], csv_rows)),
-    ])
-    return 0
-
-
-def _run_analyze(config: RunConfig) -> int:
-    from .analysis import (
-        conditional_states,
-        entanglement_entropy,
-        joint_pm,
-        parity_xor,
-        purity_check,
-    )
-
-    model = _resolve_model(config)
-    dist = run_cascade(config.n, config.init, model)
-    conditionals = []
-    for state in conditional_states(dist):
-        entropy = None if state.kind == "empty" else entanglement_entropy(state)
-        conditionals.append({
-            "m": state.measured_m,
-            "s": state.s,
-            "kind": state.kind,
-            "alpha": state.alpha,
-            "beta": state.beta,
-            "entropy": entropy,
-            "weight": state.weight,
-        })
-    parity = parity_xor(dist)
-    purity = purity_check(dist)
-    document = {
-        "n": config.n,
-        "conditionals": conditionals,
-        "parity": {
-            "gate": parity.gate,
-            "all_hold": parity.all_hold,
-            "rows": [list(row) for row in parity.rows],
-        },
-        "purity": {
-            "trace": purity.trace,
-            "rank_one": purity.rank_one,
-            "idempotency_residual": purity.idempotency_residual,
-        },
-    }
-    _emit(config, [
-        ("analysis.json", stable_json(document)),
-        ("heatmap.csv", heatmap_csv(config.n, joint_pm(dist))),
-    ])
-    return 0
-
-
 def _run_verify(config: RunConfig) -> int:
     model = _resolve_model(config)
     # the enumeration refuses an N above its cap before the cascade runs
@@ -479,22 +357,31 @@ def _run_audit(config: RunConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "design": _run_design,
-    "levels": _run_levels,
-    "simulate": _run_simulate,
-    "analyze": _run_analyze,
-    "verify": _run_verify,
-    "audit": _run_audit,
-}
+_RUNNERS = {"verify": _run_verify, "audit": _run_audit}
 
 
 def run(config: RunConfig) -> int:
-    return _RUNNERS[config.mode](config)
+    """Run the configured mode: here for ``verify`` and ``audit``, else in
+    the mode's own module, ``_run_<mode>``, loaded now."""
+    runner = _RUNNERS.get(config.mode)
+    if runner is None:
+        # __import__, unlike importlib.import_module, shows in -X importtime
+        runner = __import__(f"{__package__}._run_{config.mode}", fromlist=("run",)).run
+    return runner(config)
 
 
 def _fail(kind: str, message: str) -> None:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    """Print a one-line JSON diagnostic to stderr. A stderr that cannot
+    take it drops it, as ``_say`` drops lines for a closed stdout: one
+    closed at start (``sys.stderr`` is None, and ``print`` would fall back
+    to stdout) or one that refuses the write. The exit code still tells
+    the failure."""
+    if sys.stderr is None:
+        return
+    try:
+        print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    except OSError:
+        pass
 
 
 # flag -> (key, type): each value is converted as typed, then checked by

@@ -13,7 +13,6 @@ from collections.abc import Iterator
 from functools import reduce
 from math import fsum, sqrt
 from operator import add
-from random import Random
 
 from .cascade import (
     HIGH,
@@ -139,6 +138,8 @@ def sample_walks(
         raise DomainError(f"photon number must be at least 1, got {n_total}")
     if count < 1:
         raise DomainError(f"sample count must be at least 1, got {count}")
+    from random import Random  # only the sampler draws, so only it loads random
+
     rng = Random(seed)
     p_hl, p_lh = float(branching.p_hl), float(branching.p_lh)
     high = _binomial(rng, count, float(init.c_h * init.c_h))
@@ -169,8 +170,9 @@ def sample_walks(
     )
 
 
-def _binomial(rng: Random, k: int, p: float) -> int:
-    """Binomial(k, p) successes, exact for every float p.
+def _binomial(rng, k: int, p: float) -> int:
+    """Binomial(k, p) successes on ``rng``, a ``random.Random``, exact for
+    every float p.
 
     Trial i succeeds when its uniform u = 0.u1 u2 u3 ... (fair coins) is
     below p = 0.p1 p2 p3 ..., and the first coin that differs from p's bit

@@ -10,11 +10,14 @@ call; JSON keys and strings are escaped by the C function that
 Any other value takes the full type checks, which keep the rules for
 subclasses and refuse what has no rule: a non-finite float raises
 NumericError, a record (a namedtuple) or an unknown type TypeError.
+
+Only the writers every file kind shares live here; the dense heatmap
+writer, which only ``analyze`` calls, is in that command's runner,
+``_run_analyze``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
@@ -112,33 +115,3 @@ def csv_table(header: list[str], rows: list[list]) -> str:
     ]
     lines.append("")
     return "\n".join(lines)
-
-
-def heatmap_csv(n_total: int, mass: dict[tuple[int, int], float]) -> Iterator[str]:
-    """The dense (n_total + 1)^2 table l,n,p of the sideband mass, by rows.
-
-    Joined, the chunks equal ``csv_table(["l", "n", "p"], rows)`` over
-    every (l, n) with ``mass.get((l, n), 0.0)``. The header is one chunk
-    and each l one more, so a writer never holds the whole table. Each
-    row is one join of precomputed ``",n,0"`` tails with only the cells
-    present in ``mass`` formatted. A cell outside the grid raises
-    NumericError: it has no row to go in.
-    """
-    side = n_total + 1
-    tails = [f",{n},0" for n in range(side)]
-    cells: dict[int, list[tuple[int, float]]] = {}
-    for (l, n), p in mass.items():
-        if not (0 <= l < side and 0 <= n < side):
-            raise NumericError(
-                f"heatmap cell {(l, n)} lies outside the {side}x{side} grid"
-            )
-        cells.setdefault(l, []).append((n, p))
-    yield "l,n,p\n"
-    for l in range(side):
-        row = tails
-        if l in cells:
-            row = tails.copy()
-            for n, p in cells[l]:
-                row[n] = f",{n},{format_float(p)}"
-        head = str(l)
-        yield head + ("\n" + head).join(row) + "\n"

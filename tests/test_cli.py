@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cqwsim
+import cqwsim._run_simulate as run_simulate
 import cqwsim.cli as cli
 from cqwsim import JointDistribution, eigensolver, run_cascade
 from cqwsim.cascade import LIST_LIMIT
@@ -586,34 +587,46 @@ print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] in ("numpy", 
 
 
 _PAIR = ["--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"]
-# what every mode loads; the table adds the physics and the analysis
+# what every mode loads; the table adds each mode's runner, the physics and
+# the analysis
 _CLI_MODULES = ["cli", "cascade", "errors", "oracle", "output"]
 _PHYSICS = ["eigensolver", "coupling"]
+# the modes whose runner is a module of its own, loaded on dispatch
+_RUNNER_MODES = ("design", "levels", "simulate", "analyze")
 
 
 @pytest.mark.parametrize("argv, code, numpy, extra", [
     (["import"], None, False, []),
     (["--help"], 0, False, []),
     (["audit", "--n", "8", "--branching", "symmetric"], 0, False, []),
-    (["design", "--v1", "100", "--v2", "0", "--d", "1.1"], 3, False, ["eigensolver"]),
+    (["design", "--v1", "100", "--v2", "0", "--d", "1.1"], 3, False,
+     ["_run_design", "eigensolver"]),
     (["levels", "--v1", "5", "--v2", "0", "--d", "1", "--period", "1.5", "--b", "0"],
-     3, False, _PHYSICS),
+     3, False, ["_run_levels", *_PHYSICS]),
     (["simulate", "--n", "0", "--branching", "symmetric"], 2, False, []),
     (["simulate", "--n", "8", "--branching", "symmetric", "--bogus", "1"], 2, False, []),
-    (["simulate", "--n", "8", "--branching", "symmetric"], 0, False, []),
-    (["analyze", "--n", "8", "--branching", "symmetric"], 0, False, ["analysis"]),
-    (["design", "--v1", "60", "--v2", "0", "--d", "1"], 0, False, ["eigensolver"]),
-    (["levels", *_PAIR], 0, False, _PHYSICS),
-    (["simulate", "--n", "22", "--branching", "physical", *_PAIR], 0, False, _PHYSICS),
-    (["simulate", "--n", "22", "--branching", "dipole-only", *_PAIR], 0, False, _PHYSICS),
-    (["simulate", "--n", "8", "--branching", "symmetric", *_PAIR], 0, False, ["eigensolver"]),
+    (["simulate", "--n", "8", "--branching", "symmetric"], 0, False, ["_run_simulate"]),
+    (["analyze", "--n", "8", "--branching", "symmetric"], 0, False,
+     ["_run_analyze", "analysis"]),
+    (["design", "--v1", "60", "--v2", "0", "--d", "1"], 0, False,
+     ["_run_design", "eigensolver"]),
+    (["levels", *_PAIR], 0, False, ["_run_levels", *_PHYSICS]),
+    (["simulate", "--n", "22", "--branching", "physical", *_PAIR], 0, False,
+     ["_run_simulate", *_PHYSICS]),
+    (["simulate", "--n", "22", "--branching", "dipole-only", *_PAIR], 0, False,
+     ["_run_simulate", *_PHYSICS]),
+    (["simulate", "--n", "8", "--branching", "symmetric", *_PAIR], 0, False,
+     ["_run_simulate", "eigensolver"]),
     (["simulate", "--n", str(LIST_LIMIT - 1), "--branching", "symmetric", "--ch", "1",
-      "--cl", "0"], 0, False, []),
-    (["simulate", "--n", str(LIST_LIMIT), "--branching", "symmetric"], 0, False, []),
+      "--cl", "0"], 0, False, ["_run_simulate"]),
+    (["simulate", "--n", str(LIST_LIMIT), "--branching", "symmetric"], 0, False,
+     ["_run_simulate"]),
     (["analyze", "--n", str(LIST_LIMIT), "--branching", "symmetric"], 0, False,
-     ["analysis"]),
-    (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, False, []),
-    (["simulate", "--n", str(LIST_LIMIT + 1), "--config", "manual.json"], 0, True, []),
+     ["_run_analyze", "analysis"]),
+    (["simulate", "--n", str(LIST_LIMIT + 1), "--branching", "symmetric"], 0, False,
+     ["_run_simulate"]),
+    (["simulate", "--n", str(LIST_LIMIT + 1), "--config", "manual.json"], 0, True,
+     ["_run_simulate"]),
     (["verify", "--n", "8", "--branching", "symmetric"], 0, False, []),
     (["verify", "--n", "8", "--branching", "symmetric", "--samples", "1000"],
      0, False, []),
@@ -645,6 +658,12 @@ def test_cli_loads_numpy_only_to_build_arrays(tmp_path, argv, code, numpy, extra
     assert package == sorted(
         ["cqwsim"] + [f"cqwsim.{name}" for name in _CLI_MODULES + extra]
     )
+    # a command that reaches dispatch loads its own runner and no other's,
+    # and only analyze loads the heatmap writer, which lives in its runner
+    runners = [m for m in package if m.startswith("cqwsim._run_")]
+    dispatched = argv[0] in _RUNNER_MODES and code != 2
+    assert runners == ([f"cqwsim._run_{argv[0]}"] if dispatched else [])
+    assert ("cqwsim._run_analyze" in package) == (argv[0] == "analyze")
     # numpy imports inspect itself; cqwsim imports none of the four
     assert stdlib == (["inspect"] if numpy else [])
 
@@ -849,6 +868,27 @@ def test_process_started_without_stdout_writes_every_file(tmp_path):
     assert _files(tmp_path / "o") == _files(tmp_path / "normal") != {}
 
 
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--n", "0", "--branching", "symmetric"], 2),
+    (["design", "--v1", "100", "--v2", "0", "--d", "1.1"], 3),
+], ids=["exit-2", "exit-3"])
+def test_failure_without_a_writable_stderr_keeps_its_exit_code(tmp_path, argv, code,
+                                                                redirect):
+    # fd 2 closed at start (sys.stderr is None) or open for reading only: the
+    # diagnostic is dropped, never printed to stdout, and the code is kept
+    src = Path(cqwsim.__file__).resolve().parents[1]
+    result = subprocess.run(
+        ["/bin/sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "cqwsim",
+         *argv, "--out", "o"],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+        stdout=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (code, "")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["import"], None),
     (["--help"], 0),
@@ -859,21 +899,27 @@ def test_process_started_without_stdout_writes_every_file(tmp_path):
     (["analyze", "--n", "8", "--branching", "symmetric"], 0),
     (["verify", "--n", "8", "--branching", "symmetric", "--samples", "1000"], 0),
     (["audit", "--n", "8", "--branching", "symmetric"], 0),
+    (["verify", "--n", "8", "--branching", "symmetric"], 0),
 ], ids=["import", "help", "design", "levels", "simulate-physical", "simulate-n0",
-        "analyze", "verify", "audit"])
+        "analyze", "verify", "audit", "verify-no-samples"])
 def test_no_mode_loads_typing(tmp_path, argv, code):
-    # without site, which may load typing before any cqwsim code runs
+    # without site, which may load typing or random before any cqwsim code
+    # runs; only the Monte Carlo sampler loads random
     src = Path(cqwsim.__file__).resolve().parents[1]
     out = [] if argv[0] in ("import", "--help") else ["--out", str(tmp_path / "o")]
-    probe = _LOAD_PROBE + 'print(json.dumps("typing" in sys.modules))\n'
+    probe = _LOAD_PROBE + (
+        'print(json.dumps(["typing" in sys.modules, "random" in sys.modules]))\n'
+    )
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe, *argv, *out],
         env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
         capture_output=True, text=True, check=True,
     )
-    *_, report, typing_loaded = result.stdout.splitlines()
+    *_, report, loaded = result.stdout.splitlines()
+    typing_loaded, random_loaded = json.loads(loaded)
     assert json.loads(report)[0] == code
-    assert json.loads(typing_loaded) is False
+    assert typing_loaded is False
+    assert random_loaded == (argv[0] == "verify" and "--samples" in argv)
 
 
 def test_numpy_is_an_optional_extra():
@@ -1095,7 +1141,8 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, argv, target):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 72.8 TiB")
 
-    monkeypatch.setattr(cli, target, exhausted)
+    # patched where the mode's runner binds it: simulate's own module, or cli
+    monkeypatch.setattr(run_simulate if argv[0] == "simulate" else cli, target, exhausted)
     code = cli.main(argv + ["--branching", "symmetric", "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err

@@ -16,7 +16,8 @@ from cqwsim import (
     joint_pm,
     run_cascade,
 )
-from cqwsim.output import csv_table, format_float, heatmap_csv, stable_json
+from cqwsim._run_analyze import heatmap_csv
+from cqwsim.output import csv_table, format_float, stable_json
 from oracles import reference_csv, reference_json
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
