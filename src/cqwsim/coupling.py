@@ -19,7 +19,9 @@ moment-1 products of the translated states on a three-well chain.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from math import hypot, inf, sqrt
+from operator import add
 
 from .cascade import BranchingModel, _stochastic_row
 from .eigensolver import (
@@ -199,7 +201,7 @@ def coupling_integrals(
         for lo, hi in zip(edges, edges[1:])
     ]
     return CouplingIntegrals(
-        overlap=sum(cross),
+        overlap=reduce(add, cross),
         k_ba=drop * cross[3] - b * cross[4],
         k_ab=b * cross[0] + (drop + b) * cross[1],
         d_aa=drop * product_integral(fa, 0.0, fa, 0.0, period, period + d)

@@ -15,15 +15,16 @@ kappa d - arctan(nu / kappa) - arctan(delta / kappa) strictly increases
 across the window, from -pi at the floor to its value at v1 - b, so the
 level count is the number of multiples of pi below that top value. The two
 arctan terms sum to a value in (0, pi), so level n has kappa d in
-(n pi, (n + 1) pi): that hard-wall bracket, clipped to the window, is
-refined by bisection.
+(n pi, (n + 1) pi): on that hard-wall bracket, clipped to the window,
+``bisect_root`` solves for the level by safeguarded Newton on the phase
+and stops at float accuracy, with no tolerance.
 
 The solver works on one well only, the scale-free (V, 0, B, 1) with
 V = (v1 - v2) d^2 and B = b d^2: its levels are the well's, in units of
 1/d^2 and measured from the floor. ``solve_bound_states``,
 ``count_levels`` and ``design_alignment`` map a well in, and ``_map_out``
 maps each level back: energy / d^2 + v2, wavenumbers over d, amplitudes
-over sqrt(d). So every tolerance is in units of the energy scale 1/d^2,
+over sqrt(d). So ``DESIGN_TOL`` is in units of the energy scale 1/d^2,
 and no number of the physical frame enters the solver.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 from math import (
-    atan2, ceil, cos, exp, expm1, factorial, floor, inf, isfinite, pi, sin, sqrt, ulp,
+    atan2, ceil, cos, exp, expm1, factorial, floor, inf, isfinite, pi, sin, sqrt,
 )
 from collections import namedtuple
 from collections.abc import Callable
@@ -39,7 +40,6 @@ from sys import float_info
 
 from .errors import DomainError, InfeasibleDesignError, NumericError
 
-ENERGY_TOL = 1e-12
 DESIGN_TOL = 1e-9
 _TINY = float_info.min  # the smallest normal float
 
@@ -132,69 +132,70 @@ class DesignResult(namedtuple("DesignResult", "bias levels residual")):
     __slots__ = ()
 
 
-def _phase_of(depth: float, bias: float) -> Callable[[float], float]:
-    """Total phase kappa - arctan(nu/kappa) - arctan(delta/kappa) of the well (V, 0, B, 1).
+def _phase_of(depth: float, bias: float, n: int) -> Callable[[float], tuple[float, float]]:
+    """Phase residual kappa - arctan(nu/kappa) - arctan(delta/kappa) - n pi of level n
+    of the well (V, 0, B, 1), and its slope (1 + 1/nu + 1/delta) / (2 kappa).
 
-    atan2 keeps it defined at the floor (kappa = 0), where it equals -pi.
-    The well's numbers are bound once: a design search evaluates the phase
-    about 4,000 times, and a record's fields read slower than locals.
+    atan2 keeps the phase defined at the floor (kappa = 0), where it equals
+    -pi; the slope is infinite there and at the window top (delta = 0).
+    The well's numbers are bound once: a record's fields read slower than
+    locals.
     """
-    top = depth - bias
+    top, shift = depth - bias, n * pi
 
-    def phase(energy: float) -> float:
-        kappa = sqrt(energy)
-        return kappa - atan2(sqrt(depth - energy), kappa) - atan2(sqrt(top - energy), kappa)
+    def phase(energy: float) -> tuple[float, float]:
+        kappa, nu, delta = sqrt(energy), sqrt(depth - energy), sqrt(top - energy)
+        value = kappa - atan2(nu, kappa) - atan2(delta, kappa) - shift
+        return value, (1.0 + 1.0 / nu + 1.0 / delta) / (2.0 * kappa) if kappa and delta else inf
 
     return phase
 
 
 def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    f_lo: float | None = None,
-    f_hi: float | None = None,
+    f: Callable[[float], tuple[float, float]], lo: float, hi: float
 ) -> float:
-    """Plain bisection on a bracketing interval.
+    """Root of f on the bracket [lo, hi] by safeguarded Newton, to float accuracy.
 
-    The bracket invariant (a sign change between lo and hi) is checked on
-    entry and preserved each halving; violation raises NumericError.
+    f(x) returns (value, slope). The ends must differ in sign, or one be a
+    root, else NumericError. From the midpoint on, each step keeps the half
+    of the bracket that still changes sign and moves to the Newton iterate
+    x - value / slope, or to the midpoint when that iterate leaves the
+    bracket. It stops where f is 0, where the Newton iterate repeats the
+    point it came from, or when the bracket is two adjacent floats, and
+    returns the last point evaluated.
     """
-    if not (tol > 0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
     a, b = float(lo), float(hi)
-    fa = float(f(a)) if f_lo is None else float(f_lo)
-    fb = float(f(b)) if f_hi is None else float(f_hi)
+    fa, fb = f(a)[0], f(b)[0]
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    if fa * fb > 0:
+    if (fa < 0) == (fb < 0):
         raise NumericError(
             f"no sign change on bracket [{a}, {b}]: f(a)={fa}, f(b)={fb}"
         )
-    for _ in range(300):
-        mid = 0.5 * (a + b)
-        if b - a < tol or mid == a or mid == b:
-            return mid
-        fm = float(f(mid))
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
+    last, x = b, 0.5 * (a + b)
+    while a < x < b:
+        fx, slope = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (fa < 0):
+            a = x
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+            b = x
+        step = x - fx / slope if slope else a  # a flat slope takes the midpoint
+        if step == x:
+            return x
+        last, x = x, step if a < step < b else 0.5 * (a + b)
+    return last
 
 
 def _level_energy(depth: float, bias: float, n: int) -> float:
-    """Energy of level n of (V, 0, B, 1), bisected on n pi < kappa < (n + 1) pi in the window."""
+    """Energy of level n of (V, 0, B, 1), solved on n pi < kappa < (n + 1) pi in the window."""
     # products, not ** 2: libm's pow is not always correctly rounded
     edge, next_edge = n * pi, (n + 1) * pi
     hi = min(next_edge * next_edge, depth - bias)
-    phase = _phase_of(depth, bias)
-    return bisect_root(lambda e: phase(e) - n * pi, edge * edge, hi, ENERGY_TOL)
+    return bisect_root(_phase_of(depth, bias, n), edge * edge, hi)
 
 
 def _scale_free(params: WellParams) -> tuple[float, float]:
@@ -217,8 +218,8 @@ def _map_out(state: BoundState, d: float, v2: float) -> BoundState:
 def solve_bound_states(params: WellParams) -> list[BoundState]:
     """All bound levels of the well, ordered by branch index.
 
-    Each energy is bisected to ``ENERGY_TOL`` on the scale-free well, so in
-    units of the energy scale 1/d^2.
+    Each energy is a root of the phase condition of the scale-free well,
+    solved to float accuracy.
 
     Returns
     -------
@@ -227,15 +228,13 @@ def solve_bound_states(params: WellParams) -> list[BoundState]:
 
     Notes
     -----
-    The bisection stops on the energy width alone, so the phase residual
-    of a scale-free level is at most the phase slope
-    (1 + 1/nu + 1/delta) / (2 kappa) of (V, 0, B, 1) times ``ENERGY_TOL``.
-    The phase is the same function of the scaled energy at every d, so
-    that bound holds for the returned level too, up to the rounding of
-    energy / d^2 + v2. It grows like 1/delta toward the window top, so
-    the residual exceeds 1e-9 only within about 1e-8 / d^2 of v1 - b; the
-    largest seen over 102,821 levels of random wells (d from 0.05 to 3)
-    was 1.6e-10.
+    Newton on the phase uses its slope (1 + 1/nu + 1/delta) / (2 kappa),
+    at least 1 / (2 kappa), and stops at a zero residual, a repeated
+    iterate or two adjacent floats. So a scale-free level E is off by at
+    most ulp(E) + 2^-53 (21 E + 18 kappa) from the exact level of
+    (V, 0, B, 1): the phase's rounding over its slope (``tests/oracles.py``
+    derives the bound, and a 40-digit reference checks it). The returned
+    level adds the rounding of energy / d^2 + v2.
     """
     states = _lowest_states(*_scale_free(params), count_levels(params))
     return [_map_out(state, params.d, params.v2) for state in states]
@@ -253,7 +252,7 @@ def _lowest_states(depth: float, bias: float, count: int) -> list[BoundState]:
 def count_levels(params: WellParams) -> int:
     """Number of bound levels: the multiples n pi (n >= 0) below the phase at the window top."""
     depth, bias = _scale_free(params)
-    return max(ceil(_phase_of(depth, bias)(depth - bias) / pi), 0)
+    return max(ceil(_phase_of(depth, bias, 0)(depth - bias)[0] / pi), 0)
 
 
 def _match_wave(depth: float, bias: float, energy: float) -> PiecewiseWave:
@@ -421,22 +420,21 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     scale-free depth V = (v1 - v2) d^2, divided by d^2 and raised by v2. So
     the search runs on (V, 0, b, 1), solves the levels at its root there and
     maps them out, whether a design exists depends on V alone (from 24.95 to
-    64.08 on a scan of V in steps of 0.01), and every tolerance is in units
+    64.08 on a scan of V in steps of 0.01), and ``DESIGN_TOL`` is in units
     of the energy scale 1/d^2. At d = 1 and v2 = 0 the map is the identity.
 
-    By Hellmann-Feynman dE_n/db = -P_n, where P_n < 1 is the weight of
-    level n in the right barrier, the only part of the potential b moves.
-    So h(b) = (E1 - E0) - b has slope P0 - P1 - 1 < 0, and each level nears
-    the window top V - b at rate 1 - P_n > 0: h strictly decreases and the
-    level count, the ceiling of the top phase over pi, never rises with b.
-    The biases holding exactly two levels thus form one interval [b3, b2],
-    and h has at most one root there. Bisecting the top phase
-    sqrt(V - b) - arctan(sqrt(b / (V - b))), which decreases in b, against
-    pi gives b2 and against 2 pi gives b3 (the bias floor 1e-6 if the well
-    never holds three levels); both move inward by one step, DESIGN_TOL /
-    10 or 4 ulps of V if those are coarser. A root exists iff
-    h(b2) <= 0 <= h(b3), and bisecting h on [b3, b2] to one step finds it.
-    The root must leave exactly two levels with |h| <= DESIGN_TOL.
+    By Hellmann-Feynman dE_n/db = -P_n, where P_n = amp_right^2 / (2 delta)
+    < 1 is the weight of level n in the right barrier, the only part of the
+    potential b moves. So h(b) = (E1 - E0) - b has slope P0 - P1 - 1 < 0,
+    and each level nears the window top V - b at rate 1 - P_n > 0: h
+    strictly decreases wherever two or more levels are bound, and the level
+    count, the ceiling of the top phase over pi, never rises with b. The top
+    phase sqrt(V - b) - arctan(sqrt(b / (V - b))) decreases in b, and its
+    root against pi is b2, where the second level leaves the window: E1 =
+    V - b2 and P1 = 1 there. So h has at most one root, it lies on
+    [1e-6, b2] iff h(b2) <= 0, and bracketed Newton finds it to float
+    accuracy. The root must hold exactly two levels, and |h| <= DESIGN_TOL
+    there.
 
     Returns
     -------
@@ -446,8 +444,8 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     Raises
     ------
     InfeasibleDesignError
-        If no bias holds two levels, h(b2) > 0, h(b3) < 0 (the root holds
-        three or more levels), or the root violates the two-level condition.
+        If no bias holds two levels, h(b2) > 0, or the root holds three or
+        more levels.
     """
     depth, _ = _scale_free(WellParams(v1, v2, 0.0, d))  # DomainError outside the domain
     scale = d * d
@@ -455,47 +453,46 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     well = f"v1={v1}, v2={v2}, d={d}"
     if hi_b <= lo_b:
         raise InfeasibleDesignError(f"bias range ({lo_b}, {depth}) / d^2 is empty for {well}")
-    step = max(DESIGN_TOL / 10.0, 4 * ulp(depth))
 
-    def top_phase(bias: float) -> float:
+    def top_phase(bias: float) -> tuple[float, float]:
         kappa = sqrt(depth - bias)
-        return (kappa - atan2(sqrt(bias), kappa)) / pi
+        value = kappa - atan2(sqrt(bias), kappa) - pi
+        return value, -(1.0 + 1.0 / sqrt(bias)) / (2.0 * kappa) if kappa else -inf
 
-    def spacing_residual(bias: float) -> float:
+    def weight(bias: float, energy: float) -> float:
+        wave = _match_wave(depth, bias, energy)
+        return wave.amp_right * wave.amp_right / (2.0 * wave.delta)
+
+    def spacing_residual(bias: float) -> tuple[float, float]:
         e0 = _level_energy(depth, bias, 0)
-        return _level_energy(depth, bias, 1) - e0 - bias
+        if bias < b2:
+            e1 = _level_energy(depth, bias, 1)
+            slope = weight(bias, e0) - weight(bias, e1) - 1.0
+        else:
+            e1, slope = depth - bias, weight(bias, e0) - 2.0
+        return e1 - e0 - bias, slope
 
-    top = top_phase(lo_b)
-    if top <= 1.0:
+    if top_phase(lo_b)[0] <= 0:
         raise InfeasibleDesignError(
             f"no bias in ({lo_b}, {hi_b}) / d^2 yields two bound levels for {well}: "
             f"the second level is unbound already at b={lo_b} / d^2"
         )
-    b2 = bisect_root(lambda b: top_phase(b) - 1.0, lo_b, depth, step, top - 1.0) - step
-    h2 = spacing_residual(b2)
+    b2 = bisect_root(top_phase, lo_b, depth)
+    h2 = spacing_residual(b2)[0]
     if h2 > 0:
         raise InfeasibleDesignError(
             f"level spacing exceeds the bias wherever two levels are bound for {well}: "
             f"(E1 - E0) - b = {h2 / scale} at b2={b2 / scale}, where the second level "
             "leaves the window"
         )
-    b3 = lo_b
-    if top > 2.0:
-        b3 = bisect_root(lambda b: top_phase(b) - 2.0, lo_b, b2, step, top - 2.0) + step
-    h3 = spacing_residual(b3)
-    if h3 < 0:
+    root = bisect_root(spacing_residual, lo_b, b2)
+    count = count_levels(WellParams(depth, 0.0, root, 1.0))
+    if count != 2:
         raise InfeasibleDesignError(
-            f"alignment root holds three or more bound levels for {well}: "
-            f"(E1 - E0) - b = {h3 / scale} at b3={b3 / scale}, where the third level "
-            "leaves the window"
+            f"alignment root holds {count} bound levels, not two, for {well}: "
+            f"b={root / scale}"
         )
-    root = bisect_root(spacing_residual, b3, b2, step, h3, h2)
-    states = solve_bound_states(WellParams(depth, 0.0, root, 1.0))
-    if len(states) != 2:
-        raise InfeasibleDesignError(
-            f"two-level condition fails at the alignment root b={root / scale}: "
-            f"{len(states)} levels"
-        )
+    states = _lowest_states(depth, root, 2)
     residual = (states[1].energy - states[0].energy) - root
     if abs(residual) > DESIGN_TOL:
         raise NumericError(

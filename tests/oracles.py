@@ -26,6 +26,10 @@ each key; the package checks membership key by key instead.
 
 ``scan_design_reference`` is the alignment search the package used before
 the closed-form bracket: a 257-point bias scan, then bisection.
+``mp_levels`` and ``mp_alignment_bias`` solve the phase condition and the
+alignment root at 40 digits with mpmath, and ``level_error_bound`` and
+``bias_error_bound`` state how far the package's float results may lie
+from them.
 ``transcendental_residual`` evaluates the phase condition of a physical
 well at a physical energy by ``direct_residual``, a formula of its own, so
 the solver's levels are checked against an independent expression.
@@ -57,6 +61,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from mpmath import mp, mpf
 from scipy.integrate import quad
 from scipy.integrate import simpson as scipy_simpson
 from scipy.linalg import eigh_tridiagonal
@@ -71,7 +76,6 @@ from cqwsim import (
     NumericError,
     ValidationError,
     WellParams,
-    bisect_root,
     count_levels,
     evaluate_wave,
 )
@@ -842,24 +846,133 @@ def scan_design_reference(v1, v2, d):
     """Aligning bias by a scan of 257 biases, then bisection.
 
     Scans h over (1e-6, (v1 - v2) - 1e-6), takes the first sign change
-    between two biases that both hold two or more levels, and bisects it at
-    DESIGN_TOL / 10 in units of the energy scale 1/d^2. Raises
-    InfeasibleDesignError when no pair of neighbours brackets a root or the
-    root does not leave exactly two levels. A root on a two-level interval
-    narrower than the scan step goes unseen.
+    between two biases that both hold two or more levels, and bisects it
+    until the bracket is below DESIGN_TOL / 10 in units of the energy scale
+    1/d^2. Raises InfeasibleDesignError when no pair of neighbours brackets
+    a root or the root does not leave exactly two levels. A root on a
+    two-level interval narrower than the scan step goes unseen.
     """
     biases = np.linspace(1e-6, (v1 - v2) - 1e-6, 257).tolist()
     residuals = [spacing_residual(v1, v2, d, b) for b in biases]
     for b0, b1, r0, r1 in zip(biases, biases[1:], residuals, residuals[1:]):
         if r0 is not None and r1 is not None and (r0 == 0.0 or r0 * r1 < 0):
-            bias = bisect_root(
-                lambda b: spacing_residual(v1, v2, d, b), b0, b1,
-                DESIGN_TOL / 10.0 / (d * d), r0, r1,
-            )
+            while b1 - b0 >= DESIGN_TOL / 10.0 / (d * d) and r0 != 0.0:
+                mid = 0.5 * (b0 + b1)
+                r_mid = spacing_residual(v1, v2, d, mid)
+                if r0 * r_mid > 0:
+                    b0, r0 = mid, r_mid
+                else:
+                    b1 = mid
+            bias = b0 if r0 == 0.0 else 0.5 * (b0 + b1)
             if count_levels(WellParams(v1, v2, bias, d)) != 2:
                 raise InfeasibleDesignError(f"alignment root {bias} does not hold two levels")
             return bias
     raise InfeasibleDesignError(f"no sign change of h on the scan for v1={v1}, v2={v2}, d={d}")
+
+
+# 40 digits leave the references' own error near 1e-40, far below the float
+# results' bounds
+_MP_DIGITS = 40
+
+
+def mp_levels(depth, bias, count):
+    """The ``count`` lowest levels of the well (depth, 0, bias, 1) at 40 digits.
+
+    Level n is the root of kappa - atan2(nu, kappa) - atan2(delta, kappa)
+    - n pi on its hard-wall bracket (n pi)^2 < E < ((n + 1) pi)^2, clipped
+    to the window top depth - bias, found by mpmath's bracketing Anderson-
+    Bjorck solver. ``depth`` and ``bias`` are taken exactly, as the floats
+    they are.
+    """
+    with mp.workdps(_MP_DIGITS):
+        depth, top = mpf(depth), mpf(depth) - mpf(bias)
+        levels = []
+        for n in range(count):
+            def phase(energy, n=n):
+                kappa = mp.sqrt(energy)
+                return (kappa - mp.atan2(mp.sqrt(depth - energy), kappa)
+                        - mp.atan2(mp.sqrt(top - energy), kappa) - n * mp.pi)
+
+            bracket = ((n * mp.pi) ** 2, min(((n + 1) * mp.pi) ** 2, top))
+            levels.append(mp.findroot(phase, bracket, solver="anderson", maxsteps=200))
+        return levels
+
+
+def mp_spacing(depth, bias, b2):
+    """h(b) = (E1 - E0) - b of (depth, 0, b, 1) at 40 digits; from ``b2``, where
+    the second level leaves the window, E1 is the window top."""
+    with mp.workdps(_MP_DIGITS):
+        bias = mpf(bias)
+        if bias < b2:
+            e0, e1 = mp_levels(depth, bias, 2)
+        else:
+            e0, e1 = mp_levels(depth, bias, 1)[0], mpf(depth) - bias
+        return e1 - e0 - bias
+
+
+def mp_alignment_bias(depth):
+    """The root of h on [1e-6, b2] for the well (depth, 0, b, 1), at 40 digits.
+
+    b2 solves sqrt(V - b) - atan2(sqrt(b), sqrt(V - b)) = pi, where the
+    second level leaves the window. Returns (bias, slope of h there), the
+    slope by a central difference of step 1e-15.
+    """
+    with mp.workdps(_MP_DIGITS):
+        depth = mpf(depth)
+
+        def top_phase(bias):
+            kappa = mp.sqrt(depth - bias)
+            return kappa - mp.atan2(mp.sqrt(bias), kappa) - mp.pi
+
+        lo = mpf("1e-6")
+        b2 = mp.findroot(top_phase, (lo, depth), solver="anderson")
+        root = mp.findroot(lambda b: mp_spacing(depth, b, b2), (lo, b2), solver="anderson")
+        step = mpf("1e-15")
+        rise = mp_spacing(depth, root + step, b2) - mp_spacing(depth, root - step, b2)
+        return root, rise / (2 * step)
+
+
+_U = 2.0**-53  # the unit roundoff
+
+
+def level_error_bound(energy):
+    """Largest distance of a float level ``energy`` of a scale-free well from the exact one.
+
+    The package evaluates the phase r(E) = kappa - atan2(nu, kappa) -
+    atan2(delta, kappa) - n pi with kappa = sqrt(E), nu = sqrt(V - E) and
+    delta = sqrt(T - E), T = fl(V - B). Each operation rounds once (u =
+    2^-53; atan2 within 1 ulp), so to first order the computed residual is
+    off by at most
+      kappa (1 + nu/V + delta/T) u      from kappa (dr/dkappa is that factor),
+      1.5 u kappa nu / V                from nu (one subtraction, one sqrt),
+      u kappa / (2 delta) + 1.5 u kappa delta / T
+                                        from delta (T - E is off by u T),
+      4 u + u (kappa + pi/2) + u (kappa + pi) + 2 u kappa
+                                        from both atan2, both subtractions
+                                        and n pi < kappa.
+    The slope r' = (1 + 1/nu + 1/delta) / (2 kappa) is at least each of
+    1/(2 kappa), 1/(2 kappa nu) and 1/(2 kappa delta); dividing each term
+    by the one that fits gives an energy error of at most
+    u (2 + 5 + 5 + 1 + 8) E + u (8 + 3 pi) kappa < u (21 E + 18 kappa).
+    The solver stops at a zero residual, at adjacent floats across a sign
+    change, or where its Newton step is below half an ulp, so it adds at
+    most one ulp.
+    """
+    return math.ulp(energy) + _U * (21.0 * energy + 18.0 * math.sqrt(energy))
+
+
+def bias_error_bound(bias, e0, e1):
+    """Largest distance of a float alignment bias from the exact root.
+
+    h = (E1 - E0) - b is computed from the two float levels, each off by at
+    most ``level_error_bound``, and two subtractions that round by at most u
+    (E1 - E0) and u b (E1 - E0 = b at the root). Where the slope h' = P0 -
+    P1 - 1 is at most -1 (the excited level holds more weight in the right
+    barrier, P1 >= P0), an error in h moves the root by no more than itself;
+    the solver's stop adds one ulp of the bias, as for the levels.
+    """
+    return (math.ulp(bias) + level_error_bound(e0) + level_error_bound(e1)
+            + _U * (e1 - e0 + bias))
 
 
 def direct_residual(v1, b, d, energy, v2=0.0):

@@ -24,11 +24,15 @@ from cqwsim import (
     wave_nodes,
 )
 from cqwsim import eigensolver
-from cqwsim.eigensolver import DESIGN_TOL, ENERGY_TOL
+from cqwsim.eigensolver import DESIGN_TOL
 from oracles import (
+    bias_error_bound,
     composite_grid,
     count_nodes,
     direct_residual,
+    level_error_bound,
+    mp_alignment_bias,
+    mp_levels,
     sample_wavefunction,
     scan_design_reference,
     spacing_residual,
@@ -119,13 +123,27 @@ def test_residual_infinite_well_limit_converges():
 
 
 def test_bisect_root_cosine():
-    root = bisect_root(math.cos, 1.0, 2.0, 1e-12)
-    assert root == pytest.approx(math.pi / 2, abs=1e-11)
+    root = bisect_root(lambda x: (math.cos(x), -math.sin(x)), 1.0, 2.0)
+    assert abs(root - math.pi / 2) <= math.ulp(math.pi / 2)
+
+
+def test_bisect_root_falls_back_to_bisection():
+    # from the midpoint 4.5 Newton on arctan lands at -24 and then at -2.5,
+    # outside the bracket both times, so two halvings come first
+    points = []
+
+    def arctan(x):
+        points.append(x)
+        return math.atan(x), 1.0 / (1.0 + x * x)
+
+    assert bisect_root(arctan, -1.0, 10.0) == 0.0
+    assert points[2:5] == [4.5, 1.75, 0.375]
+    assert len(points) < 15
 
 
 def test_bisect_root_requires_bracket():
     with pytest.raises(NumericError):
-        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        bisect_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0)
 
 
 def test_finite_well_frozen_energies():
@@ -250,12 +268,16 @@ def test_levels_sit_in_hard_wall_brackets(v2, depth, d, bias_fraction):
         assert wave_nodes(state.wave) == n
         residual, branch = transcendental_residual(params, state.energy)
         assert branch == n
-        # the bisection fixes the scale-free energy to ENERGY_TOL, so the
-        # physical one to ENERGY_TOL / d^2; only a level within ~1e-8 / d^2 of
-        # the window top has a phase slope steep enough for that to exceed
-        # 1e-9 in phase
-        tol = ENERGY_TOL / (d * d)
-        assert abs(residual) <= max(1e-9, phase_slope(params, state.energy) * tol)
+        # the scale-free level is off by at most level_error_bound. Forming
+        # V and B (5 roundings, dE/dV <= 1 and |dE/dB| <= 1), mapping the
+        # level out (2) and the residual formula's subtractions (4) each
+        # shift it by at most 2 u M, M the largest potential or energy. The
+        # formula's sqrt, atan, products and n pi round the phase by under
+        # 8 ulp of (n + 1) pi.
+        top = max(abs(params.v1), abs(v2), abs(state.energy))
+        shift = level_error_bound((state.energy - v2) * d * d) / (d * d) + 22 * 2.0**-53 * top
+        tol = phase_slope(params, state.energy) * shift + 8 * math.ulp((n + 1) * math.pi)
+        assert abs(residual) <= tol
 
 
 def test_count_levels_matches_solver():
@@ -315,9 +337,9 @@ def test_sample_wavefunction_rejects_bad_grids():
 
 
 def test_design_alignment_frozen_case(aligned_design):
-    # the 257-point scan reference (oracles.scan_design_reference) puts the
-    # root at 17.039989831736797, 8.6e-12 from the bracketed bisection
-    assert aligned_design.bias == pytest.approx(17.039989831713026, abs=1e-6)
+    # the 40-digit reference (oracles.mp_alignment_bias) puts the root
+    # 0.41 ulp from 17.039989831712187
+    assert aligned_design.bias == pytest.approx(17.039989831712187, abs=1e-6)
     assert abs(aligned_design.residual) < 1e-9
     e0, e1 = (s.energy for s in aligned_design.levels)
     assert e1 - e0 == pytest.approx(aligned_design.bias, abs=1e-9)
@@ -340,7 +362,7 @@ def test_design_shift_identity(aligned_design):
 
 def test_design_infeasible_cases():
     # wide well: the only alignment root leaves five bound levels
-    with pytest.raises(InfeasibleDesignError, match=r"three or more bound levels .* at b3="):
+    with pytest.raises(InfeasibleDesignError, match=r"root holds 5 bound levels, not two, .* b="):
         design_alignment(50.0, 0.0, 2.0)
     # well too shallow to ever hold two levels
     with pytest.raises(InfeasibleDesignError, match=r"no bias .* unbound already at b=1e-06"):
@@ -348,22 +370,23 @@ def test_design_infeasible_cases():
     # shallow well: the spacing exceeds the bias wherever two levels are bound
     with pytest.raises(InfeasibleDesignError, match=r"spacing exceeds the bias .* at b2="):
         design_alignment(12.0, 0.0, 1.0)
-    # deep narrow well: the bracket ends sit near b = 1e8, where one ulp of
-    # the window top exceeds DESIGN_TOL / 10
-    with pytest.raises(InfeasibleDesignError, match=r"three or more bound levels .* at b3="):
+    # deep narrow well: b2 sits near b = 1e8, where one ulp of the window
+    # top exceeds DESIGN_TOL / 10, and the root holds thousands of levels
+    with pytest.raises(InfeasibleDesignError, match=r"root holds 3184 bound levels, not two"):
         design_alignment(1e8, 0.0, 1.0)
 
 
 def test_design_phase_evaluation_budget(monkeypatch, tmp_path):
     # the 257-point scan took 20,420 evaluations to design the paper's well
-    # and 21,221 to refuse (70, 0, 1); the closed-form bracket takes about
-    # 4,000 and 200 (its own top-phase bisections are not phase calls). A
-    # designed levels job reuses the design's levels and solves none again.
+    # and 21,221 to refuse (70, 0, 1); bisection on a closed-form bracket
+    # took 3,905 and 184, and bracketed Newton takes 108 and 108 (its
+    # top-phase solve for b2 makes no phase calls). A designed levels job
+    # reuses the design's levels and solves none again.
     calls = [0]
     phase_of = eigensolver._phase_of
 
-    def counted_phase_of(depth, bias):
-        phase = phase_of(depth, bias)
+    def counted_phase_of(depth, bias, n):
+        phase = phase_of(depth, bias, n)
 
         def counted(energy):
             calls[0] += 1
@@ -374,7 +397,7 @@ def test_design_phase_evaluation_budget(monkeypatch, tmp_path):
     monkeypatch.setattr(eigensolver, "_phase_of", counted_phase_of)
     design_alignment(60.0, 0.0, 1.0)
     designed = calls[0]
-    assert designed <= 5000
+    assert designed <= 400
     calls[0] = 0
     argv = ["levels", "--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"]
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
@@ -382,7 +405,7 @@ def test_design_phase_evaluation_budget(monkeypatch, tmp_path):
     calls[0] = 0
     with pytest.raises(InfeasibleDesignError):
         design_alignment(70.0, 0.0, 1.0)
-    assert calls[0] <= 1000
+    assert calls[0] <= 400
 
 
 @settings(max_examples=40, deadline=None)
@@ -421,6 +444,28 @@ def test_design_matches_the_scan_reference(v1, floor, d):
     assert count_levels(params) == 2
     assert abs(result.residual) * (d * d) <= DESIGN_TOL
     assert result.residual == result.levels[1].energy - result.levels[0].energy - result.bias
+
+
+@settings(max_examples=40, deadline=None)
+@given(depth=st.floats(25.0, 64.08), bias_fraction=st.floats(0.0, 0.99))
+def test_levels_within_their_bound_of_the_40_digit_reference(depth, bias_fraction):
+    bias = bias_fraction * depth
+    states = solve_bound_states(WellParams(depth, 0.0, bias, 1.0))
+    for state, exact in zip(states, mp_levels(depth, bias, len(states))):
+        assert abs(state.energy - exact) <= level_error_bound(state.energy)
+
+
+@settings(max_examples=25, deadline=None)
+@given(depth=st.floats(25.0, 64.08))
+def test_design_within_its_bound_of_the_40_digit_reference(depth):
+    # every V in [25, 64.08] designs; the bound takes |h'| >= 1, checked here
+    result = design_alignment(depth, 0.0, 1.0)
+    exact, slope = mp_alignment_bias(depth)
+    assert slope <= -1
+    e0, e1 = (state.energy for state in result.levels)
+    assert abs(result.bias - exact) <= bias_error_bound(result.bias, e0, e1)
+    for energy, level in zip((e0, e1), mp_levels(depth, result.bias, 2)):
+        assert abs(energy - level) <= level_error_bound(energy)
 
 
 def test_design_rejects_bad_inputs():

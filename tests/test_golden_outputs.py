@@ -4,7 +4,10 @@ Each run goes through ``cli.main`` into a fresh directory; the record is
 the exit code, the names of the files written and the sha256 of each. One
 run per mode also goes through ``python -m cqwsim`` in a fresh process,
 the path the benchmark times, and again with numpy blocked, since every
-mode runs without the optional extra.
+mode runs without the optional extra. Every run is also recorded under each
+other CPython from 3.10 to 3.13 found on PATH, by the pytest-free runner
+``golden_runs.py`` with numpy blocked: the bytes must not depend on the
+interpreter.
 The chain runs use symmetric or manual branching, so their bytes depend
 on no physics; the design, levels and physical-branching runs at the
 paper's test pair guard the eigensolver and the closed-form integrals.
@@ -25,9 +28,9 @@ rewritten.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -36,87 +39,9 @@ from pathlib import Path
 import pytest
 
 import cqwsim.cli as cli
+from golden_runs import RUNS, record
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
-
-
-def _manual(p_hh, p_hl, p_lh, p_ll, ch, cl):
-    return {
-        "init": {"ch": ch, "cl": cl},
-        "branching": {
-            "kind": "manual", "p_hh": p_hh, "p_hl": p_hl, "p_lh": p_lh, "p_ll": p_ll,
-        },
-    }
-
-
-_PAIR = ["--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"]
-# the well (57.66, 0, 1, 7.7 / 6.2) with its width scaled to 6.2e-61: its
-# chain is solved on that scale-free well and scaled only on output
-_EDGE = ["--v1", "1.5e122", "--v2", "0", "--d", "6.2e-61", "--period", "7.7e-61"]
-
-# name -> (argv, config document or None)
-RUNS = {
-    "design-v60-d1": (["design", "--v1", "60", "--v2", "0", "--d", "1"], None),
-    "levels-v60-p1.25": (["levels", *_PAIR], None),
-    "levels-float-range-edge": (["levels", *_EDGE, "--branching", "physical"], None),
-    "simulate-n22-physical": (
-        ["simulate", "--n", "22", "--branching", "physical", *_PAIR], None),
-    "simulate-n8-symmetric": (
-        ["simulate", "--n", "8", "--branching", "symmetric"], None),
-    "simulate-n800-manual": (
-        ["simulate", "--n", "800"], _manual(0.7, 0.3, 0.45, 0.55, 0.6, 0.8)),
-    "simulate-n1500-manual": (
-        ["simulate", "--n", "1500", "--format", "csv"],
-        _manual(0.7, 0.3, 0.45, 0.55, 0.6, 0.8)),
-    "simulate-n1000-symmetric": (
-        ["simulate", "--n", "1000", "--branching", "symmetric"], None),
-    "simulate-n1000-symmetric-faint-l": (
-        ["simulate", "--n", "1000", "--branching", "symmetric", "--ch", "1",
-         "--cl", "1e-4"], None),
-    "analyze-n501-symmetric": (
-        ["analyze", "--n", "501", "--branching", "symmetric", "--ch", "0.6",
-         "--cl", "0.8"], None),
-    "analyze-n21-symmetric": (
-        ["analyze", "--n", "21", "--branching", "symmetric", "--ch", "0.6",
-         "--cl", "0.8"], None),
-    "analyze-n400-skewed": (
-        ["analyze", "--n", "400"], _manual(0.995, 0.005, 0.4, 0.6, 0.6, 0.8)),
-    "analyze-n30-absorbing": (
-        ["analyze", "--n", "30"], _manual(1.0, 0.0, 0.5, 0.5, 1.0, 0.0)),
-    "verify-n12-samples": (
-        ["verify", "--n", "12", "--branching", "symmetric", "--samples", "20000",
-         "--seed", "7"], None),
-    "verify-n16-manual-samples": (
-        ["verify", "--n", "16", "--samples", "100000", "--seed", "3"],
-        _manual(0.3, 0.7, 0.45, 0.55, 0.6, 0.8)),
-    "audit-n10-all-positive": (
-        ["audit", "--n", "10", "--branching", "symmetric", "--signs",
-         "all-positive"], None),
-    "audit-n10-cmt-signs": (
-        ["audit", "--n", "10", "--branching", "symmetric", "--signs",
-         "cmt-signs"], None),
-}
-
-
-def record(name: str, workdir: Path, main=cli.main) -> dict:
-    """Run one golden case in ``workdir`` through ``main``; return its exit
-    code and digests."""
-    argv, config = RUNS[name]
-    argv = list(argv)
-    if config is not None:
-        path = workdir / "config.json"
-        path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
-    out = workdir / "out"
-    code = main(argv + ["--out", str(out)])
-    files = sorted(p.name for p in out.iterdir()) if out.exists() else []
-    return {
-        "exit": code,
-        "files": {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in files
-        },
-    }
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -169,6 +94,49 @@ def test_golden_outputs_through_the_process_entry(name, tmp_path):
 def test_golden_outputs_without_numpy(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert record(name, tmp_path, _without_numpy) == expected
+
+
+def _other_interpreters() -> list[tuple[str, dict]]:
+    """(path, environment) of each python3.X, 10 <= X <= 13, found on PATH
+    that runs and is not this interpreter's version."""
+    here = "%d.%d" % sys.version_info[:2]
+    src = Path(cli.__file__).resolve().parents[1]
+    found = []
+    for version in ("3.10", "3.11", "3.12", "3.13"):
+        path = shutil.which(f"python{version}")
+        if version == here or path is None:
+            continue
+        # a pyenv shim runs the version its PYENV_VERSION names; elsewhere
+        # the variable is ignored
+        env = {**os.environ, "PYTHONPATH": str(src), "PYENV_VERSION": version,
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        probe = subprocess.run(
+            [path, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == version:
+            found.append((path, env))
+    return found
+
+
+def test_golden_outputs_on_other_pythons(tmp_path):
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.10-3.13 found on PATH")
+    expected = json.loads(GOLDEN.read_text())
+    runner = Path(__file__).with_name("golden_runs.py")
+    for path, env in interpreters:
+        out = tmp_path / "records.json"
+        script = _NO_NUMPY + (
+            "import runpy\n"
+            f"sys.argv = [{str(runner)!r}, {str(out)!r}]\n"
+            f"runpy.run_path({str(runner)!r}, run_name='__main__')\n"
+        )
+        run = subprocess.run([path, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        records = json.loads(out.read_text())
+        assert sorted(name for name in RUNS if records[name] != expected[name]) == [], path
 
 
 def test_evaluate_wave_needs_numpy():
