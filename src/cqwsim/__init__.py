@@ -7,30 +7,10 @@ the photon-counting cascade, and analyze or cross-check the resulting
 distribution.
 
 The package needs only the standard library; numpy is an optional
-extra. Each public name is imported from its home module on first
-access, and numpy inside the functions that build arrays, so each
-command loads only the code it runs. The command line starts with
-``cli``, ``cascade``, ``errors``, ``oracle`` and ``output``. ``design``,
-``levels``, ``simulate`` and ``analyze`` each add their own runner
-module, ``_run_<mode>``, loaded when ``cli`` dispatches (the heatmap
-writer is in ``_run_analyze``); ``verify`` and ``audit`` run in ``cli``.
-``analyze`` adds ``analysis``, ``design`` (or any command given a well)
-adds ``eigensolver``, and ``levels`` and the ``physical`` and
-``dipole-only`` branching add ``eigensolver`` and ``coupling``. The
-physics integrates the piecewise waves in closed form and never loads
-numpy. The cascade writes equal-rate rows (the symmetric kind) in closed
-form, correctly rounded, at any N and with no array. Other rows walk each start as two
-lists split by the parity of the crossing count: Python lists up to
-N = 1400 photons (``cascade.LIST_LIMIT``), and above it numpy arrays of
-the same layout if numpy is installed, or the same lists if not, with
-the same bits either way. So ``simulate`` and ``analyze`` load numpy
-only for general rows above the cutoff, and every command runs without
-it. The ``verify`` oracles run on Python lists; only the Monte Carlo
-sampler (``--samples``) loads ``random``.
-Only ``evaluate_wave`` and ``sample_chain_waves``, which return arrays,
-need numpy. The records are ``collections.namedtuple`` classes, their
-field types in their docstrings, so no command loads ``dataclasses`` or
-``typing``.
+extra, and only ``evaluate_wave`` and ``sample_chain_waves``, which
+return arrays, need it. Each public name is imported from its home
+module on first access, so importing the package loads no other module.
+README (Start-up) lists the modules each command loads.
 """
 
 from importlib import import_module

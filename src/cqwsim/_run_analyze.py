@@ -71,7 +71,7 @@ def run(config: RunConfig) -> int:
         "parity": {
             "gate": parity.gate,
             "all_hold": parity.all_hold,
-            "rows": [list(row) for row in parity.rows],
+            "rows": parity.rows,
         },
         "purity": {
             "trace": purity.trace,

@@ -21,11 +21,8 @@ writes every entry in closed form, correctly rounded, at any N, with no
 array. Other rows run one of two walks of that layout, which give the
 same bits, so no result depends on whether numpy, an optional extra, is
 installed. Up to ``LIST_LIMIT`` (1400) photons ``_walk`` keeps the two
-lists as plain Python lists and numpy is never imported: in a fresh
-process, numpy's import costs more than the O(N^2) Python loop up to
-about that N. No branching kind loads numpy before the cascade runs, so
-the cutoff by N alone holds for all of them. Above it the lists are
-zero-padded float64 arrays, advanced one hop at a time by
+lists as plain Python lists and numpy is never imported. Above it the
+lists are zero-padded float64 arrays, advanced one hop at a time by
 ``evolve_step``, when numpy is installed, and ``_walk``'s lists
 otherwise, only slower.
 
@@ -45,17 +42,8 @@ from .errors import DomainError, NumericError, ValidationError
 HIGH = "H"
 LOW = "L"
 
-# run_cascade's largest N for the list kernel on general rows (equal rates
-# use neither kernel): where a fresh process breaks even, numpy's import
-# (about 0.15 s) included. In-process, one start of the list kernel takes
-# 48-53 / 64-91 / 71-86 ms at N = 1024 / 1400 / 1500 against 8-10 / 11-14 /
-# 8-15 ms on arrays (medians of 7 and 15 in two runs). Fresh `python -m
-# cqwsim simulate` with manual rows (0.7, 0.3, 0.45, 0.55), arrays (import
-# included) against lists, medians of 21 alternating runs: 258 / 263 ms at
-# N = 1400 and 263 / 283 ms at N = 1500; at N = 1300 the lists win by
-# 35-38 ms in a pair's median, at N = 1600 they lose by 27-40 ms. Without
-# numpy every N runs on the lists: one start at N = 1e4 takes 4.7 s against
-# 0.33 s on arrays. Measured on a 2-vCPU VM, Python 3.11.7, numpy 2.4.6.
+# run_cascade's largest N for the list kernel on general rows: up to it a
+# fresh process spends less on the O(N^2) list loop than on numpy's import.
 LIST_LIMIT = 1400
 
 CountKey = tuple[int, int, int]

@@ -30,12 +30,7 @@ from math import inf, isfinite
 from pathlib import Path
 
 from .cascade import BranchingModel, InitialExcitation, run_cascade
-from .errors import (
-    CqwError,
-    DomainError,
-    SizeError,
-    ValidationError,
-)
+from .errors import CqwError, DomainError, ValidationError
 from .oracle import (
     SIGN_MODES,
     coherence_audit,
@@ -79,7 +74,7 @@ def _as_int(value, key: str, minimum: int = 0, maximum: int | None = None) -> in
 # refuses an array of more than sys.maxsize bytes, 8 bytes an element
 MAX_SIZE = sys.maxsize // 8
 # the Monte Carlo walks take time, not memory, in proportion to the sample
-# count: about 7 s for 1e9 samples at N = 20
+# count, so the cap bounds a run's time
 SAMPLE_LIMIT = 10**9
 
 
@@ -351,7 +346,7 @@ def _run_audit(config: RunConfig) -> int:
         "max_abs_diff": None,
         "tv_distance": None,
         "final_norm": report.final_norm,
-        "colliding_states": [list(key) for key in report.colliding_states],
+        "colliding_states": report.colliding_states,
     }
     _emit(config, [("oracle_report.json", stable_json(document))])
     return 0
@@ -432,7 +427,7 @@ def _parse_args(argv: list[str]) -> tuple[str, str | None, dict]:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(load_config(*_parse_args(sys.argv[1:] if argv is None else argv)))
-    except (ValidationError, SizeError) as exc:
+    except ValidationError as exc:
         _fail("validation", str(exc))
         return 2
     except CqwError as exc:
@@ -450,14 +445,13 @@ def entry() -> None:
     ``main`` has returned (or ``--help`` raised ``SystemExit(0)``), its
     files are closed and nothing the process made is needed again, yet
     the interpreter's shutdown would tear down every module and collect
-    what is left: 1-5 ms of a 0.05-0.07 s command (README, Start-up). So
-    the process ends here as ``Py_FinalizeEx`` would, less that teardown:
-    the registered atexit callbacks run, stdout and stderr flush, and
-    ``os._exit`` ends it with ``main``'s code. Python does not promise
-    ``__del__`` for objects alive at exit anyway. Any other exception
-    takes Python's normal path, traceback and exit 1. ``os._exit`` stays
-    out of ``main``, which tests and the benchmark's tracer call
-    in-process.
+    what is left. So the process ends here as ``Py_FinalizeEx`` would,
+    less that teardown: the registered atexit callbacks run, stdout and
+    stderr flush, and ``os._exit`` ends it with ``main``'s code. Python
+    does not promise ``__del__`` for objects alive at exit anyway. Any
+    other exception takes Python's normal path, traceback and exit 1.
+    ``os._exit`` stays out of ``main``, which tests and the benchmark's
+    tracer call in-process.
 
     A reader that closed stdout early costs no file and no exit code:
     ``_say`` drops the lines it cannot print, and the flush here drops

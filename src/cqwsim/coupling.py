@@ -264,11 +264,8 @@ def mode_frequencies(delta_e: float, splitting: float) -> ModeFrequencies:
 # namespace leaves them out. They stay because bench/tracing.py TARGETS wraps
 # simpson and sample_chain_waves; move them to tests/oracles.py with it.
 def simpson(y, x) -> float:
-    """``scipy.integrate.simpson(y, x=x)``, imported on the first call.
-
-    No command calls it, and scipy comes only with the ``test`` extra. It
-    stays only because the benchmark tracer wraps it (ROADMAP item 9).
-    """
+    """``scipy.integrate.simpson(y, x=x)``; scipy, which comes only with the
+    ``test`` extra, is imported on the first call."""
     from scipy.integrate import simpson as scipy_simpson
 
     return float(scipy_simpson(y, x=x))

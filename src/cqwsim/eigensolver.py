@@ -418,10 +418,11 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
 
     The well (v1, v2, b, d) has the levels of (V, 0, b d^2, 1), with the
     scale-free depth V = (v1 - v2) d^2, divided by d^2 and raised by v2. So
-    the search runs on (V, 0, b, 1), solves the levels at its root there and
-    maps them out, whether a design exists depends on V alone (from 24.95 to
-    64.08 on a scan of V in steps of 0.01), and ``DESIGN_TOL`` is in units
-    of the energy scale 1/d^2. At d = 1 and v2 = 0 the map is the identity.
+    the search runs on (V, 0, b, 1), solving each bias's levels once and
+    mapping out the two at its root, whether a design exists depends on V
+    alone (from 24.95 to 64.08 on a scan of V in steps of 0.01), and
+    ``DESIGN_TOL`` is in units of the energy scale 1/d^2. At d = 1 and
+    v2 = 0 the map is the identity.
 
     By Hellmann-Feynman dE_n/db = -P_n, where P_n = amp_right^2 / (2 delta)
     < 1 is the weight of level n in the right barrier, the only part of the
@@ -431,10 +432,10 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     count, the ceiling of the top phase over pi, never rises with b. The top
     phase sqrt(V - b) - arctan(sqrt(b / (V - b))) decreases in b, and its
     root against pi is b2, where the second level leaves the window: E1 =
-    V - b2 and P1 = 1 there. So h has at most one root, it lies on
-    [1e-6, b2] iff h(b2) <= 0, and bracketed Newton finds it to float
-    accuracy. The root must hold exactly two levels, and |h| <= DESIGN_TOL
-    there.
+    V - b2 and P1 = 1 there, so b2 holds one bound level. So h has at
+    most one root, it lies on [1e-6, b2) iff h(b2) < 0, and bracketed Newton
+    finds it to float accuracy. The root must hold exactly two levels, and
+    |h| <= DESIGN_TOL there.
 
     Returns
     -------
@@ -444,7 +445,7 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     Raises
     ------
     InfeasibleDesignError
-        If no bias holds two levels, h(b2) > 0, or the root holds three or
+        If no bias holds two levels, h(b2) >= 0, or the root holds three or
         more levels.
     """
     depth, _ = _scale_free(WellParams(v1, v2, 0.0, d))  # DomainError outside the domain
@@ -459,18 +460,19 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
         value = kappa - atan2(sqrt(bias), kappa) - pi
         return value, -(1.0 + 1.0 / sqrt(bias)) / (2.0 * kappa) if kappa else -inf
 
-    def weight(bias: float, energy: float) -> float:
-        wave = _match_wave(depth, bias, energy)
-        return wave.amp_right * wave.amp_right / (2.0 * wave.delta)
+    solved = {}  # bias -> its lowest levels: h(b2) and the root read them back
 
     def spacing_residual(bias: float) -> tuple[float, float]:
-        e0 = _level_energy(depth, bias, 0)
-        if bias < b2:
-            e1 = _level_energy(depth, bias, 1)
-            slope = weight(bias, e0) - weight(bias, e1) - 1.0
-        else:
-            e1, slope = depth - bias, weight(bias, e0) - 2.0
-        return e1 - e0 - bias, slope
+        if bias not in solved:
+            solved[bias] = _lowest_states(depth, bias, 2 if bias < b2 else 1)
+        # each level's energy E_n and right-barrier weight P_n; at b2 level 1
+        # is the window top, E1 = V - b2 with P1 = 1
+        levels = [
+            (s.energy, s.wave.amp_right * s.wave.amp_right / (2.0 * s.wave.delta))
+            for s in solved[bias]
+        ]
+        (e0, p0), (e1, p1) = levels if bias < b2 else [*levels, (depth - bias, 1.0)]
+        return e1 - e0 - bias, p0 - p1 - 1.0
 
     if top_phase(lo_b)[0] <= 0:
         raise InfeasibleDesignError(
@@ -479,7 +481,7 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
         )
     b2 = bisect_root(top_phase, lo_b, depth)
     h2 = spacing_residual(b2)[0]
-    if h2 > 0:
+    if h2 >= 0:
         raise InfeasibleDesignError(
             f"level spacing exceeds the bias wherever two levels are bound for {well}: "
             f"(E1 - E0) - b = {h2 / scale} at b2={b2 / scale}, where the second level "
@@ -492,7 +494,7 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
             f"alignment root holds {count} bound levels, not two, for {well}: "
             f"b={root / scale}"
         )
-    states = _lowest_states(depth, root, 2)
+    states = solved[root]
     residual = (states[1].energy - states[0].energy) - root
     if abs(residual) > DESIGN_TOL:
         raise NumericError(

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: validation problems and sizes above an
-oracle's cap exit 2, numeric or infeasibility problems exit 3, and a failed
-verification run exits 4.
+The CLI maps these onto exit codes: validation problems exit 2, numeric or
+infeasibility problems exit 3, and a failed verification run exits 4. A
+size above an oracle's cap is a validation problem.
 """
 
 
@@ -26,5 +26,5 @@ class InfeasibleDesignError(CqwError):
     """No bias satisfies the alignment and two-level requirements."""
 
 
-class SizeError(CqwError):
+class SizeError(ValidationError):
     """Problem size above a hard enumeration limit."""

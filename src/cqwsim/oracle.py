@@ -26,7 +26,9 @@ from .errors import DomainError, SizeError, ValidationError
 
 ENUM_LIMIT = 20
 AUDIT_LIMIT = 16
-CHUNK_BITS = 1 << 20  # random bits drawn at once by ``_binomial``
+# ``_binomial`` draws its coins in chunks of this many bits, a multiple of 32,
+# so one draw's memory stays bounded at any walker count
+CHUNK_BITS = 1 << 20
 SIGN_MODES = ("all-positive", "cmt-signs")
 
 

@@ -990,6 +990,23 @@ def test_no_module_uses_builtin_sum():
     assert uses == []
 
 
+def test_docs_state_no_time_figures():
+    # README and the package's comments and docstrings state contracts; a
+    # measured time goes stale with the next change, so it belongs in
+    # CHANGES.md. A number after ^, _ or a letter is math (int_0^1 s ds).
+    figure = re.compile(r"(?<![\w^.])\d+(?:\.\d+)?(?:e[-+]?\d+)? ?(?:ms|µs|us|ns)\b"
+                        r"|(?<![\w^.])\d+\.\d+ ?s\b")
+    package = Path(cqwsim.__file__).resolve().parent
+    paths = [package.parents[1] / "README.md", *sorted(package.glob("*.py"))]
+    found = [
+        (path.name, number, match.group())
+        for path in paths
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        for match in figure.finditer(line)
+    ]
+    assert found == []
+
+
 def test_numpy_is_imported_only_where_arrays_are_built():
     # numpy is an optional extra: no module imports it at load; the cascade
     # probes for it above its list cutoff, and the other three build arrays

@@ -377,35 +377,40 @@ def test_design_infeasible_cases():
 
 
 def test_design_phase_evaluation_budget(monkeypatch, tmp_path):
-    # the 257-point scan took 20,420 evaluations to design the paper's well
-    # and 21,221 to refuse (70, 0, 1); bisection on a closed-form bracket
-    # took 3,905 and 184, and bracketed Newton takes 108 and 108 (its
-    # top-phase solve for b2 makes no phase calls). A designed levels job
+    # the search solves each bias's levels once: the infeasibility check's
+    # h(b2) is read back by the root search, and the root's two levels are
+    # the ones built when h was evaluated there. A designed levels job
     # reuses the design's levels and solves none again.
-    calls = [0]
-    phase_of = eigensolver._phase_of
+    calls = {"phase": 0, "wave": 0}
+    phase_of, match_wave = eigensolver._phase_of, eigensolver._match_wave
 
     def counted_phase_of(depth, bias, n):
         phase = phase_of(depth, bias, n)
 
         def counted(energy):
-            calls[0] += 1
+            calls["phase"] += 1
             return phase(energy)
 
         return counted
 
+    def counted_match_wave(depth, bias, energy):
+        calls["wave"] += 1
+        return match_wave(depth, bias, energy)
+
     monkeypatch.setattr(eigensolver, "_phase_of", counted_phase_of)
+    monkeypatch.setattr(eigensolver, "_match_wave", counted_match_wave)
     design_alignment(60.0, 0.0, 1.0)
-    designed = calls[0]
-    assert designed <= 400
-    calls[0] = 0
+    designed = dict(calls)
+    assert designed["phase"] <= 85
+    assert designed["wave"] <= 11
+    calls.update(phase=0, wave=0)
     argv = ["levels", "--v1", "60", "--v2", "0", "--d", "1", "--period", "1.25"]
     assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
-    assert calls[0] == designed
-    calls[0] = 0
+    assert calls["phase"] == designed["phase"]
+    calls.update(phase=0, wave=0)
     with pytest.raises(InfeasibleDesignError):
         design_alignment(70.0, 0.0, 1.0)
-    assert calls[0] <= 400
+    assert calls["phase"] <= 101
 
 
 @settings(max_examples=40, deadline=None)
