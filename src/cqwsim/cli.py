@@ -306,6 +306,13 @@ def _resolve_model(config: RunConfig, chain=None) -> BranchingModel:
     return branching_model(chain.freqs, chain.dipoles, config.kind or "physical")
 
 
+def _emit_report(config: RunConfig, **values) -> None:
+    """Write ``oracle_report.json``, the one shape of ``verify`` and ``audit``:
+    these four keys in this order, None where the mode has no value."""
+    keys = ("max_abs_diff", "tv_distance", "final_norm", "colliding_states")
+    _emit(config, [("oracle_report.json", stable_json(dict.fromkeys(keys) | values))])
+
+
 def _run_verify(config: RunConfig) -> int:
     model = _resolve_model(config)
     # the enumeration refuses an N above its cap before the cascade runs
@@ -322,13 +329,7 @@ def _run_verify(config: RunConfig) -> int:
             config.n, config.init, model, config.samples, config.seed
         )
         tv = tv_distance(dist, empirical)
-    document = {
-        "max_abs_diff": max_abs_diff,
-        "tv_distance": tv,
-        "final_norm": None,
-        "colliding_states": None,
-    }
-    _emit(config, [("oracle_report.json", stable_json(document))])
+    _emit_report(config, max_abs_diff=max_abs_diff, tv_distance=tv)
     if max_abs_diff > VERIFY_TOL:
         _fail(
             "verification",
@@ -342,13 +343,9 @@ def _run_verify(config: RunConfig) -> int:
 def _run_audit(config: RunConfig) -> int:
     model = _resolve_model(config)
     report = coherence_audit(config.n, config.init, model, config.sign_mode)
-    document = {
-        "max_abs_diff": None,
-        "tv_distance": None,
-        "final_norm": report.final_norm,
-        "colliding_states": report.colliding_states,
-    }
-    _emit(config, [("oracle_report.json", stable_json(document))])
+    _emit_report(
+        config, final_norm=report.final_norm, colliding_states=report.colliding_states
+    )
     return 0
 
 

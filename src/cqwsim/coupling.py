@@ -186,14 +186,19 @@ def split_pair(
     )
 
 
+def _spacing(period: float | None) -> float:
+    """The well-to-well spacing, which coupling needs."""
+    if period is None:
+        raise ValidationError("well.period is required to couple wells")
+    return period
+
+
 def coupling_integrals(
     ground: BoundState, excited: BoundState, params: WellParams
 ) -> CouplingIntegrals:
     """Exact coupling elements: ``ground`` at 0, ``excited`` at the period."""
-    if params.period is None:
-        raise ValidationError("well.period is required to couple wells")
     fa, fb = ground.wave, excited.wave
-    d, period, b = params.d, params.period, params.b
+    d, period, b = params.d, _spacing(params.period), params.b
     drop = params.v2 - params.v1
     edges = (-inf, 0.0, d, period, period + d, inf)
     cross = [
@@ -386,10 +391,11 @@ def solve_chain(
     (V, 0, 1) finds it, and its levels are the chain's. A given bias must
     leave two levels in the well, and ``couple_wells`` refuses a pair it does
     not align. Either way the right neighbor's levels are the well's,
-    lowered by the bias.
+    lowered by the bias. Without a period it refuses as ``couple_wells``
+    does, before any level is solved.
     """
     # WellParams raises DomainError outside the domain of the well and its scale-free twin
-    depth, b = _scale_free(WellParams(v1, v2, bias or 0.0, d, period))
+    depth, b = _scale_free(WellParams(v1, v2, bias or 0.0, d, _spacing(period)))
     if bias is None:
         b, left, _ = design_alignment(depth, 0.0, 1.0)
     params = WellParams(depth, 0.0, b, 1.0, period / d)

@@ -446,14 +446,14 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
     ------
     InfeasibleDesignError
         If no bias holds two levels, h(b2) >= 0, or the root holds three or
-        more levels.
+        more levels. The message names the scale-free well by V and each
+        bias by B = b d^2, in units of 1/d^2, so every well of one V gives
+        the same message.
     """
     depth, _ = _scale_free(WellParams(v1, v2, 0.0, d))  # DomainError outside the domain
-    scale = d * d
     lo_b, hi_b = 1e-6, depth - 1e-6
-    well = f"v1={v1}, v2={v2}, d={d}"
     if hi_b <= lo_b:
-        raise InfeasibleDesignError(f"bias range ({lo_b}, {depth}) / d^2 is empty for {well}")
+        raise InfeasibleDesignError(f"bias range B in ({lo_b}, V) is empty for V={depth}")
 
     def top_phase(bias: float) -> tuple[float, float]:
         kappa = sqrt(depth - bias)
@@ -476,31 +476,29 @@ def design_alignment(v1: float, v2: float, d: float) -> DesignResult:
 
     if top_phase(lo_b)[0] <= 0:
         raise InfeasibleDesignError(
-            f"no bias in ({lo_b}, {hi_b}) / d^2 yields two bound levels for {well}: "
-            f"the second level is unbound already at b={lo_b} / d^2"
+            f"no bias B in ({lo_b}, {hi_b}) yields two bound levels for V={depth}: "
+            f"the second level is unbound already at B={lo_b}"
         )
     b2 = bisect_root(top_phase, lo_b, depth)
     h2 = spacing_residual(b2)[0]
     if h2 >= 0:
         raise InfeasibleDesignError(
-            f"level spacing exceeds the bias wherever two levels are bound for {well}: "
-            f"(E1 - E0) - b = {h2 / scale} at b2={b2 / scale}, where the second level "
-            "leaves the window"
+            f"level spacing exceeds the bias wherever two levels are bound for V={depth}: "
+            f"(E1 - E0) - B = {h2} at B2={b2}, where the second level leaves the window"
         )
     root = bisect_root(spacing_residual, lo_b, b2)
     count = count_levels(WellParams(depth, 0.0, root, 1.0))
     if count != 2:
         raise InfeasibleDesignError(
-            f"alignment root holds {count} bound levels, not two, for {well}: "
-            f"b={root / scale}"
+            f"alignment root holds {count} bound levels, not two, for V={depth}: B={root}"
         )
     states = solved[root]
     residual = (states[1].energy - states[0].energy) - root
     if abs(residual) > DESIGN_TOL:
         raise NumericError(
-            f"alignment residual {residual / scale} exceeds tolerance {DESIGN_TOL} / d^2 "
-            f"at b={root / scale}"
+            f"alignment residual {residual} exceeds tolerance {DESIGN_TOL} for V={depth}: "
+            f"B={root}"
         )
-    bias = root / scale
+    bias = root / (d * d)
     levels = (_map_out(states[0], d, v2), _map_out(states[1], d, v2))
     return DesignResult(bias, levels, (levels[1].energy - levels[0].energy) - bias)

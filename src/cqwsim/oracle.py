@@ -229,6 +229,10 @@ def coherence_audit(
     squared norm of the final state equals 1 exactly when no two paths
     collide on a final triple; collisions make it sign-dependent.
     Amplitude replay doubles the dynamic range, so capped at 16 photons.
+
+    The replay keeps one map from each state (sublevel, l, n) to its signed
+    amplitude and path count; each step, and the final decay onto (l, m, n),
+    folds it into the next map in sorted key order.
     """
     if sign_mode not in SIGN_MODES:
         raise ValidationError(
@@ -241,50 +245,34 @@ def coherence_audit(
             f"amplitude audit capped at {AUDIT_LIMIT} photons, got {n_total}"
         )
     low_sign = -1.0 if sign_mode == "cmt-signs" else 1.0
-    amp: dict[tuple[str, int, int], float] = {}
-    paths: dict[tuple[str, int, int], int] = {}
-    if init.c_h > 0:
-        amp[(HIGH, 0, 0)] = init.c_h
-        paths[(HIGH, 0, 0)] = 1
-    if init.c_l > 0:
-        amp[(LOW, 0, 0)] = init.c_l
-        paths[(LOW, 0, 0)] = 1
     r_hh, r_hl = sqrt(branching.p_hh), sqrt(branching.p_hl)
     r_lh, r_ll = sqrt(branching.p_lh), sqrt(branching.p_ll)
+    state: dict[tuple[str, int, int], tuple[float, int]] = {
+        (start, 0, 0): (amplitude, 1)
+        for start, amplitude in ((HIGH, init.c_h), (LOW, init.c_l)) if amplitude > 0
+    }
     for _ in range(n_total - 1):
-        new_amp: dict[tuple[str, int, int], float] = {}
-        new_paths: dict[tuple[str, int, int], int] = {}
-        for key in sorted(amp):
-            a = amp[key]
-            c = paths[key]
-            branch, l, n = key
+        moved: dict[tuple[str, int, int], tuple[float, int]] = {}
+        for (branch, l, n), (a, c) in sorted(state.items()):
             if branch == HIGH:
-                moves = (((HIGH, l, n), r_hh, 1.0),
-                         ((LOW, l, n + 1), r_hl, 1.0))
+                moves = (((HIGH, l, n), r_hh, 1.0), ((LOW, l, n + 1), r_hl, 1.0))
             else:
-                moves = (((HIGH, l + 1, n), r_lh, low_sign),
-                         ((LOW, l, n), r_ll, low_sign))
+                moves = (((HIGH, l + 1, n), r_lh, low_sign), ((LOW, l, n), r_ll, low_sign))
             for target, root, sign in moves:
                 if root == 0.0:
                     continue
-                new_amp[target] = new_amp.get(target, 0.0) + sign * a * root
-                new_paths[target] = new_paths.get(target, 0) + c
-        amp, paths = new_amp, new_paths
-    final_amp: dict[CountKey, float] = {}
-    final_paths: dict[CountKey, int] = {}
+                total, count = moved.get(target, (0.0, 0))
+                moved[target] = (total + sign * a * root, count + c)
+        state = moved
+    final: dict[CountKey, tuple[float, int]] = {}
     m = n_total - 1
-    for key in sorted(amp):
-        branch, l, n = key
+    for (branch, l, n), (a, c) in sorted(state.items()):
         if branch == HIGH:
-            target = (l, m - l - n, n + 1)
-            contribution = amp[key]
+            target, contribution = (l, m - l - n, n + 1), a
         else:
-            target = (l + 1, m - l - n, n)
-            contribution = low_sign * amp[key]
-        final_amp[target] = final_amp.get(target, 0.0) + contribution
-        final_paths[target] = final_paths.get(target, 0) + paths[key]
-    norm = fsum(a ** 2 for a in final_amp.values())
-    colliding = sorted(k for k, c in final_paths.items() if c >= 2)
-    return AuditReport(
-        sign_mode=sign_mode, final_norm=norm, colliding_states=colliding
-    )
+            target, contribution = (l + 1, m - l - n, n), low_sign * a
+        total, count = final.get(target, (0.0, 0))
+        final[target] = (total + contribution, count + c)
+    norm = fsum(a ** 2 for a, _ in final.values())
+    colliding = sorted(key for key, (_, c) in final.items() if c >= 2)
+    return AuditReport(sign_mode=sign_mode, final_norm=norm, colliding_states=colliding)

@@ -77,6 +77,11 @@ RUNS = {
     "audit-n10-cmt-signs": (
         ["audit", "--n", "10", "--branching", "symmetric", "--signs",
          "cmt-signs"], None),
+    # asymmetric rows with p_ll = 0: a zero root is skipped and no two
+    # colliding terms are equal, so the addition order shows in the bytes
+    "audit-n16-manual-cmt-signs": (
+        ["audit", "--n", "16", "--signs", "cmt-signs"],
+        _manual(0.7, 0.3, 1.0, 0.0, 0.6, 0.8)),
 }
 
 

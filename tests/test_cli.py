@@ -293,19 +293,36 @@ def _refusal(tmp_path, capsys, argv):
 def test_infeasible_design_exits_3(tmp_path, capsys):
     # the well never holds two levels
     message = _refusal(tmp_path, capsys, ["design", "--v1", "0.5", "--v2", "0", "--d", "0.1"])
-    assert re.search(r"no bias .* unbound already at b=1e-06", message)
+    cause = r"no bias B in .* two bound levels for V=0\.005\d*: .* unbound already at B=1e-06$"
+    assert re.search(cause, message)
 
 
 @pytest.mark.parametrize("argv, cause", [
     # the spacing exceeds the bias even where the second level leaves
-    (["design", "--v1", "12", "--v2", "0", "--d", "1"], r"spacing exceeds the bias .* at b2=\S+, where"),
+    (["design", "--v1", "12", "--v2", "0", "--d", "1"], r"spacing exceeds the bias wherever two levels are bound for V=12\.0: .* at B2=\S+, where"),
     # the alignment root would hold a third level
-    (["design", "--v1", "70", "--v2", "0", "--d", "1"], r"root holds 3 bound levels, not two, .* b=\S+$"),
+    (["design", "--v1", "70", "--v2", "0", "--d", "1"], r"root holds 3 bound levels, not two, for V=70\.0: B=\S+$"),
     (["levels", "--v1", "70", "--v2", "0", "--d", "1", "--period", "1.25"],
-     r"root holds 3 bound levels, not two, .* b=\S+$"),
+     r"root holds 3 bound levels, not two, for V=70\.0: B=\S+$"),
 ], ids=["design-spacing-exceeds-bias", "design-three-levels", "levels-three-levels"])
 def test_design_refusals_name_cause_and_bias(tmp_path, capsys, argv, cause):
     assert re.search(cause, _refusal(tmp_path, capsys, argv))
+
+
+def test_design_refusal_is_one_message_from_every_command(tmp_path, capsys):
+    # design, levels and physical simulate search one scale-free well, so
+    # (100, 0, 1.2) refuses with the same line, naming V = 100 d^2 and the
+    # root's bias as B = b d^2
+    well = ["--v1", "100", "--v2", "0", "--d", "1.2", "--period", "1.5"]
+    errors = []
+    for argv in (["design"], ["levels"], ["simulate", "--n", "8", "--branching", "physical"]):
+        assert cli.main([*argv, *well, "--out", str(tmp_path / "o")]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[1:] == errors[:1] * 2
+    message = json.loads(errors[0])["message"]
+    assert re.fullmatch(r"alignment root holds 4 bound levels, not two, for V=\S+: B=\S+", message)
+    depth = 100.0 * (1.2 * 1.2)
+    assert f"for V={depth}: " in message
 
 
 def test_design_of_large_potentials_is_the_rescaled_design(tmp_path):

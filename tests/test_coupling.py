@@ -35,6 +35,7 @@ from cqwsim import (
     solve_chain,
     split_pair,
 )
+from cqwsim import eigensolver
 from cqwsim.coupling import sample_chain_waves
 from cqwsim.eigensolver import _map_out
 
@@ -365,6 +366,18 @@ def test_designed_chain_equals_the_chain_at_its_bias(depth, d, barrier):
     free = (v1 * (d * d), 0.0, 1.0, period / d)
     assert repr(solve_chain(*free)) == repr(designed)
     assert repr(solve_chain(*free, bias=designed.bias)) == repr(designed)
+
+
+def test_solve_chain_without_a_period_refuses_before_solving(monkeypatch):
+    # coupling needs the spacing: the chain refuses as couple_wells does,
+    # before the design search or any level solve starts
+    def no_solve(*args):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(eigensolver, "_phase_of", no_solve)
+    for bias in (None, 10.0):
+        with pytest.raises(ValidationError, match="well.period is required to couple wells"):
+            solve_chain(60.0, 0.0, 1.0, None, bias)
 
 
 @settings(max_examples=20, deadline=None)

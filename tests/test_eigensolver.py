@@ -362,13 +362,13 @@ def test_design_shift_identity(aligned_design):
 
 def test_design_infeasible_cases():
     # wide well: the only alignment root leaves five bound levels
-    with pytest.raises(InfeasibleDesignError, match=r"root holds 5 bound levels, not two, .* b="):
+    with pytest.raises(InfeasibleDesignError, match=r"root holds 5 bound levels, not two, for V=200\.0: B="):
         design_alignment(50.0, 0.0, 2.0)
     # well too shallow to ever hold two levels
-    with pytest.raises(InfeasibleDesignError, match=r"no bias .* unbound already at b=1e-06"):
+    with pytest.raises(InfeasibleDesignError, match=r"no bias B in .* for V=0\.005\d*: .* unbound already at B=1e-06"):
         design_alignment(0.5, 0.0, 0.1)
     # shallow well: the spacing exceeds the bias wherever two levels are bound
-    with pytest.raises(InfeasibleDesignError, match=r"spacing exceeds the bias .* at b2="):
+    with pytest.raises(InfeasibleDesignError, match=r"spacing exceeds the bias .* for V=12\.0: .* at B2="):
         design_alignment(12.0, 0.0, 1.0)
     # deep narrow well: b2 sits near b = 1e8, where one ulp of the window
     # top exceeds DESIGN_TOL / 10, and the root holds thousands of levels
