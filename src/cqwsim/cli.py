@@ -122,7 +122,6 @@ _KEYS = {
     "well.v2": _Key(_as_number, "--v2", "well floor"),
     "well.d": _Key(_as_number, "--d", "well width"),
     "well.period": _Key(_as_number, "--period", "well-to-well spacing"),
-    "well.b": _Key(_as_number, "--b", "per-period bias drop"),
     "n_total": _Key(_as_count, "--n", "total photon number"),
     "init.ch": _Key(_as_number, "--ch", "initial upper-sublevel amplitude", 1.0),
     "init.cl": _Key(_as_number, "--cl", "initial lower-sublevel amplitude", 1.0),
@@ -142,15 +141,14 @@ _FLAG_TYPES = {_as_number: float, _as_int: int, _as_samples: int, _as_count: int
 
 
 class RunConfig(namedtuple("RunConfig", (
-    "mode well bias n init kind model out_dir fmt seed samples sign_mode"
+    "mode well n init kind model out_dir fmt seed samples sign_mode"
 ))):
     """Fully validated inputs for one subcommand run.
 
-    Fields: mode (str); well (WellParams or None), its b the given bias,
-    or 0 until designed; bias (float or None); n (int or None); init
-    (InitialExcitation); kind (str or None); model (BranchingModel or
-    None), ready for the symmetric and manual kinds; out_dir, fmt (str);
-    seed, samples (int); sign_mode (str).
+    Fields: mode (str); well (WellParams or None), its b 0, since every
+    bias is designed; n (int or None); init (InitialExcitation); kind (str
+    or None); model (BranchingModel or None), ready for the symmetric and
+    manual kinds; out_dir, fmt (str); seed, samples (int); sign_mode (str).
     """
 
     __slots__ = ()
@@ -197,7 +195,6 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
             values.setdefault(key, spec.default)
     n = values.get("n_total")
     kind = values.get("branching.kind")
-    bias = values.get("well.b")
     well = model = None
     try:
         if any(key.startswith("well.") for key in values):
@@ -207,7 +204,7 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
             from .eigensolver import WellParams
 
             well = WellParams(
-                values["well.v1"], values["well.v2"], bias or 0.0,
+                values["well.v1"], values["well.v2"], 0.0,
                 values["well.d"], values.get("well.period"),
             )
         init = InitialExcitation.normalized(values["init.ch"], values["init.cl"])
@@ -230,10 +227,6 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
             f"{mode} mode writes JSON files only; output.format must be "
             f"'json' or 'both', got 'csv'"
         )
-    if mode == "design" and bias is not None:
-        raise ValidationError(
-            "well.b is not allowed in design mode; the bias search determines it"
-        )
     if mode in CHAIN_MODES:
         if n is None:
             raise ValidationError(f"n_total is required for {mode} mode")
@@ -246,7 +239,6 @@ def load_config(mode: str, config_path: str | None, flags: dict) -> RunConfig:
     return RunConfig(
         mode=mode,
         well=well,
-        bias=bias,
         n=n,
         init=init,
         kind=kind,
@@ -289,11 +281,11 @@ def _emit(config: RunConfig, documents: list[tuple[str, str | Iterable[str]]]) -
 
 
 def _solve_chain(config: RunConfig):
-    """The configured well's chain, at its given bias or a designed one."""
+    """The configured well's chain, at its designed bias."""
     from .coupling import solve_chain
 
     well = config.well
-    return solve_chain(well.v1, well.v2, well.d, well.period, config.bias)
+    return solve_chain(well.v1, well.v2, well.d, well.period)
 
 
 def _resolve_model(config: RunConfig, chain=None) -> BranchingModel:

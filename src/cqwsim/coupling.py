@@ -27,14 +27,12 @@ from .cascade import BranchingModel, _stochastic_row
 from .eigensolver import (
     BoundState,
     WellParams,
-    _lowest_states,
     _scale_free,
-    count_levels,
     design_alignment,
     evaluate_wave,
     product_integral,
 )
-from .errors import DomainError, InfeasibleDesignError, NumericError, ValidationError
+from .errors import DomainError, NumericError, ValidationError
 
 ALIGNMENT_TOL = 1e-6
 OVERLAP_LIMIT = 0.99
@@ -224,8 +222,9 @@ def couple_wells(
     ``ground`` is one well's ground state, ``excited`` its right neighbor's:
     the well's own excited state with its energy lowered by the bias, so both
     live in one global frame. |E_ground - E_excited| <= 1e-6 must hold, in
-    the units of ``solve_chain``'s scale-free well; for a designed chain the
-    difference is the design residual.
+    the units of ``solve_chain``'s scale-free well. The bound guards direct
+    callers only: ``solve_chain`` couples designed wells, whose difference is
+    the design residual, within ``DESIGN_TOL`` (1e-9).
 
     The overlap and coupling elements come from ``coupling_integrals``, and
     ``split_pair`` checks that tunneling dominates the alignment residual.
@@ -377,34 +376,24 @@ def dipole_matrix(
     return assemble_dipoles(levels, dipole_integrals(ground, excited, period))
 
 
-def solve_chain(
-    v1: float, v2: float, d: float, period: float, bias: float | None = None
-) -> SolvedChain:
+def solve_chain(v1: float, v2: float, d: float, period: float) -> SolvedChain:
     """Solve the chain of wells (v1, v2, d) spaced ``period`` apart, on its scale-free well.
 
-    The chain is that of (V, 0, B, 1) with V = (v1 - v2) d^2 and B = b d^2,
-    spaced period / d apart, and so is every field of the result: energies,
-    bias, spacing, splitting and frequencies are in units of 1/d^2 above the
+    The chain is that of (V, 0, B, 1) with V = (v1 - v2) d^2, spaced
+    period / d apart, and so is every field of the result: energies, bias,
+    spacing, splitting and frequencies are in units of 1/d^2 above the
     floor v2, and dipoles in units of d. The mixing, the overlap and both
     branching weightings do not scale: the rows of ``branching_model`` are
-    those of the well itself. Without ``bias`` the design search on
-    (V, 0, 1) finds it, and its levels are the chain's. A given bias must
-    leave two levels in the well, and ``couple_wells`` refuses a pair it does
-    not align. Either way the right neighbor's levels are the well's,
+    those of the well itself. The bias B is the one the design search on
+    (V, 0, 1) finds, which refuses a well it cannot align, and the design's
+    two levels are the chain's; the right neighbor's levels are the well's,
     lowered by the bias. Without a period it refuses as ``couple_wells``
     does, before any level is solved.
     """
     # WellParams raises DomainError outside the domain of the well and its scale-free twin
-    depth, b = _scale_free(WellParams(v1, v2, bias or 0.0, d, _spacing(period)))
-    if bias is None:
-        b, left, _ = design_alignment(depth, 0.0, 1.0)
+    depth, _ = _scale_free(WellParams(v1, v2, 0.0, d, _spacing(period)))
+    b, left, _ = design_alignment(depth, 0.0, 1.0)
     params = WellParams(depth, 0.0, b, 1.0, period / d)
-    if bias is not None:
-        # only the two lowest levels enter; a deep well can hold thousands
-        held = count_levels(params)
-        if held < 2:
-            raise InfeasibleDesignError(f"well holds {held} bound level(s); coupling needs two")
-        left = tuple(_lowest_states(depth, b, 2))
     right = tuple(s._replace(energy=s.energy - b) for s in left)
     split = couple_wells(left[0], right[1], params)
     spacing = left[1].energy - left[0].energy

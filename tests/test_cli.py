@@ -174,7 +174,6 @@ def test_sizes_above_the_array_limit_exit_2(tmp_path, capsys, argv, key, limit):
     ("--v2", "-inf", "well.v2"),
     ("--d", "inf", "well.d"),
     ("--period", "nan", "well.period"),
-    ("--b", "inf", "well.b"),
 ])
 def test_non_finite_flag_exits_2(tmp_path, capsys, flag, value, key):
     out = tmp_path / "o"
@@ -311,18 +310,20 @@ def test_design_refusals_name_cause_and_bias(tmp_path, capsys, argv, cause):
 
 def test_design_refusal_is_one_message_from_every_command(tmp_path, capsys):
     # design, levels and physical simulate search one scale-free well, so
-    # (100, 0, 1.2) refuses with the same line, naming V = 100 d^2 and the
-    # root's bias as B = b d^2
-    well = ["--v1", "100", "--v2", "0", "--d", "1.2", "--period", "1.5"]
-    errors = []
-    for argv in (["design"], ["levels"], ["simulate", "--n", "8", "--branching", "physical"]):
-        assert cli.main([*argv, *well, "--out", str(tmp_path / "o")]) == 3
-        errors.append(capsys.readouterr().err)
-    assert errors[1:] == errors[:1] * 2
-    message = json.loads(errors[0])["message"]
-    assert re.fullmatch(r"alignment root holds 4 bound levels, not two, for V=\S+: B=\S+", message)
-    depth = 100.0 * (1.2 * 1.2)
-    assert f"for V={depth}: " in message
+    # each well refuses with the same line, naming V = v1 d^2 and the root's
+    # bias as B = b d^2
+    for v1, d, period, held in (("100", 1.2, "1.5", 4), ("70", 1.0, "1.25", 3)):
+        well = ["--v1", v1, "--v2", "0", "--d", repr(d), "--period", period]
+        errors = []
+        for argv in (["design"], ["levels"], ["simulate", "--n", "8", "--branching", "physical"]):
+            assert cli.main([*argv, *well, "--out", str(tmp_path / "o")]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[1:] == errors[:1] * 2
+        message = json.loads(errors[0])["message"]
+        pattern = rf"alignment root holds {held} bound levels, not two, for V=\S+: B=\S+"
+        assert re.fullmatch(pattern, message)
+        depth = float(v1) * (d * d)
+        assert f"for V={depth}: " in message
 
 
 def test_design_of_large_potentials_is_the_rescaled_design(tmp_path):
@@ -357,9 +358,10 @@ def test_design_of_a_well_far_wider_than_2_to_53(tmp_path):
 
 
 def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch):
-    # the well holds about 31,800 levels; coupling needs levels 0 and 1. The
-    # chain is solved on its scale-free well (1e10, 0, 0, 1), so the
-    # diagnostic gives its energies, in units of 1/d^2 = 0.01
+    # the well holds about 31,800 levels; the design search solves levels 0
+    # and 1 only, and counts the others to refuse the root. The chain is
+    # designed on its scale-free well (1e10, 0, 1), so the diagnostic names
+    # V = 1e10 and the bias in units of 1/d^2 = 0.01
     solved = []
     level_energy = eigensolver._level_energy
 
@@ -370,16 +372,16 @@ def test_levels_solves_only_the_two_lowest_levels(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(eigensolver, "_level_energy", counted)
     code = cli.main([
         "levels", "--v1", "1e8", "--v2", "0", "--d", "10", "--period", "11",
-        "--b", "0", "--out", str(tmp_path / "o"),
+        "--out", str(tmp_path / "o"),
     ])
     assert code == 3
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "numeric",
-        "message": "wells misaligned: left ground 9.86920962875646 vs right "
-        "excited 39.476838515025065 differ by 29.607628886268607, "
-        "tolerance 1e-06",
-    }
-    assert solved == [0, 1]
+    diagnostic = json.loads(capsys.readouterr().err)
+    assert diagnostic["error"] == "numeric"
+    assert re.fullmatch(
+        r"alignment root holds 31831 bound levels, not two, for V=10000000000\.0: B=\S+",
+        diagnostic["message"],
+    )
+    assert set(solved) == {0, 1}
 
 
 # (V, 0, 1, period / d) at the edge of float range: v1 near 1e122 with
@@ -443,23 +445,21 @@ def test_levels_refuses_a_splitting_below_the_alignment_residual(tmp_path, capsy
     assert read_json(out, "coupled.json")["delta_e"] > 1e-8
 
 
-def test_levels_mode_with_fixed_bias(tmp_path):
-    out = tmp_path / "levels"
-    code = cli.main([
-        "levels", "--v1", "60", "--v2", "0", "--d", "1",
-        "--period", "1.25", "--b", "17.039989831736797",
-        "--out", str(out),
-    ])
-    assert code == 0
-    coupled = read_json(out, "coupled.json")
-    branching = read_json(out, "branching.json")
-    assert coupled["delta_e"] == pytest.approx(1.8220828103672355, abs=1e-6)
-    assert set(branching) == {
-        "p_hh", "p_hl", "p_lh", "p_ll",
-        "omega_minus", "omega_zero", "omega_plus", "delta_e", "weighting",
-    }
-    assert branching["p_hh"] + branching["p_hl"] == pytest.approx(1.0, abs=1e-15)
-    assert branching["p_lh"] + branching["p_ll"] == pytest.approx(1.0, abs=1e-15)
+@pytest.mark.parametrize("mode", [
+    ["design"], ["levels"], ["simulate", "--n", "22", "--branching", "physical"],
+], ids=["design", "levels", "simulate-physical"])
+def test_the_bias_is_not_an_option(tmp_path, capsys, mode):
+    # the design search sets every bias: neither a flag nor a config key
+    # gives one, and the refusal comes before any file is written
+    well = {"v1": 70.0, "v2": 0.0, "d": 1.0, "period": 1.25}
+    argv = [*mode, *(f"--{key}={value}" for key, value in well.items())]
+    assert _diagnostic(capsys, [*argv, "--b", "17.90352138145792"], tmp_path) == (
+        "unknown argument: --b"
+    )
+    config = write_config(tmp_path, {"well": {"b": 17.90352138145792}})
+    assert _diagnostic(capsys, [*argv, "--config", config], tmp_path) == (
+        "unknown configuration key: well.b"
+    )
 
 
 def test_analyze_mode_outputs(tmp_path):
@@ -621,8 +621,7 @@ _RUNNER_MODES = ("design", "levels", "simulate", "analyze")
     (["audit", "--n", "8", "--branching", "symmetric"], 0, False, []),
     (["design", "--v1", "100", "--v2", "0", "--d", "1.1"], 3, False,
      ["_run_design", "eigensolver"]),
-    (["levels", "--v1", "5", "--v2", "0", "--d", "1", "--period", "1.5", "--b", "0"],
-     3, False, ["_run_levels", *_PHYSICS]),
+    (["levels", "--v1", "5", "--v2", "0", "--d", "1", "--period", "1.5"], 3, False, ["_run_levels", *_PHYSICS]),
     (["simulate", "--n", "0", "--branching", "symmetric"], 2, False, []),
     (["simulate", "--n", "8", "--branching", "symmetric", "--bogus", "1"], 2, False, []),
     (["simulate", "--n", "8", "--branching", "symmetric"], 0, False, ["_run_simulate"]),
@@ -1072,7 +1071,7 @@ def test_help_lists_every_flag(capsys):
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     flags = [spec for spec in cli._KEYS.values() if spec.flag]
-    assert len(flags) == 14
+    assert len(flags) == 13
     for spec in flags:
         assert spec.flag in text and spec.help in text
     assert "--config" in text
@@ -1141,7 +1140,7 @@ def test_abbreviated_flag_exits_2_naming_it(tmp_path, capsys):
 # one valid value per flagged key, as a flag string and as a JSON value
 _FLAG_VALUES = {
     "well.v1": ("61.5", 61.5), "well.v2": ("-2", -2.0), "well.d": ("1.1e0", 1.1),
-    "well.period": ("1.3", 1.3), "well.b": ("2.25", 2.25), "n_total": ("7", 7),
+    "well.period": ("1.3", 1.3), "n_total": ("7", 7),
     "init.ch": ("0.6", 0.6), "init.cl": ("0.8", 0.8),
     "branching.kind": ("manual", "manual"), "output.dir": ("res", "res"),
     "output.format": ("json", "json"), "seed": ("11", 11),
@@ -1157,6 +1156,27 @@ _BASE = {
 
 def test_flag_values_cover_every_flagged_key():
     assert set(_FLAG_VALUES) == {key for key, spec in cli._KEYS.items() if spec.flag}
+
+
+def test_readme_key_table_lists_every_key_and_flag():
+    # README's "key | flag | default | meaning" table against _KEYS: one
+    # row per key, and a row of several keys spells the later ones without
+    # the block, as `branching.p_hh`, `p_hl`
+    readme = Path(cqwsim.__file__).resolve().parents[2] / "README.md"
+    lines = iter(readme.read_text().splitlines())
+    next(line for line in lines if line == "| key | flag | default | meaning |")
+    next(lines)  # the |---| rule
+    table = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        names, flag = (cell.strip() for cell in line.split("|")[1:3])
+        names = re.findall(r"`([\w.]+)`", names)
+        block = names[0].rpartition(".")[0]
+        for name in names:
+            key = name if "." in name or not block else f"{block}.{name}"
+            table[key] = flag.strip("`") if flag.startswith("`") else None
+    assert table == {key: spec.flag for key, spec in cli._KEYS.items()}
 
 
 @pytest.mark.parametrize("key", sorted(_FLAG_VALUES))
@@ -1288,8 +1308,6 @@ def _cli_case(draw):
         "sample_count": draw(st.integers(0, 300)),
         "sign_mode": draw(st.sampled_from(["all-positive", "cmt-signs"])),
     }
-    if draw(st.booleans()):
-        values["well.b"] = draw(st.floats(0.0, 30.0))
     for _ in range(draw(st.integers(0, 3))):
         key = draw(st.sampled_from(sorted(cli._KEYS)))
         check = cli._KEYS[key].check
@@ -1331,7 +1349,7 @@ def _cli_case(draw):
 @example(case=("simulate", {"n_total": 5, "branching": {"kind": "symmetric"}},
                [f"--n={sys.maxsize // 8 + 1}"]))
 @example(case=("levels", {"well": {"v1": 1e308, "v2": 0.0, "d": 1e200,
-                                   "period": 2e200, "b": 1.0}}, []))
+                                   "period": 2e200}}, []))
 # (60, 0, 1, 1.25) at 2^400 times its energy scale: the chain is solved on its
 # scale-free well, so only the written energies and frequencies, about 4e121,
 # carry the scale

@@ -356,16 +356,14 @@ def test_closed_form_matches_quadrature_on_aligned_wells(depth, d, v2, barrier):
     d=st.floats(0.8, 1.25),
     barrier=st.floats(0.15, 0.5),
 )
-def test_designed_chain_equals_the_chain_at_its_bias(depth, d, barrier):
-    # reusing the design's levels is the same as solving them again; repr
-    # round-trips every float, so equal reprs are equal bits. The chain is
-    # that of the scale-free well (V, 0, 1) spaced period / d apart, whose
-    # bias is the chain's own.
+def test_designed_chain_equals_its_scale_free_twin(depth, d, barrier):
+    # the chain is that of the scale-free well (V, 0, 1) spaced period / d
+    # apart, whose bias is the chain's own; repr round-trips every float, so
+    # equal reprs are equal bits
     v1, period = depth / (d * d), d + barrier
     designed = solve_chain(v1, 0.0, d, period)
     free = (v1 * (d * d), 0.0, 1.0, period / d)
     assert repr(solve_chain(*free)) == repr(designed)
-    assert repr(solve_chain(*free, bias=designed.bias)) == repr(designed)
 
 
 def test_solve_chain_without_a_period_refuses_before_solving(monkeypatch):
@@ -375,9 +373,8 @@ def test_solve_chain_without_a_period_refuses_before_solving(monkeypatch):
         raise AssertionError("a level was solved")
 
     monkeypatch.setattr(eigensolver, "_phase_of", no_solve)
-    for bias in (None, 10.0):
-        with pytest.raises(ValidationError, match="well.period is required to couple wells"):
-            solve_chain(60.0, 0.0, 1.0, None, bias)
+    with pytest.raises(ValidationError, match="well.period is required to couple wells"):
+        solve_chain(60.0, 0.0, 1.0, None)
 
 
 @settings(max_examples=20, deadline=None)
@@ -389,14 +386,12 @@ def test_solve_chain_without_a_period_refuses_before_solving(monkeypatch):
 def test_right_well_is_the_left_well_translated(depth, d, barrier):
     # the right neighbor is the left well moved by one period with every
     # potential lowered by the bias: the same waves, each energy lowered by
-    # the bias, whether the bias was designed or given
+    # the bias
     v1, period = depth / (d * d), d + barrier
     designed = solve_chain(v1, 0.0, d, period)
-    at_bias = solve_chain(v1, 0.0, d, period, bias=designed.bias / (d * d))
-    for chain in (designed, at_bias):
-        assert chain.right == tuple(
-            s._replace(energy=s.energy - chain.bias) for s in chain.left
-        )
+    assert designed.right == tuple(
+        s._replace(energy=s.energy - designed.bias) for s in designed.left
+    )
     # and solving the lowered well itself agrees to the solver's tolerance;
     # the chain is in units of 1/d^2, on the scale-free well (V, 0, 1)
     depth, bias = v1 * (d * d), designed.bias
