@@ -17,7 +17,7 @@ def run(config: RunConfig) -> int:
     delta_e = split.delta_e / scale
     coupled = {
         "bias": chain.bias / scale,
-        "spacing": chain.spacing / scale,
+        "spacing": chain.freqs.omega_zero / scale,
         **split._replace(
             e_plus=split.e_plus / scale + v2, e_minus=split.e_minus / scale + v2,
             delta_e=delta_e,

@@ -34,7 +34,6 @@ from .eigensolver import (
 )
 from .errors import DomainError, NumericError, ValidationError
 
-ALIGNMENT_TOL = 1e-6
 OVERLAP_LIMIT = 0.99
 TUNNELING_DOMINANCE = 100.0
 
@@ -101,15 +100,13 @@ class DipoleMatrix(namedtuple("DipoleMatrix", "d_hh d_hl d_lh d_ll d_hg d_lg")):
     __slots__ = ()
 
 
-class SolvedChain(namedtuple(
-    "SolvedChain", "bias spacing left right split freqs dipoles"
-)):
-    """The aligned chain of the scale-free well (V, 0, B, 1): one well's two lowest
-    levels, its right neighbor's (the same waves, each energy lowered by the bias),
-    and the doublet of their (ground, excited) pair.
+class SolvedChain(namedtuple("SolvedChain", "bias left split freqs dipoles")):
+    """The aligned chain of the scale-free well (V, 0, B, 1): the well's two lowest
+    levels and the doublet that its ground level forms with the right neighbor's
+    excited one. The level spacing is ``freqs.omega_zero``.
 
-    Fields: bias, spacing (float); left, right (two BoundStates each);
-    split (CoupledLevels); freqs (ModeFrequencies); dipoles (DipoleMatrix).
+    Fields: bias (float); left (two BoundStates); split (CoupledLevels);
+    freqs (ModeFrequencies); dipoles (DipoleMatrix).
     """
 
     __slots__ = ()
@@ -130,14 +127,15 @@ def split_pair(
     stays accurate when the splitting is tiny against the energies.
 
     ``residual`` is the part of h_aa - h_bb that is alignment error, not
-    physics; ``couple_wells`` passes E_a - E_b. It adds r = residual /
+    physics; ``couple_wells`` passes E_a - (E_b - b). It adds r = residual /
     (2 sqrt(1 - S^2)) to the detuning term o, and the tunneling term must
     dominate it: NumericError when |d| < TUNNELING_DOMINANCE (100) |r|,
-    since the splitting would then report the residual. hypot is
-    1-Lipschitz, so an accepted residual moves the splitting by at most 1%
-    of 2 |d|; where r is all of o (wide barriers, whose diagonal shifts
-    vanish) the splitting is within hypot(1, 0.01) - 1 = 5e-5 of the pure
-    tunneling value 2 |d|.
+    since the splitting would then report the residual. This is the pair's
+    one alignment check. hypot is 1-Lipschitz, so an accepted residual moves
+    the splitting by at most 2 |r| <= 2 |d| / 100: 1% of the tunneling
+    splitting 2 |d|, and so of the splitting, which is at least that. Where
+    r is all of o (wide barriers, whose diagonal shifts vanish) the
+    splitting is within hypot(1, 0.01) - 1 = 5e-5 of 2 |d|.
     """
     if abs(overlap) > OVERLAP_LIMIT:
         raise NumericError(
@@ -217,25 +215,19 @@ def coupling_integrals(
 def couple_wells(
     ground: BoundState, excited: BoundState, params: WellParams
 ) -> CoupledLevels:
-    """Split the aligned (left ground, right excited) pair by tunneling.
+    """Split a well's ground level and its right neighbor's excited level by tunneling.
 
-    ``ground`` is one well's ground state, ``excited`` its right neighbor's:
-    the well's own excited state with its energy lowered by the bias, so both
-    live in one global frame. |E_ground - E_excited| <= 1e-6 must hold, in
-    the units of ``solve_chain``'s scale-free well. The bound guards direct
-    callers only: ``solve_chain`` couples designed wells, whose difference is
-    the design residual, within ``DESIGN_TOL`` (1e-9).
-
+    ``ground`` and ``excited`` are the well's own two lowest levels, as for
+    ``coupling_integrals`` and ``dipole_matrix``. The right neighbor is the
+    well moved by one period with every potential lowered by the bias, so
+    its excited level is the same wave at E_b - b, the shift applied here.
     The overlap and coupling elements come from ``coupling_integrals``, and
-    ``split_pair`` checks that tunneling dominates the alignment residual.
+    ``split_pair`` refuses a pair whose tunneling does not dominate the
+    detuning E_a - (E_b - b). For a designed bias that detuning is one
+    rounding away from the design residual E_b - E_a - b.
     """
     e_a = ground.energy
-    e_b = excited.energy
-    if abs(e_a - e_b) > ALIGNMENT_TOL:
-        raise DomainError(
-            f"wells misaligned: left ground {e_a} vs right excited {e_b} "
-            f"differ by {abs(e_a - e_b)}, tolerance {ALIGNMENT_TOL}"
-        )
+    e_b = excited.energy - params.b
     ints = coupling_integrals(ground, excited, params)
     s = ints.overlap
     h_ab = 0.5 * ((e_b * s + ints.k_ab) + (e_a * s + ints.k_ba))
@@ -381,25 +373,23 @@ def solve_chain(v1: float, v2: float, d: float, period: float) -> SolvedChain:
 
     The chain is that of (V, 0, B, 1) with V = (v1 - v2) d^2, spaced
     period / d apart, and so is every field of the result: energies, bias,
-    spacing, splitting and frequencies are in units of 1/d^2 above the
-    floor v2, and dipoles in units of d. The mixing, the overlap and both
-    branching weightings do not scale: the rows of ``branching_model`` are
-    those of the well itself. The bias B is the one the design search on
-    (V, 0, 1) finds, which refuses a well it cannot align, and the design's
-    two levels are the chain's; the right neighbor's levels are the well's,
-    lowered by the bias. Without a period it refuses as ``couple_wells``
-    does, before any level is solved.
+    splitting and frequencies are in units of 1/d^2 above the floor v2,
+    and dipoles in units of d. The mixing, the overlap and both branching
+    weightings do not scale: the rows of ``branching_model`` are those of
+    the well itself. The bias B is the one the design search on (V, 0, 1)
+    finds, which refuses a well it cannot align, and the design's two
+    levels are the chain's; ``couple_wells`` lowers the excited one by the
+    bias. Without a period it refuses as ``couple_wells`` does, before any
+    level is solved.
     """
     # WellParams raises DomainError outside the domain of the well and its scale-free twin
     depth, _ = _scale_free(WellParams(v1, v2, 0.0, d, _spacing(period)))
     b, left, _ = design_alignment(depth, 0.0, 1.0)
     params = WellParams(depth, 0.0, b, 1.0, period / d)
-    right = tuple(s._replace(energy=s.energy - b) for s in left)
-    split = couple_wells(left[0], right[1], params)
-    spacing = left[1].energy - left[0].energy
-    freqs = mode_frequencies(spacing, split.delta_e)
+    split = couple_wells(left[0], left[1], params)
+    freqs = mode_frequencies(left[1].energy - left[0].energy, split.delta_e)
     dipoles = dipole_matrix(split, left[0], left[1], params.period)
-    return SolvedChain(b, spacing, left, right, split, freqs, dipoles)
+    return SolvedChain(b, left, split, freqs, dipoles)
 
 
 def branching_model(

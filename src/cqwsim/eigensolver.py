@@ -47,19 +47,13 @@ _TINY = float_info.min  # the smallest normal float
 class WellParams(namedtuple("WellParams", "v1 v2 b d period")):
     """Geometry and potentials of one well period.
 
-    Attributes
-    ----------
-    v1 : float
-        Unbiased barrier height.
-    v2 : float
-        Well floor.
-    b : float
-        Bias dropped across one period; the right barrier sits at v1 - b.
-    d : float
-        Well width.
-    period : float or None
-        Center-to-center distance to the next well. Only needed by the
-        coupled-pair operations; must exceed d when set.
+    v1 is the unbiased barrier height and v2 the well floor. The bias b is
+    dropped across one period, so the right barrier sits at v1 - b. d is
+    the well width, and period the center-to-center distance to the next
+    well: only the coupled-pair operations need it, and it must exceed d
+    when set.
+
+    Fields: v1, v2, b, d (float); period (float or None).
     """
 
     __slots__ = ()

@@ -2,6 +2,8 @@
 
 import ast
 import gc
+import importlib
+import inspect
 import io
 import json
 import os
@@ -1177,6 +1179,55 @@ def test_readme_key_table_lists_every_key_and_flag():
             key = name if "." in name or not block else f"{block}.{name}"
             table[key] = flag.strip("`") if flag.startswith("`") else None
     assert table == {key: spec.flag for key, spec in cli._KEYS.items()}
+
+
+def test_record_docstrings_name_their_fields():
+    # README promises each record's fields and types in its docstring: the
+    # paragraph starting "Fields:", split on ";" and read up to each "(",
+    # lists exactly _fields, in order
+    modules = [
+        importlib.import_module(f"cqwsim.{path.stem}")
+        for path in sorted(Path(cqwsim.__file__).resolve().parent.glob("*.py"))
+        if not path.stem.startswith("__")
+    ]
+    records = [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, tuple)
+        and hasattr(value, "_fields") and value.__module__ == module.__name__
+    ]
+    assert "SolvedChain" in {record.__name__ for record in records}
+    mismatched = []
+    for record in records:
+        paragraph = re.search(r"^Fields:(.*?)(?:\n\n|\Z)", inspect.getdoc(record) or "",
+                              re.S | re.M)
+        named = () if paragraph is None else tuple(
+            name.strip()
+            for part in paragraph.group(1).split(";")
+            for name in part.partition("(")[0].split(",")
+        )
+        if named != record._fields:
+            mismatched.append((record.__name__, named, record._fields))
+    assert mismatched == []
+
+
+def test_readme_names_only_constants_that_exist():
+    # each backticked UPPER_CASE name in README is assigned at the top level
+    # of some module of the package
+    package = Path(cqwsim.__file__).resolve().parent
+    readme = package.parents[1] / "README.md"
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", readme.read_text()))
+    assert named
+    defined = {
+        target.id
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    assert named - defined == set()
 
 
 @pytest.mark.parametrize("key", sorted(_FLAG_VALUES))

@@ -171,21 +171,38 @@ def test_splitting_shrinks_with_separation(pair_case):
     gaps = []
     for period in (1.2, 1.35, 1.5):
         params = WellParams(60.0, 0.0, pair_case.bias, 1.0, period=period)
-        split = couple_wells(pair_case.left[0], pair_case.right[1], params)
+        split = couple_wells(pair_case.left[0], pair_case.left[1], params)
         gaps.append(split.delta_e)
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
-def test_couple_wells_rejects_misalignment(pair_case):
-    with pytest.raises(DomainError):
-        # the unshifted excited level: off by the bias
-        couple_wells(pair_case.left[0], pair_case.left[1], pair_case.params)
+def test_couple_wells_refuses_a_bias_off_the_design(pair_case):
+    # split_pair's dominance rule is the pair's one alignment check: a bias
+    # 1.0 off the design, or none at all (the unshifted excited level),
+    # detunes the pair beyond what tunneling dominates
+    ground, excited = pair_case.left
+    for bias in (pair_case.bias + 1.0, 0.0):
+        params = pair_case.params._replace(b=bias)
+        with pytest.raises(NumericError, match="tunneling no longer dominates"):
+            couple_wells(ground, excited, params)
+    # a smaller offset, here 0.01, is still dominated and splits
+    params = pair_case.params._replace(b=pair_case.bias + 0.01)
+    assert couple_wells(ground, excited, params).delta_e > 0
+
+
+@pytest.mark.parametrize("depth, period", [(30.0, 1.25), (45.0, 1.4), (60.0, 1.25)])
+def test_couple_wells_lowers_the_excited_level_by_the_bias(depth, period):
+    # given the well's own two levels and the designed bias, couple_wells
+    # splits the chain's pair bit for bit
+    chain = solve_chain(depth, 0.0, 1.0, period)
+    params = WellParams(depth, 0.0, chain.bias, 1.0, period)
+    assert repr(couple_wells(chain.left[0], chain.left[1], params)) == repr(chain.split)
 
 
 def test_couple_wells_needs_period(pair_case):
     bare = WellParams(60.0, 0.0, pair_case.bias, 1.0)
     with pytest.raises(ValidationError):
-        couple_wells(pair_case.left[0], pair_case.right[1], bare)
+        couple_wells(pair_case.left[0], pair_case.left[1], bare)
 
 
 def test_mode_frequencies_arithmetic():
@@ -209,7 +226,7 @@ def test_mode_frequencies_domain():
 
 def test_physical_mode_frequencies(pair_case):
     freqs = pair_case.freqs
-    assert freqs.omega_zero == pytest.approx(pair_case.spacing, abs=1e-12)
+    assert freqs.omega_zero == pair_case.left[1].energy - pair_case.left[0].energy
     assert freqs.omega_plus > freqs.omega_zero > freqs.omega_minus > 0
 
 
@@ -244,12 +261,12 @@ def test_sampled_splitting_converges_to_closed_form(pair_case):
     # the splitting it reported; the potential steps between grid points
     # make it converge as O(h), so ten times the points cuts the error about
     # tenfold (at least fivefold here) toward the closed form.
-    ground, excited = pair_case.left[0], pair_case.right[1]
+    ground, excited = pair_case.left
     exact = pair_case.split.delta_e
     errors = []
     for n_points in (10_000, 100_000):
         ints = sampled_coupling_integrals(ground, excited, pair_case.params, n_points)
-        split = _split(ints, ground.energy, excited.energy)
+        split = _split(ints, ground.energy, excited.energy - pair_case.bias)
         errors.append(abs(split.delta_e - exact))
         if n_points == 10_000:
             assert split.delta_e == pytest.approx(1.8208234292741468, abs=1e-9)
@@ -302,10 +319,9 @@ def test_closed_form_matches_quadrature_on_aligned_wells(depth, d, v2, barrier):
     chain = solve_chain(v1, v2, d, period)
     bias = chain.bias / (d * d)
     ground, excited = (_map_out(state, d, v2) for state in chain.left)
-    right = [_map_out(state, d, v2) for state in chain.right]
-    assert right[1].energy == pytest.approx(ground.energy, abs=1e-6 / (d * d))
+    assert excited.energy - bias == pytest.approx(ground.energy, abs=1e-6 / (d * d))
     params = WellParams(v1, v2, bias, d, period=period)
-    ints = coupling_integrals(ground, right[1], params)
+    ints = coupling_integrals(ground, excited, params)
 
     # the three potentials, pointwise; v_a and v_b reuse v_pair's expressions,
     # so their differences are exactly 0 where the potentials agree
@@ -329,7 +345,7 @@ def test_closed_form_matches_quadrature_on_aligned_wells(depth, d, v2, barrier):
     steps = (0.0, d, period, period + d)
 
     def pair(weight=None):
-        return quad_product(ground, 0.0, right[1], period, weight=weight, breaks=steps)
+        return quad_product(ground, 0.0, excited, period, weight=weight, breaks=steps)
 
     def own(state, offset, weight):
         return quad_product(state, offset, state, offset, weight=weight, breaks=steps)
@@ -338,7 +354,7 @@ def test_closed_form_matches_quadrature_on_aligned_wells(depth, d, v2, barrier):
     _assert_within_quad(ints.k_ba, pair(lambda x: v_pair(x) - v_a(x)))
     _assert_within_quad(ints.k_ab, pair(lambda x: v_pair(x) - v_b(x)))
     _assert_within_quad(ints.d_aa, own(ground, 0.0, lambda x: v_pair(x) - v_a(x)))
-    _assert_within_quad(ints.d_bb, own(right[1], period, lambda x: v_pair(x) - v_b(x)))
+    _assert_within_quad(ints.d_bb, own(excited, period, lambda x: v_pair(x) - v_b(x)))
 
     dips = dipole_integrals(ground, excited, period)
     for value, f, f_at, g, g_at in (
@@ -385,19 +401,16 @@ def test_solve_chain_without_a_period_refuses_before_solving(monkeypatch):
 )
 def test_right_well_is_the_left_well_translated(depth, d, barrier):
     # the right neighbor is the left well moved by one period with every
-    # potential lowered by the bias: the same waves, each energy lowered by
-    # the bias
+    # potential lowered by the bias, so its levels are the same waves, each
+    # energy lowered by the bias, as couple_wells takes them: solving the
+    # lowered well itself agrees to the solver's tolerance; the chain is in
+    # units of 1/d^2, on the scale-free well (V, 0, 1)
     v1, period = depth / (d * d), d + barrier
     designed = solve_chain(v1, 0.0, d, period)
-    assert designed.right == tuple(
-        s._replace(energy=s.energy - designed.bias) for s in designed.left
-    )
-    # and solving the lowered well itself agrees to the solver's tolerance;
-    # the chain is in units of 1/d^2, on the scale-free well (V, 0, 1)
     depth, bias = v1 * (d * d), designed.bias
     lowered = solve_bound_states(WellParams(depth - bias, -bias, bias, 1.0))
-    for solved, moved in zip(lowered, designed.right):
-        assert abs(solved.energy - moved.energy) < 1e-8
+    for solved, own in zip(lowered, designed.left):
+        assert abs(solved.energy - (own.energy - bias)) < 1e-8
 
 
 @settings(max_examples=20, deadline=None)
@@ -442,12 +455,12 @@ def test_product_integral_exact_at_alignment(pair_case):
     # exactly and it is the constant A_R B_L e^(-delta_a (P - d)).
     d, period = pair_case.params.d, pair_case.params.period
     fa = pair_case.left[0].wave
-    fb = pair_case.right[1].wave._replace(nu=fa.delta)
+    fb = pair_case.left[1].wave._replace(nu=fa.delta)
     flat = fa.amp_right * fb.amp_left * math.exp(-fa.delta * (period - d))
     value = product_integral(fa, 0.0, fb, period, d, period)
     assert value == pytest.approx(flat * (period - d), rel=4 * 2.0**-52)
     ground = pair_case.left[0]
-    right = pair_case.right[1]._replace(wave=fb)
+    right = pair_case.left[1]._replace(wave=fb)
     _assert_within_quad(value, quad_product(ground, 0.0, right, period, d, period))
     # and beside it, inside the series' reach
     for step in (1e-12, -1e-9, 1e-6):
@@ -461,11 +474,11 @@ def test_product_integral_exact_at_alignment(pair_case):
 
 def test_wide_barrier_collapses_splitting(pair_case):
     # Across a 200-wide barrier every cross integral underflows to 0, and
-    # not to nan. With the right level set exactly onto the left one nothing
-    # is left to split the pair.
+    # not to nan. With no bias and the excited level set exactly onto the
+    # ground one nothing is left to split the pair.
     ground = pair_case.left[0]
-    excited = pair_case.right[1]._replace(energy=ground.energy)
-    params = pair_case.params._replace(period=pair_case.params.d + 200.0)
+    excited = pair_case.left[1]._replace(energy=ground.energy)
+    params = pair_case.params._replace(b=0.0, period=pair_case.params.d + 200.0)
     ints = coupling_integrals(ground, excited, params)
     assert (ints.overlap, ints.k_ba, ints.k_ab) == (0.0, 0.0, 0.0)
     assert ints.d_aa == ints.d_bb == 0.0
